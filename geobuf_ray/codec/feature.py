@@ -374,8 +374,11 @@ def _geometry_segments(table: pa.Table):
             delta = np.empty(total_vals, np.int32)
             delta[:2] = q32[:2]
             np.subtract(q32[2:], q32[:-2], out=delta[2:])
-            if (cmax - cmin) * _POWER < 2.0**31 - 1:
-                ok = True  # span-bounded: no int32 delta can overflow
+            # span-bounded: no int32 delta can overflow.  The margin of
+            # a few quanta covers the float rounding of the span product
+            # against the truncated per-coordinate quantization.
+            if (cmax - cmin) * _POWER < 2.0**31 - 4:
+                ok = True
             else:
                 ov = ((q32[2:] ^ q32[:-2]) & (q32[2:] ^ delta[2:])) < 0
                 ok = not ov.any()

@@ -182,9 +182,11 @@ def hash_exchange(ds, *, nbuckets: int, bucket_fn=None, on=None,
     ``reduce_fn``.  The bucket id is computed ONCE (round 1 stows it
     in a ``__bucket__`` column — a fan-out bucket_fn must not run
     twice) and fragment count drops from ``nmaps x nbuckets`` to
-    ``nmaps x n1 + ceil(n1 / blocks_per_map) x nbuckets``.  Bucket
-    contents, reduce inputs and output order are identical to the
-    single-round exchange.
+    ``nmaps x n1 + ceil(n1 / blocks_per_map) x nbuckets``.  Each
+    bucket holds the same set of rows as under the single-round
+    exchange, but not necessarily in the same order, so under
+    ``rounds=2`` ``reduce_fn`` must not depend on row order within a
+    bucket.  Output blocks stay in bucket order.
     """
     if bucket_fn is None:
         if on is None:

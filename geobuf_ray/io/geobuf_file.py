@@ -20,6 +20,13 @@ READ itself is parallel):
 
 A leading metadata feature is detected and skipped.
 
+Key-addressed reads (:func:`read_subfile`, SubFileSeek/SubFileBytes,
+reader.go:278-304) cost one exact header read plus one byte-range read
+on one open file.  The gob index is decoded once per distinct header
+content — the reference reader loads it once at open (reader.go:
+258-274) — and kept in a small LRU keyed by the gob bytes themselves,
+so a file rewritten in place is never served a stale index.
+
 Sink: :func:`write_geobuf` — one framed stream file per block plus a
 manifest parquet (path, num_features, size, bounds) — the Arrow
 replacement for the gob ``MetaData`` (reader.go:31-43), and the
@@ -28,10 +35,12 @@ resume/lineage unit (SURVEY.md §4 checkpoint row).
 
 from __future__ import annotations
 
+import functools
 import glob as _glob
 import os
 import uuid
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 import numpy as np
 import pyarrow as pa
@@ -50,6 +59,8 @@ _CHUNK = 32 << 20  # 32 MB read granularity
 _DEFAULT_STRIPE = 64 << 20  # target bytes per read task for big files
 _MIN_STRIPE = 1 << 16  # don't plan sillier stripes than this
 _MAX_RESYNC_EXT = 256 << 20  # extension cap per resync candidate walk
+_HEADER_PREFIX = 11  # frame tag + longest varint: enough for a frame length
+_INDEX_CACHE_SIZE = 8  # distinct gob headers whose decoded positions are kept
 
 
 def _is_metadata_record(record: bytes) -> bool:
@@ -205,16 +216,16 @@ class GeobufDatasource(Datasource):
         for path, size in zip(self._paths, self._sizes):
             ranges: list[tuple[int, int, bool]] = []  # (start, end, resync)
             if size > stripe:
-                parsed = None
                 try:
-                    parsed = read_metadata(path)
+                    with open(path, "rb") as f:
+                        parsed = _subfile_index(f, path)
                 except Exception:
                     parsed = None
                 if parsed is not None:
                     # EXACT split on the gob SubFile index: coalesce
                     # consecutive subfiles up to ~stripe bytes each
-                    meta, origin = parsed
-                    spans = sorted(v["Positions"] for v in meta["Files"].values())
+                    positions, origin = parsed
+                    spans = sorted(positions.values())
                     cur_a = cur_b = None
                     for a, b in spans:
                         if cur_a is None:
@@ -319,41 +330,88 @@ def extract_metadata_blob(record: bytes) -> bytes | None:
         return None
 
 
+def _read_header(f, path: str) -> tuple[bytes, int] | None:
+    """Read exactly the leading metadata frame of ``f``, a file just
+    opened (at offset 0).
+
+    A short prefix yields the frame's varint length, then the frame
+    itself is read.  Returns ``(gob_blob, origin)``, ``origin`` being
+    the offset just past the frame, or None if the first frame is not
+    a metadata header.  Raises ValueError if the frame runs past the
+    end of the file.
+    """
+    prefix = f.read(_HEADER_PREFIX)
+    if not prefix or prefix[0] != 0x0A:
+        return None
+    try:
+        ln, body_start = vi.decode_varint_scalar(prefix, 1)
+    except IndexError:
+        raise ValueError(f"truncated geobuf header: {path}") from None
+    f.seek(body_start)
+    record = f.read(ln)
+    if len(record) < ln:
+        raise ValueError(f"truncated geobuf header: {path}")
+    blob = extract_metadata_blob(record)
+    if blob is None:
+        return None
+    return blob, body_start + ln
+
+
+@functools.lru_cache(maxsize=_INDEX_CACHE_SIZE)
+def _positions(blob: bytes) -> Mapping[str, tuple[int, int]]:
+    """Key -> ``(start, end)`` map of a gob index, decoded once per
+    distinct blob.  Cached by content, not by path or mtime, so a file
+    rewritten in place can never be served a stale index.  The map is
+    read-only and holds tuples, so no caller can change what later
+    reads see."""
+    from ..state.gob import decode_metadata
+
+    files = decode_metadata(blob)["Files"]
+    return MappingProxyType(
+        {k: tuple(v["Positions"]) for k, v in files.items()})
+
+
+def _subfile_index(f, path: str) -> tuple[Mapping[str, tuple[int, int]], int] | None:
+    """``(positions, origin)`` of the just-opened file's gob index, or
+    None if the file has no metadata header."""
+    head = _read_header(f, path)
+    if head is None:
+        return None
+    blob, origin = head
+    return _positions(blob), origin
+
+
 def read_metadata(path: str) -> tuple[dict, int] | None:
     """Parse a reference-indexed geobuf's gob MetaData header.
 
     Returns ``(metadata_dict, origin)`` where ``origin`` is the
     absolute byte offset the (relative) subfile positions are measured
     from (the reference's ``LintMetaData(TotalPosition)`` shift,
-    reader.go:45-51), or None if the file has no metadata header.
+    reader.go:45-51), or None if the file has no metadata header.  The
+    dict is decoded afresh on every call, so the caller may change it.
     """
     from ..state.gob import decode_metadata
 
     with open(path, "rb") as f:
-        head = f.read(4 << 20)
-    if not head or head[0] != 0x0A:
+        head = _read_header(f, path)
+    if head is None:
         return None
-    ln, body_start = vi.decode_varint_scalar(head, 1)
-    if len(head) < body_start + ln:  # huge index: read the rest
-        with open(path, "rb") as f:
-            head = f.read(body_start + ln)
-    blob = extract_metadata_blob(head[body_start: body_start + ln])
-    if blob is None:
-        return None
-    return decode_metadata(blob), body_start + ln
+    blob, origin = head
+    return decode_metadata(blob), origin
 
 
 def read_subfile_bytes(path: str, key: str) -> bytes:
-    """Byte range of one keyed subfile (SubFileBytes, reader.go:291-297)."""
-    parsed = read_metadata(path)
-    if parsed is None:
-        raise ValueError(f"{path} has no gob metadata index")
-    meta, origin = parsed
-    sf = meta["Files"].get(key)
-    if sf is None:
-        return b""
-    a, b = sf["Positions"]
+    """Byte range of one keyed subfile (SubFileBytes, reader.go:291-297):
+    one exact header read and one byte-range read on one open file."""
     with open(path, "rb") as f:
+        index = _subfile_index(f, path)
+        if index is None:
+            raise ValueError(f"{path} has no gob metadata index")
+        positions, origin = index
+        span = positions.get(key)
+        if span is None:
+            return b""
+        a, b = span
         f.seek(origin + a)
         return f.read(b - a)
 

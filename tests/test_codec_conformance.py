@@ -433,3 +433,45 @@ def test_ld_corpus_roundtrip():
                     assert gi == wi
     # encode∘decode is the identity on the quantized domain
     assert fc.encode_batch(dec, prop_cols=props).equals(enc)
+
+
+def _line(xs) -> pa.Table:
+    n = len(xs)
+    coords = np.zeros(2 * n)
+    coords[0::2] = xs
+    return pa.table({
+        "id": pa.array([1], pa.int64()),
+        "geom_type": pa.array([2], pa.int8()),
+        "dim": pa.array([2], pa.int8()),
+        "coords": pa.array([coords], pa.list_(pa.float64())),
+        "ring_sizes": pa.array([[n]], pa.list_(pa.int32())),
+        "poly_sizes": pa.array([[1]], pa.list_(pa.int32())),
+    })
+
+
+def test_int32_span_shortcut_boundary_matches_int64_path():
+    """Spans within a few quanta of 2^31 / 1e7 degrees: the int32 lane's
+    span shortcut must never let a delta wrap, so its bytes equal the
+    int64 lane's.  A 3-D point in the batch turns the dim-2 lane off and
+    forces the int64 lane for the reference record."""
+    third = pa.table({
+        "id": pa.array([2], pa.int64()),
+        "geom_type": pa.array([1], pa.int8()),
+        "dim": pa.array([3], pa.int8()),
+        "coords": pa.array([[0.0, 0.0, 0.0]], pa.list_(pa.float64())),
+        "ring_sizes": pa.array([[1]], pa.list_(pa.int32())),
+        "poly_sizes": pa.array([[1]], pa.list_(pa.int32())),
+    })
+    half = 2**30 / 1e7
+    for quanta in range(-6, 7):
+        for frac in (0.0, 0.25, 0.5, 0.75, 0.999):
+            lo = -half - (quanta + frac) * 1e-7 / 2
+            hi = half + (quanta + frac) * 1e-7 / 2
+            line = _line([lo, hi, lo, 0.0, hi])
+            fast = fc.encode_batch(line)[0].as_py()
+            ref = fc.encode_batch(pa.concat_tables([line, third]))[0].as_py()
+            assert fast == ref, (quanta, frac)
+            q = (np.array([lo, hi, lo, 0.0, hi]) * 1e7).astype(np.int64)
+            got = dc.decode_batch(pa.array([fast], pa.binary()))
+            xs = np.array(got["coords"][0].as_py()[0::2])
+            assert (np.round(xs * 1e7).astype(np.int64) == q).all(), (quanta, frac)

@@ -81,6 +81,114 @@ def test_indexed_geobuf_key_addressed_reads(tmp_path):
     assert gf.read_subfile(path, "9-9-9").num_rows == 0
 
 
+def _ids(path, key):
+    return dc.decode_batch(gf.read_subfile(path, key)["geobuf"])["id"].to_pylist()
+
+
+def _header_len(path):
+    with open(path, "rb") as f:
+        return gf._read_header(f, path)[1]
+
+
+def test_index_decoded_once_per_distinct_header(tmp_path, monkeypatch):
+    """Key-addressed reads decode the gob index once per distinct header
+    content; the cache stays within its bound."""
+    gf._positions.cache_clear()
+    calls = []
+    real = gob.decode_metadata
+    monkeypatch.setattr(gob, "decode_metadata",
+                        lambda blob: calls.append(1) or real(blob))
+    path = str(tmp_path / "indexed.geobuf")
+    gf.write_indexed_geobuf([("a", _point_stream([1, 2])),
+                             ("b", _point_stream([3]))], path)
+    for _ in range(5):
+        assert _ids(path, "a") == [1, 2]
+        assert _ids(path, "b") == [3]
+    assert len(calls) == 1
+    for i in range(gf._INDEX_CACHE_SIZE + 3):
+        p = str(tmp_path / f"other{i}.geobuf")
+        gf.write_indexed_geobuf([(f"k{i}", _point_stream([i]))], p)
+        assert _ids(p, f"k{i}") == [i]
+    assert gf._positions.cache_info().currsize == gf._INDEX_CACHE_SIZE
+
+
+def test_rewritten_index_of_same_length_is_not_stale(tmp_path):
+    """A file rewritten in place with a different index of the same byte
+    length (and the same file size) is read through its new index.  The
+    ids all quantize to varints of one length, so only the subfile
+    boundaries move."""
+    path = str(tmp_path / "indexed.geobuf")
+    gf.write_indexed_geobuf([("a", _point_stream([20, 21, 22])),
+                             ("b", _point_stream([23, 24]))], path)
+    before, head = open(path, "rb").read(), _header_len(path)
+    assert _ids(path, "a") == [20, 21, 22]
+    assert _ids(path, "b") == [23, 24]
+    gf.write_indexed_geobuf([("a", _point_stream([25, 26])),
+                             ("b", _point_stream([27, 28, 29]))], path)
+    after = open(path, "rb").read()
+    assert len(after) == len(before) and _header_len(path) == head
+    assert after[:head] != before[:head]
+    assert _ids(path, "a") == [25, 26]
+    assert _ids(path, "b") == [27, 28, 29]
+
+
+def test_mutating_read_metadata_result_does_not_change_reads(tmp_path):
+    path = str(tmp_path / "indexed.geobuf")
+    gf.write_indexed_geobuf([("a", _point_stream([1, 2])),
+                             ("b", _point_stream([3]))], path)
+    meta, _ = gf.read_metadata(path)
+    meta["Files"]["a"]["Positions"][1] = 0
+    meta["Files"]["b"]["Positions"] = [0, 1]
+    meta["Files"].pop("a")
+    assert _ids(path, "a") == [1, 2]
+    assert _ids(path, "b") == [3]
+    again, _ = gf.read_metadata(path)
+    assert set(again["Files"]) == {"a", "b"}
+
+
+def test_missing_key_reads_empty_geobuf_table(tmp_path):
+    path = str(tmp_path / "indexed.geobuf")
+    gf.write_indexed_geobuf([("a", _point_stream([1]))], path)
+    tbl = gf.read_subfile(path, "zz")
+    assert tbl.num_rows == 0
+    assert tbl.schema == pa.schema([("geobuf", pa.binary())])
+
+
+def test_file_without_metadata_header(tmp_path):
+    """A plain stream (first frame is a feature) and an empty file: no
+    index, so ``read_metadata`` is None and key reads raise."""
+    import pytest
+
+    plain = tmp_path / "plain.geobuf"
+    plain.write_bytes(_point_stream([1, 2, 3]))
+    empty = tmp_path / "empty.geobuf"
+    empty.write_bytes(b"")
+    for path in (str(plain), str(empty)):
+        assert gf.read_metadata(path) is None
+        with pytest.raises(ValueError, match="no gob metadata index"):
+            gf.read_subfile(path, "a")
+
+
+def test_truncated_header_raises_value_error(tmp_path):
+    """A header frame whose length runs past EOF (or whose length varint
+    is cut) raises ValueError from both readers, never a partial index."""
+    import pytest
+
+    good = str(tmp_path / "indexed.geobuf")
+    gf.write_indexed_geobuf([("a", _point_stream([1, 2])),
+                             ("b", _point_stream([3]))], good)
+    data = open(good, "rb").read()
+    assert _ids(good, "a") == [1, 2]  # the full header is in the cache
+    for n, cut in enumerate((data[:_header_len(good) - 1], data[:40],
+                             data[:2], b"\x0a\xff")):
+        path = str(tmp_path / f"cut{n}.geobuf")
+        open(path, "wb").write(cut)
+        with pytest.raises(ValueError, match="truncated"):
+            gf.read_metadata(path)
+        with pytest.raises(ValueError, match="truncated"):
+            gf.read_subfile(path, "a")
+
+
 def test_indexed_geobuf_streams_through_datasource(ray_session, tmp_path):
     """The same indexed file reads as a plain stream (metadata header
     skipped) through the Ray datasource."""
