@@ -254,40 +254,6 @@ class GeobufDatasource(Datasource):
                     meta_blk))
         return tasks
 
-    # kept for sequential non-seekable sources and existing tests: the
-    # original chunked streaming walk over an open file object
-    def _read_stream(self, f, path: str) -> Iterator[pa.Table]:
-        buf = b""
-        first = True
-        while True:
-            chunk = f.read(_CHUNK)
-            if not chunk and not buf:
-                break
-            buf += chunk if chunk else b""
-            # one vectorized walk finds the record spans AND the largest
-            # complete-frame prefix (a trailing cut frame stays in buf)
-            data = np.frombuffer(buf, np.uint8)
-            starts, lens, end = fc.frame_boundaries(data, partial=True)
-            if end == 0:
-                if not chunk:
-                    raise ValueError(f"truncated geobuf stream: {path}")
-                continue
-            records = fc._records_from_spans(data, starts, lens)
-            buf = buf[end:]
-            if first and self._skip_metadata and len(records) and _is_metadata_record(
-                records[0].as_py()
-            ):
-                records = records.slice(1)
-            first = False
-            if len(records):
-                yield pa.table({"geobuf": records})
-            if not chunk:
-                if buf:
-                    # leftover partial frame after EOF — surface it
-                    # instead of silently dropping trailing bytes
-                    raise ValueError(f"truncated geobuf stream: {path}")
-                break
-
 
 # ---------------------------------------------------------------------------
 # reference-compatible gob MetaData index (S8/S9: CheckMetaData,
@@ -520,6 +486,47 @@ def _bounds_of_batch(batch: pa.Table) -> tuple[float, float, float, float]:
     )
 
 
+# key columns the split pipelines add for the shuffle; they never reach
+# the encoded records as feature properties
+_SHUFFLE_COLUMNS = ("tile_key", "tile_str", "tile_salt", "ckpt_key")
+
+# one row per written stream file (_WriteGeobufFn's output layout)
+_MANIFEST_SCHEMA = pa.schema([
+    ("path", pa.string()), ("key", pa.string()),
+    ("num_features", pa.int64()), ("size_bytes", pa.int64()),
+    ("west", pa.float64()), ("south", pa.float64()),
+    ("east", pa.float64()), ("north", pa.float64()),
+    ("write_seconds", pa.float64())])
+
+
+def _encode_stream(batch: pa.Table, write_bbox: bool = True,
+                   key_column: str | None = None):
+    """One group's framed stream: ``(stream, num_features, bounds)``.
+
+    Rows already carrying a ``geobuf`` column are framed as they are
+    (bounds unknown: NaN); feature rows drop the shuffle-only columns
+    (and ``key_column``), then encode."""
+    if "geobuf" in batch.column_names:
+        records = batch["geobuf"].combine_chunks()
+        bounds = (np.nan,) * 4
+    else:
+        aux = [c for c in dict.fromkeys(_SHUFFLE_COLUMNS + (key_column,))
+               if c and c in batch.column_names]
+        feat = batch.drop_columns(aux) if aux else batch
+        records = fc.encode_batch(feat, write_bbox=write_bbox)
+        bounds = _bounds_of_batch(feat)
+    return fc.frame_records(records), len(records), bounds
+
+
+def _write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to a temp file, then rename it onto ``path``: a
+    killed writer never leaves a partial file under the final name."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as f:
+        f.write(data)
+    os.replace(tmp, path)
+
+
 class _WriteGeobufFn:
     """Per-block writer: encodes (if needed) and appends one stream file.
 
@@ -541,40 +548,17 @@ class _WriteGeobufFn:
         key = None
         if self.key_column and self.key_column in batch.column_names and batch.num_rows:
             key = str(batch[self.key_column][0].as_py())
-        if "geobuf" in batch.column_names:
-            records = batch["geobuf"].combine_chunks()
-            bounds = (np.nan,) * 4
-        else:
-            # synthetic shuffle-key columns must not leak into the
-            # encoded records as feature properties
-            aux = [c for c in dict.fromkeys(
-                       ("tile_key", "tile_str", "tile_salt", "ckpt_key",
-                        self.key_column))
-                   if c and c in batch.column_names]
-            feat = batch.drop_columns(aux) if aux else batch
-            records = fc.encode_batch(feat, write_bbox=self.write_bbox)
-            bounds = _bounds_of_batch(feat)
-        stream = fc.frame_records(records)
+        stream, nfeat, bounds = _encode_stream(batch, self.write_bbox,
+                                               self.key_column)
         name = f"{key + '-' if key else ''}{uuid.uuid4().hex[:12]}.geobuf"
         path = os.path.join(self.out_dir, name)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as f:
-            f.write(stream)
-        os.rename(tmp, path)
-        dt = time.perf_counter() - t0
-        return pa.table(
-            {
-                "path": pa.array([path]),
-                "key": pa.array([key], pa.string()),
-                "num_features": pa.array([len(records)], pa.int64()),
-                "size_bytes": pa.array([len(stream)], pa.int64()),
-                "west": pa.array([bounds[0]]),
-                "south": pa.array([bounds[1]]),
-                "east": pa.array([bounds[2]]),
-                "north": pa.array([bounds[3]]),
-                "write_seconds": pa.array([dt]),
-            }
-        )
+        _write_atomic(path, stream)
+        w, s, e, n = bounds
+        return pa.Table.from_pylist([{
+            "path": path, "key": key, "num_features": nfeat,
+            "size_bytes": len(stream), "west": w, "south": s, "east": e,
+            "north": n, "write_seconds": time.perf_counter() - t0,
+        }], schema=_MANIFEST_SCHEMA)
 
 
 def write_geobuf(
@@ -592,14 +576,16 @@ def write_geobuf(
     already carrying a ``geobuf`` binary column.  Returns the manifest
     as a pyarrow Table (also written to ``out_dir/manifest_name``).
     """
+    import pyarrow.parquet as pq
+
+    from ..collect import collect_table
+
     manifest_ds = ds.map_batches(
         _WriteGeobufFn(out_dir, write_bbox, key_column),
         batch_format="pyarrow",
         zero_copy_batch=True,
         **map_kwargs,
     )
-    manifest = pa.Table.from_pylist(manifest_ds.take_all())  # small: one row per file
-    import pyarrow.parquet as pq
-
+    manifest = collect_table(manifest_ds, _MANIFEST_SCHEMA)  # one row per file
     pq.write_table(manifest, os.path.join(out_dir, manifest_name))
     return manifest

@@ -2,8 +2,8 @@
 
 Replaces the reference's streaming brace-splitting GeoJSON converter
 (``convert_geojson.go:25-139``) with: driver/test-side helpers here, and
-a Ray `read_json` / `read_text` based source for line-delimited files in
-:mod:`geobuf_ray.io.geobuf_source`.
+a Ray source for GeoJSON files in
+:class:`geobuf_ray.io.geojson_io.GeojsonDatasource`.
 
 Property-number semantics: go.geojson parses every JSON number to
 float64, so integer-looking JSON properties round-trip as protobuf

@@ -6,12 +6,19 @@ features to per-tile subfiles through a fd-bounded (≈750 open files)
 hierarchical multi-pass split, then byte-concatenates subfiles with a
 gob index.  Ray Data replaces all of that with:
 
-    assign tiles (vectorized flat-map)  →  groupby(tile_key)  →
-    per-tile output file + manifest row
+    assign tiles (vectorized flat-map)  →  hash exchange on
+    (tile_key, tile_salt)  →  per-tile output file + manifest row
 
-One all-to-all shuffle, no fd bound, no multi-round refinement
+One all-to-all shuffle on the raw-task hash exchange
+(``functions.exchange.grouped_exchange``: rows co-locate by key hash,
+no distributed sort), no fd bound, no multi-round refinement
 (SURVEY.md §3.2).  The TILEID property stamp (split_combine.go:385-389)
 becomes a plain ``tile_key`` column.
+
+Tile split, key split and the checkpointed split share one write path:
+the clip/assign step (:func:`_tile_rows`), the shuffle-write
+(:func:`_write_groups`, :func:`_split_write`) and the Combine step
+(:func:`_combine`), which the pyramid rollup reuses.
 
 Scale notes (100 TB): the shuffle key is the packed uint64 tile at the
 TARGET zoom (pick one key, reuse it downstream); features covering many
@@ -29,15 +36,6 @@ import pyarrow as pa
 from ..codec.schema import list_column_parts
 from ..spatial import tiles
 from ..spatial.geometry import feature_bbox
-
-# one row per written tile file (_WriteGeobufFn's output layout)
-_MANIFEST_SCHEMA = pa.schema([
-    ("path", pa.string()), ("key", pa.string()),
-    ("num_features", pa.int64()), ("size_bytes", pa.int64()),
-    ("west", pa.float64()), ("south", pa.float64()),
-    ("east", pa.float64()), ("north", pa.float64()),
-    ("write_seconds", pa.float64())])
-
 
 def assign_tiles_batch(
     batch: pa.Table,
@@ -144,58 +142,82 @@ def split_combine(
     Returns the manifest table (one row per tile file: key, count,
     bounds, size, timing).
     """
+    tiled = _tile_rows(ds, zoom, bounds, salt_bits, clip, map_kwargs)
+    # tile_str names the output file, so a salted hot tile yields
+    # several prefix-addressable files
+    return _split_write(tiled, out_dir, ["tile_key", "tile_salt"],
+                        "tile_str", write_bbox, combine_path)
+
+
+def _tile_rows(ds, zoom: int, bounds, salt_bits: int, clip: bool,
+               map_kwargs: dict | None):
+    """The split's clip/assign step: feature rows -> (feature x tile)
+    rows carrying ``tile_key``, ``tile_str`` and ``tile_salt`` (all
+    zero for clipped tiles)."""
+    if not clip:
+        return assign_tiles(ds, zoom, bounds, salt_bits, **(map_kwargs or {}))
+    if salt_bits:
+        raise ValueError("salt_bits is a bbox-fanout feature; "
+                         "clipped tiles are already bounded per tile")
+    return tile_clip(ds, zoom, bounds, **(map_kwargs or {})).map_batches(
+        lambda b: b.append_column(
+            "tile_salt", pa.array(np.zeros(b.num_rows, np.uint8))),
+        batch_format="pyarrow", zero_copy_batch=True)
+
+
+def _write_groups(keyed, group_cols, write_fn) -> pa.Table:
+    """The split's one shuffle: rows that already carry their keys
+    co-locate by ``group_cols`` on the raw-task hash exchange (no
+    distributed sort, unlike Ray's groupby); ``write_fn`` writes each
+    group's file and returns its manifest row.  Returns the manifest,
+    zero rows (with the manifest columns) when no group was written."""
+    from ..collect import collect_table
+    from ..functions.exchange import grouped_exchange
+    from ..io.geobuf_file import _MANIFEST_SCHEMA
+
+    return collect_table(
+        grouped_exchange(keyed, group_cols, write_fn, nbuckets=64,
+                         schema=_MANIFEST_SCHEMA),
+        _MANIFEST_SCHEMA)
+
+
+def _split_write(keyed, out_dir: str, group_cols, key_column: str,
+                 write_bbox: bool, combine_path: str | None) -> pa.Table:
+    """Shuffle-write keyed rows as one geobuf file per group, commit
+    ``out_dir/_manifest.parquet`` and optionally Combine."""
     import os
 
     import pyarrow.parquet as pq
 
     from ..io.geobuf_file import _WriteGeobufFn
 
-    if clip:
-        tiled = tile_clip(ds, zoom, bounds, **(map_kwargs or {}))
-        if salt_bits:
-            raise ValueError("salt_bits is a bbox-fanout feature; "
-                             "clipped tiles are already bounded per tile")
-        # tile_salt column expected downstream
-        tiled = tiled.map_batches(
-            lambda b: b.append_column(
-                "tile_salt", pa.array(np.zeros(b.num_rows, np.uint8))),
-            batch_format="pyarrow", zero_copy_batch=True)
-    else:
-        tiled = assign_tiles(ds, zoom, bounds, salt_bits, **(map_kwargs or {}))
-    # one group call per tile -> one stream file + one manifest row
-    write_fn = _WriteGeobufFn(out_dir, write_bbox, key_column="tile_str")
-
-    def write_tile_group(group: pa.Table) -> pa.Table:
-        return write_fn(group)
-
-    # shuffle on the (salted) packed key via the raw-task HASH exchange
-    # (grouped_exchange) instead of Ray's sort-based groupby — same
-    # groups, no distributed range sort; tile_str names the output
-    # file, so a salted hot tile yields several prefix-addressable
-    # files
-    from ..functions.exchange import grouped_exchange
-
-    manifest_ds = grouped_exchange(
-        tiled, ["tile_key", "tile_salt"], write_tile_group,
-        nbuckets=64, schema=_MANIFEST_SCHEMA)
-    manifest = pa.Table.from_pylist(manifest_ds.take_all())  # one row per tile
+    manifest = _write_groups(
+        keyed, group_cols, _WriteGeobufFn(out_dir, write_bbox, key_column))
     pq.write_table(manifest, os.path.join(out_dir, "_manifest.parquet"))
     if combine_path is not None:
-        from ..io.geobuf_file import write_indexed_geobuf
-
-        def _subfiles():
-            for row in manifest.sort_by("key").to_pylist():
-                with open(row["path"], "rb") as f:
-                    yield row["key"], f.read()
-
-        ws = [v for v in manifest["west"].to_pylist() if v == v]
-        ss = [v for v in manifest["south"].to_pylist() if v == v]
-        es = [v for v in manifest["east"].to_pylist() if v == v]
-        ns = [v for v in manifest["north"].to_pylist() if v == v]
-        bb = ((min(ws), min(ss), max(es), max(ns))
-              if ws and ss and es and ns else None)
-        write_indexed_geobuf(_subfiles(), combine_path, bounds=bb)
+        _combine(manifest, combine_path)
     return manifest
+
+
+def _combine(manifest: pa.Table, combine_path: str) -> None:
+    """The Combine step (split_combine.go:196-228): the manifest's files
+    concatenated in key order into ONE gob-indexed geobuf whose header
+    carries the manifest's data bounds (NaN / null bounds skipped)."""
+    from ..io.geobuf_file import write_indexed_geobuf
+
+    def subfiles():
+        for row in manifest.sort_by("key").select(["key", "path"]).to_pylist():
+            with open(row["path"], "rb") as f:
+                yield row["key"], f.read()
+
+    sides = [manifest[c].to_numpy(zero_copy_only=False).astype(np.float64)
+             for c in ("west", "south", "east", "north")]
+    bb = None
+    if not any(np.isnan(v).all() for v in sides):  # also: zero rows
+        w, s, e, n = sides
+        bb = (float(np.nanmin(w)), float(np.nanmin(s)),
+              float(np.nanmax(e)), float(np.nanmax(n)))
+    write_indexed_geobuf(subfiles(), combine_path, bounds=bb)
 
 
 def tile_clip_batch(
@@ -486,12 +508,6 @@ def split_combine_keys(
     batch-vectorized form of the per-feature hook: row ``row_idx[i]``
     lands in subfile ``keys[i]`` (a row may appear under many keys).
     """
-    import os
-
-    import pyarrow.parquet as pq
-
-    from ..io.geobuf_file import _WriteGeobufFn
-
     def assign(batch: pa.Table) -> pa.Table:
         row_idx, keys = key_fn(batch)
         taken = batch.take(pa.array(np.asarray(row_idx, np.int64)))
@@ -501,28 +517,8 @@ def split_combine_keys(
 
     keyed = ds.map_batches(assign, batch_format="pyarrow",
                            zero_copy_batch=True, **(map_kwargs or {}))
-    write_fn = _WriteGeobufFn(out_dir, write_bbox, key_column="split_key")
-
-    def write_key_group(group: pa.Table) -> pa.Table:
-        return write_fn(group)
-
-    from ..functions.exchange import grouped_exchange
-
-    manifest_ds = grouped_exchange(keyed, "split_key", write_key_group,
-                                   nbuckets=64,
-                                   schema=_MANIFEST_SCHEMA)
-    manifest = pa.Table.from_pylist(manifest_ds.take_all())
-    pq.write_table(manifest, os.path.join(out_dir, "_manifest.parquet"))
-    if combine_path is not None:
-        from ..io.geobuf_file import write_indexed_geobuf
-
-        def _subfiles():
-            for row in manifest.sort_by("key").to_pylist():
-                with open(row["path"], "rb") as f:
-                    yield row["key"], f.read()
-
-        write_indexed_geobuf(_subfiles(), combine_path)
-    return manifest
+    return _split_write(keyed, out_dir, "split_key", "split_key",
+                        write_bbox, combine_path)
 
 
 def tile_counts(ds, zoom: int, bounds=None, **map_kwargs):
@@ -692,10 +688,15 @@ def _rollup_level(manifest: pa.Table, out_dir: str,
     area features.  Distributed: one ``map_groups`` over the (small)
     manifest, each parent task streams only its own children."""
     import os
+    import time
     import uuid
 
     import pyarrow.parquet as pq
     import ray
+
+    from ..collect import collect_table
+    from ..io.geobuf_file import _MANIFEST_SCHEMA, _write_atomic
+    from ..state import checkpoint as ck
 
     os.makedirs(out_dir, exist_ok=True)
     parents = []
@@ -704,39 +705,28 @@ def _rollup_level(manifest: pa.Table, out_dir: str,
         parents.append(f"{x // 2}-{y // 2}-{z - 1}")
     mt = manifest.append_column("parent", pa.array(parents, pa.string()))
 
-    _COLS = ["path", "key", "num_features", "size_bytes",
-             "west", "south", "east", "north", "write_seconds"]
-    done_rows: list[dict] = []
+    done_rows = _MANIFEST_SCHEMA.empty_table()
     if resume:
         # per-parent atomic commits (state/checkpoint manifest rows)
         # make a killed rollup resumable: committed parents are
         # dropped from the group-walk and their durable rows reused
-        from ..state import checkpoint as ck
-
         done = ck.completed_keys(out_dir)
         if done:
-            prev = ck.load_manifest(out_dir)
-            done_rows = [
-                {c: r[c] for c in _COLS}
-                for r in prev.to_pylist() if r["key"] in done]
+            done_rows = pa.Table.from_pylist(
+                [r for r in ck.load_manifest(out_dir).to_pylist()
+                 if r["key"] in done], schema=_MANIFEST_SCHEMA)
             keep = [p not in done for p in mt["parent"].to_pylist()]
             mt = mt.filter(pa.array(keep))
 
     def write_parent(group: pa.Table) -> pa.Table:
-        import time
-
         os.makedirs(out_dir, exist_ok=True)
         t0 = time.perf_counter()
         rows = sorted(group.to_pylist(),
                       key=lambda r: (r["key"], r["path"]))
         pkey = rows[0]["parent"]
         stream = b"".join(open(r["path"], "rb").read() for r in rows)
-        name = f"{pkey}-{uuid.uuid4().hex[:12]}.geobuf"
-        path = os.path.join(out_dir, name)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as f:
-            f.write(stream)
-        os.rename(tmp, path)
+        path = os.path.join(out_dir, f"{pkey}-{uuid.uuid4().hex[:12]}.geobuf")
+        _write_atomic(path, stream)
 
         def _mm(vals, fn):
             vs = [v for v in vals if v == v]
@@ -753,36 +743,20 @@ def _rollup_level(manifest: pa.Table, out_dir: str,
             "north": _mm([r["north"] for r in rows], max),
             "write_seconds": time.perf_counter() - t0,
         }
-        from ..state.checkpoint import write_manifest_row
+        ck.write_manifest_row(out_dir, pkey,
+                              {k: v for k, v in row.items() if k != "key"})
+        return pa.Table.from_pylist([row], schema=_MANIFEST_SCHEMA)
 
-        write_manifest_row(out_dir, pkey,
-                           {k: v for k, v in row.items() if k != "key"})
-        return pa.Table.from_pylist([row])
-
+    fresh = _MANIFEST_SCHEMA.empty_table()
     if mt.num_rows:
-        out = ray.data.from_arrow(mt).groupby("parent").map_groups(
-            write_parent, batch_format="pyarrow")
-        fresh = out.take_all()
-    else:
-        fresh = []
-    pm = pa.Table.from_pylist(
-        [{c: r[c] for c in _COLS} for r in fresh] + done_rows)
+        fresh = collect_table(
+            ray.data.from_arrow(mt).groupby("parent").map_groups(
+                write_parent, batch_format="pyarrow"),
+            _MANIFEST_SCHEMA)
+    pm = pa.concat_tables([fresh, done_rows])
     pq.write_table(pm, os.path.join(out_dir, "_manifest.parquet"))
     if combine_path is not None:
-        from ..io.geobuf_file import write_indexed_geobuf
-
-        def _subfiles():
-            for row in pm.sort_by("key").to_pylist():
-                with open(row["path"], "rb") as f:
-                    yield row["key"], f.read()
-
-        ws = [v for v in pm["west"].to_pylist() if v == v]
-        ss = [v for v in pm["south"].to_pylist() if v == v]
-        es = [v for v in pm["east"].to_pylist() if v == v]
-        ns = [v for v in pm["north"].to_pylist() if v == v]
-        bb = ((min(ws), min(ss), max(es), max(ns))
-              if ws and ss and es and ns else None)
-        write_indexed_geobuf(_subfiles(), combine_path, bounds=bb)
+        _combine(pm, combine_path)
     return pm
 
 
@@ -805,18 +779,34 @@ def tile_pyramid(ds, out_dir: str, zoom: int, *, levels: int = 3,
     ``_manifest.parquet`` committed is loaded, not recomputed (a crash
     during a rollup never re-shuffles the leaf level), and a partially
     written rollup level resumes parent-by-parent from its
-    state/checkpoint manifest rows.
+    state/checkpoint manifest rows.  A resume assumes the same input
+    (and zoom, levels, bounds) as the run it resumes: durable state is
+    not fingerprinted.  A non-resume run therefore first removes every
+    level's ``_manifest.parquet`` and ``_manifest/`` rows under
+    ``out_dir``, so resuming it can never pick up an earlier run's
+    tiles.
 
     Returns ``{zoom_level: manifest_table}``."""
     import os
+    import shutil
 
     import pyarrow.parquet as pq
+
+    from ..state.checkpoint import manifest_dir
 
     if levels < 1:
         raise ValueError("levels >= 1")
     if zoom - levels + 1 < 0:
         raise ValueError(f"levels={levels} underflows zoom 0 from "
                          f"zoom={zoom}")
+    if not resume and os.path.isdir(out_dir):
+        for name in os.listdir(out_dir):
+            level = os.path.join(out_dir, name)
+            if name[:1] == "z" and name[1:].isdigit() and os.path.isdir(level):
+                shutil.rmtree(manifest_dir(level), ignore_errors=True)
+                parquet = os.path.join(level, "_manifest.parquet")
+                if os.path.exists(parquet):
+                    os.remove(parquet)
 
     def _level_manifest(z: int):
         p = os.path.join(out_dir, f"z{z}", "_manifest.parquet")

@@ -132,26 +132,13 @@ def checkpointed_split_combine(
     """
     import time
 
-    import numpy as _np
-
-    from ..codec import feature as fc
-    from ..io.geobuf_file import _bounds_of_batch
-    from ..pipelines.tiling import assign_tiles, tile_clip
+    from ..io.geobuf_file import _MANIFEST_SCHEMA, _encode_stream, _write_atomic
+    from ..pipelines.tiling import _tile_rows, _write_groups
 
     os.makedirs(out_dir, exist_ok=True)
     done = completed_keys(out_dir)
 
-    if clip:
-        if salt_bits:
-            raise ValueError("salt_bits applies to bbox fan-out only")
-        tiled = tile_clip(ds, zoom, bounds, **(map_kwargs or {}))
-        tiled = tiled.map_batches(
-            lambda b: b.append_column(
-                "tile_salt",
-                pa.array(_np.zeros(b.num_rows, _np.uint8))),
-            batch_format="pyarrow", zero_copy_batch=True)
-    else:
-        tiled = assign_tiles(ds, zoom, bounds, salt_bits, **(map_kwargs or {}))
+    tiled = _tile_rows(ds, zoom, bounds, salt_bits, clip, map_kwargs)
     if salt_bits:
         # a salted hot tile commits as 2^salt_bits independent
         # partitions; the checkpoint key carries the salt so manifest
@@ -162,55 +149,36 @@ def checkpointed_split_combine(
             keys = [f"{t}~s{int(s)}" for t, s in
                     zip(batch["tile_str"].to_pylist(), salts)]
             return batch.append_column("ckpt_key", pa.array(keys, pa.string()))
-
-        tiled = tiled.map_batches(add_ckpt_key, batch_format="pyarrow",
-                                  zero_copy_batch=True)
     else:
         def add_ckpt_key(batch: pa.Table) -> pa.Table:
             return batch.append_column("ckpt_key", batch["tile_str"])
 
-        tiled = tiled.map_batches(add_ckpt_key, batch_format="pyarrow",
-                                  zero_copy_batch=True)
+    tiled = tiled.map_batches(add_ckpt_key, batch_format="pyarrow",
+                              zero_copy_batch=True)
     todo = filter_completed(tiled, "ckpt_key", done)
 
     def write_tile(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({"key": pa.array([], pa.string())})
         t0 = time.perf_counter()
         key = str(group["ckpt_key"][0].as_py())
-        feat_cols = group.drop_columns(
-            [c for c in ("tile_key", "tile_str", "tile_salt", "ckpt_key")
-             if c in group.column_names])
-        records = fc.encode_batch(feat_cols, write_bbox=write_bbox)
-        stream = fc.frame_records(records)
-        bb = _bounds_of_batch(feat_cols)
+        stream, nfeat, bb = _encode_stream(group, write_bbox)
         path = os.path.join(out_dir, _safe_key(key) + ".geobuf")
-        tmp = path + ".tmp"
         os.makedirs(out_dir, exist_ok=True)
-        with open(tmp, "wb") as f:
-            f.write(stream)
-        os.replace(tmp, path)
+        _write_atomic(path, stream)
         dt = time.perf_counter() - t0
         row = {
             "path": path,
-            "num_features": len(records),
+            "num_features": nfeat,
             "size_bytes": len(stream),
-            "west": None if np.isnan(bb[0]) else bb[0],
-            "south": None if np.isnan(bb[1]) else bb[1],
-            "east": None if np.isnan(bb[2]) else bb[2],
-            "north": None if np.isnan(bb[3]) else bb[3],
+            **{side: None if np.isnan(v) else v
+               for side, v in zip(("west", "south", "east", "north"), bb)},
             "write_seconds": dt,
-            "features_per_sec": len(records) / dt if dt > 0 else None,
+            "features_per_sec": nfeat / dt if dt > 0 else None,
         }
         write_manifest_row(out_dir, key, row)
-        return pa.table({"key": pa.array([key], pa.string())})
+        return pa.Table.from_pylist([{"key": key, **row}],
+                                    schema=_MANIFEST_SCHEMA)
 
     # the shuffle: one group per (salted) tile key, committed
-    # independently — routed through the raw-task hash exchange
-    # (grouped_exchange), not Ray's sort-based groupby
-    from ..functions.exchange import grouped_exchange
-
-    grouped_exchange(
-        todo, ["tile_key", "tile_salt"], write_tile, nbuckets=64,
-        schema=pa.schema([("key", pa.string())])).materialize()
+    # independently; the manifest is read back from the durable rows
+    _write_groups(todo, ["tile_key", "tile_salt"], write_tile)
     return load_manifest(out_dir)

@@ -260,3 +260,51 @@ def test_tile_pyramid_resumes_killed_rollup(points_ds, tmp_path):
         pm = pq.read_table(os.path.join(out, f"z{z}",
                                         "_manifest.parquet"))
         assert {r["key"] for r in pm.to_pylist()} == set(want)
+
+
+def test_tile_pyramid_resume_ignores_earlier_run(ray_session, tmp_path,
+                                                 monkeypatch):
+    """A full run on input A, then a non-resume run on input B into the
+    same out_dir killed during a rollup, then a resume of that run: the
+    result must equal a fresh pyramid on B, with none of A's tiles."""
+    import ray
+
+    from geobuf_ray.pipelines import tiling
+
+    ds_a = ray.data.from_arrow(
+        gj.features_to_table(_point_features(400))).repartition(4)
+    # B: fewer points, western hemisphere only, so its parents differ
+    feats_b = [f for f in _point_features(300, seed=11)
+               if f["geometry"]["coordinates"][0] < 0]
+    ds_b = ray.data.from_arrow(gj.features_to_table(feats_b)).repartition(4)
+
+    want = tiling.tile_pyramid(ds_b, str(tmp_path / "fresh"), zoom=2, levels=3)
+
+    out = str(tmp_path / "pyr")
+    tiling.tile_pyramid(ds_a, out, zoom=2, levels=3)
+
+    real_rollup = tiling._rollup_level
+
+    def killed_rollup(manifest, level_dir, combine_path=None, resume=False):
+        # commit about half the parents, then die before the level commit
+        m = real_rollup(manifest, level_dir, resume=resume)
+        for r in sorted(m.to_pylist(), key=lambda r: r["key"])[::2]:
+            os.remove(r["path"])
+            os.remove(os.path.join(ck.manifest_dir(level_dir),
+                                   ck._safe_key(r["key"]) + ".json"))
+        os.remove(os.path.join(level_dir, "_manifest.parquet"))
+        raise RuntimeError("killed during rollup")
+
+    monkeypatch.setattr(tiling, "_rollup_level", killed_rollup)
+    with pytest.raises(RuntimeError, match="killed"):
+        tiling.tile_pyramid(ds_b, out, zoom=2, levels=3)
+    monkeypatch.setattr(tiling, "_rollup_level", real_rollup)
+
+    got = tiling.tile_pyramid(ds_b, out, zoom=2, levels=3, resume=True)
+    assert sorted(got) == sorted(want)
+    for z in want:
+        assert sum(got[z]["num_features"].to_pylist()) == len(feats_b)
+        assert ({r["key"]: (r["num_features"], r["size_bytes"])
+                 for r in got[z].to_pylist()}
+                == {r["key"]: (r["num_features"], r["size_bytes"])
+                    for r in want[z].to_pylist()}), f"level z{z} mismatch"

@@ -97,8 +97,6 @@ def test_partial_read_stages(ray_session):
 def test_geobuf_source_chunk_boundaries(tmp_path):
     """Frames split across read-chunk boundaries must reassemble; a
     truncated tail must raise, not silently drop records."""
-    import io
-
     import pyarrow as pa
 
     from geobuf_ray.codec import feature as fc
@@ -112,28 +110,39 @@ def test_geobuf_source_chunk_boundaries(tmp_path):
     ]
     records = fc.encode_batch(gj.features_to_table(feats))
     stream = fc.frame_records(records)
+    path = tmp_path / "stream.geobuf"
+    path.write_bytes(stream)
+    # byte offset of every frame's tag
+    tags = np.cumsum([0] + [len(fc.frame_records(records.slice(i, 1)))
+                            for i in range(len(records))])
 
-    # drive _read_stream with a tiny chunk size so frames straddle reads
-    src = gbf.GeobufDatasource.__new__(gbf.GeobufDatasource)
-    src._skip_metadata = True
+    def read(p, end):
+        return list(gbf._read_range(str(p), 0, end, resync=False,
+                                    skip_metadata=True))
+
+    # a tiny chunk size makes the range end inside frame 79 (a long
+    # one), so completing it takes several extension reads
     old_chunk = gbf._CHUNK
-    gbf._CHUNK = 37
+    gbf._CHUNK = 7
     try:
-        tables = list(src._read_stream(io.BytesIO(stream), "mem"))
+        tables = read(path, int(tags[79]) + 1)
     finally:
         gbf._CHUNK = old_chunk
+    assert tags[80] - tags[79] > 5 * 7
     total = sum(t.num_rows for t in tables)
-    assert total == 100
+    assert total == 80
     joined = pa.concat_tables(tables)["geobuf"]
-    assert joined.to_pylist() == records.to_pylist()
+    assert joined.to_pylist() == records.slice(0, 80).to_pylist()
 
     # truncated stream: cut inside the final record
     import pytest as _pytest
 
+    cut = tmp_path / "cut.geobuf"
+    cut.write_bytes(stream[:-3])
     gbf._CHUNK = 64
     try:
         with _pytest.raises(ValueError, match="truncated"):
-            list(src._read_stream(io.BytesIO(stream[:-3]), "mem"))
+            read(cut, len(stream) - 3)
     finally:
         gbf._CHUNK = old_chunk
 

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from geobuf_ray.spatial import tiles
 
@@ -264,3 +265,54 @@ def test_tile_pyramid_layout_and_rollup(ray_session, tmp_path):
 
     with pytest.raises(ValueError, match="underflows"):
         tile_pyramid(ds, str(tmp_path / "bad"), 1, levels=3)
+
+
+def _points_table(n: int):
+    import pyarrow as pa
+
+    k = np.arange(n, dtype=np.int64)
+    coords = np.empty(2 * n)
+    coords[0::2] = k * 0.5
+    coords[1::2] = -k * 0.25
+    return pa.table({
+        "id": pa.array(k),
+        "geom_type": pa.array(np.ones(n, np.int8)),
+        "dim": pa.array(np.full(n, 2, np.int8)),
+        "coords": pa.ListArray.from_arrays(
+            pa.array(np.arange(0, 2 * n + 2, 2, dtype=np.int32)),
+            pa.array(coords)),
+        "ring_sizes": pa.array([[1]] * n, pa.list_(pa.int32())),
+        "poly_sizes": pa.array([[1]] * n, pa.list_(pa.int32())),
+    })
+
+
+@pytest.mark.parametrize("split", ["tiles_outside_bounds", "no_key_assigned"])
+def test_empty_split_returns_manifest(ray_session, tmp_path, split):
+    """A split that writes no tile returns (and commits) a zero-row
+    manifest with the manifest columns, and the combined file gets an
+    empty index."""
+    import pyarrow.parquet as pq
+    import ray
+
+    from geobuf_ray.io.geobuf_file import read_metadata, read_subfile
+    from geobuf_ray.pipelines.tiling import split_combine, split_combine_keys
+
+    ds = ray.data.from_arrow(_points_table(40))
+    out = str(tmp_path / "split")
+    combined = str(tmp_path / "combined.geobuf")
+    if split == "tiles_outside_bounds":
+        manifest = split_combine(ds, out, 4, bounds=(100.0, 40.0, 120.0, 60.0),
+                                 combine_path=combined)
+    else:
+        manifest = split_combine_keys(
+            ds, out, lambda b: (np.empty(0, np.int64), []),
+            combine_path=combined)
+    columns = ["path", "key", "num_features", "size_bytes", "west",
+               "south", "east", "north", "write_seconds"]
+    assert manifest.num_rows == 0
+    assert manifest.column_names == columns
+    committed = pq.read_table(f"{out}/_manifest.parquet")
+    assert committed.num_rows == 0 and committed.column_names == columns
+    meta, _ = read_metadata(combined)
+    assert meta["Files"] == {} and meta["NumberFeatures"] == 0
+    assert read_subfile(combined, "0-0-0").num_rows == 0
