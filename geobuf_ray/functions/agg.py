@@ -509,13 +509,10 @@ def mode_agg(ds, keys: list[str], value: str, *,
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    if not key_list:
-        return hash_exchange(
-            partials, nbuckets=1,
-            bucket_fn=lambda t: (np.zeros(t.num_rows, np.int64), t),
-            reduce_fn=pick, schema=out_schema)
-    return hash_exchange(partials, nbuckets=nbuckets, on=key_list,
-                         reduce_fn=pick, schema=out_schema)
+    # no keys: one global group in one bucket
+    return hash_exchange(partials, nbuckets=nbuckets if key_list else 1,
+                         on=key_list or None, reduce_fn=pick,
+                         schema=out_schema)
 
 
 def distinct_agg(ds, keys: list[str], value: str, *,
@@ -569,13 +566,10 @@ def distinct_agg(ds, keys: list[str], value: str, *,
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    if not key_list:
-        return hash_exchange(
-            partials, nbuckets=1,
-            bucket_fn=lambda t: (np.zeros(t.num_rows, np.int64), t),
-            reduce_fn=count, schema=out_schema)
-    return hash_exchange(partials, nbuckets=nbuckets, on=key_list,
-                         reduce_fn=count, schema=out_schema)
+    # no keys: one global group in one bucket
+    return hash_exchange(partials, nbuckets=nbuckets if key_list else 1,
+                         on=key_list or None, reduce_fn=count,
+                         schema=out_schema)
 
 
 def corr_agg(ds, keys: list[str], x: str, y: str, *,
@@ -658,13 +652,10 @@ def corr_agg(ds, keys: list[str], x: str, y: str, *,
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    if not key_list:
-        return hash_exchange(
-            partials, nbuckets=1,
-            bucket_fn=lambda t: (np.zeros(t.num_rows, np.int64), t),
-            reduce_fn=finish, schema=out_schema)
-    return hash_exchange(partials, nbuckets=nbuckets, on=key_list,
-                         reduce_fn=finish, schema=out_schema)
+    # no keys: one global group in one bucket
+    return hash_exchange(partials, nbuckets=nbuckets if key_list else 1,
+                         on=key_list or None, reduce_fn=finish,
+                         schema=out_schema)
 
 
 def group_quantile(ds, keys: list[str], value: str,
@@ -783,13 +774,10 @@ def group_quantile(ds, keys: list[str], value: str,
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    if not key_list:
-        return hash_exchange(
-            partials, nbuckets=1,
-            bucket_fn=lambda t: (np.zeros(t.num_rows, np.int64), t),
-            reduce_fn=pick, schema=out_schema)
-    return hash_exchange(partials, nbuckets=nbuckets, on=key_list,
-                         reduce_fn=pick, schema=out_schema)
+    # no keys: one global group in one bucket
+    return hash_exchange(partials, nbuckets=nbuckets if key_list else 1,
+                         on=key_list or None, reduce_fn=pick,
+                         schema=out_schema)
 
 
 def cube_agg(ds, keys: list[str], sums: dict[str, str], *,

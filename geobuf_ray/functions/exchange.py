@@ -19,20 +19,24 @@ downstream stages stay streaming Dataset pipelines.
 
 Shape::
 
-    map:    for each input block (coalesced ``blocks_per_map`` at a
+    map:    for each input block (coalesced ``_BLOCKS_PER_MAP`` at a
             time): bucket = hash(keys) % nbuckets; one argsort; return
             ``nbuckets`` contiguous slices  (num_returns=nbuckets)
-    reduce: per bucket b: concat its fragments from every map task,
-            apply ``reduce_fn`` -> one output block
+    reduce: per bucket b: concat its fragments from every map task of
+            every side, apply ``reduce_fn`` -> one output block
+
+Every public exchange runs these same two steps (``_drive_splits``,
+then ``_reduce``); they differ only in how many sides they split, and
+:func:`presplit` stops after the split.
 
 Cost accounting at scale (the number that matters at 100 TB): the
 exchange creates ``nmaps x nbuckets`` small objects.  Bound both
-factors: ``blocks_per_map`` coalesces input blocks so
-``nmaps ~ input_bytes / (blocks_per_map x block_size)``, and
+factors: ``_BLOCKS_PER_MAP`` coalesces input blocks so
+``nmaps ~ input_bytes / (_BLOCKS_PER_MAP x block_size)``, and
 ``nbuckets`` should track ``data / target_partition_bytes``, not the
-cluster size.  Past ~10^7 fragments, raise ``blocks_per_map`` or run
-pass ``rounds=2`` to :func:`hash_exchange` (bucket high bits, then the
-exact bucket id) — same primitive, composed.
+cluster size.  Past ~10^7 fragments, pass ``rounds=2`` to
+:func:`hash_exchange` (bucket high bits, then the exact bucket id) —
+same primitive, composed.
 
 Skew: the bucket key is a HASH of the join key, so hot single keys are
 the only irreducible skew; salt at the caller (as `knn_cell_join` and
@@ -51,6 +55,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pyarrow as pa
 import ray
+
+# input blocks coalesced into one split task: nmaps ~ nblocks / this
+_BLOCKS_PER_MAP = 4
 
 
 def _to_table(block) -> pa.Table:
@@ -97,38 +104,30 @@ def _split_task(bucket_fn, nbuckets: int, *blocks):
 
 
 @ray.remote
-def _reduce_one(reduce_fn, schema: pa.Schema | None, *parts):
-    ts = [p for p in parts if p.num_rows]
-    if ts:
-        tbl = ts[0] if len(ts) == 1 else pa.concat_tables(
-            ts, promote_options="default")
-    else:
-        tbl = (schema.empty_table() if schema is not None
-               else parts[0] if parts else pa.table({}))
-    return reduce_fn(tbl) if reduce_fn is not None else tbl
-
-
-@ray.remote
-def _reduce_two(reduce_fn, lschema: pa.Schema | None,
-                rschema: pa.Schema | None, nl: int, *parts):
-    def cat(ps, schema):
+def _reduce_task(reduce_fn, schemas, sizes, *parts):
+    """Concatenate each side's fragments (``sizes[i]`` consecutive
+    ``parts`` for side ``i``) and apply ``reduce_fn(*sides)``; with no
+    ``reduce_fn`` the one side is the output.  An empty side becomes
+    its schema's empty table."""
+    sides, i = [], 0
+    for schema, n in zip(schemas, sizes):
+        ps, i = parts[i:i + n], i + n
         ts = [p for p in ps if p.num_rows]
         if ts:
-            return ts[0] if len(ts) == 1 else pa.concat_tables(
-                ts, promote_options="default")
-        if schema is not None:
-            return schema.empty_table()
-        return ps[0] if ps else pa.table({})
+            sides.append(ts[0] if len(ts) == 1 else pa.concat_tables(
+                ts, promote_options="default"))
+        elif schema is not None:
+            sides.append(schema.empty_table())
+        else:
+            sides.append(ps[0] if ps else pa.table({}))
+    return reduce_fn(*sides) if reduce_fn is not None else sides[0]
 
-    return reduce_fn(cat(parts[:nl], lschema), cat(parts[nl:], rschema))
 
-
-def _drive_splits(ds, bucket_fn, nbuckets: int, blocks_per_map: int,
-                  remote_args: dict) -> list:
-    """Launch one split task per ``blocks_per_map`` input blocks,
+def _drive_splits(ds, bucket_fn, nbuckets: int) -> list:
+    """Launch one split task per ``_BLOCKS_PER_MAP`` input blocks,
     streaming: upstream stages execute with backpressure while we
     launch; the only barrier is the reduce (inherent to any shuffle)."""
-    split = _split_task.options(num_returns=nbuckets, **remote_args)
+    split = _split_task.options(num_returns=nbuckets)
 
     def launch(blocks):
         res = split.remote(bucket_fn, nbuckets, *blocks)
@@ -139,12 +138,39 @@ def _drive_splits(ds, bucket_fn, nbuckets: int, blocks_per_map: int,
     for bundle in ds.iter_internal_ref_bundles():
         for bref, _meta in bundle.blocks:
             pend.append(bref)
-            if len(pend) >= blocks_per_map:
+            if len(pend) >= _BLOCKS_PER_MAP:
                 maps.append(launch(pend))
                 pend = []
     if pend:
         maps.append(launch(pend))
     return maps
+
+
+def _reduce(reduce_fn, nbuckets: int, sides):
+    """Start one reduce task per bucket over ``sides``, a list of
+    ``(maps, schema)`` pairs (``maps`` from :func:`_drive_splits`)."""
+    schemas = [schema for _, schema in sides]
+    sizes = [len(maps) for maps, _ in sides]
+    outs = [_reduce_task.remote(reduce_fn, schemas, sizes,
+                                *[m[b] for maps, _ in sides for m in maps])
+            for b in range(nbuckets)]
+    return ray.data.from_arrow_refs(outs)
+
+
+def _zero_bucket(tbl: pa.Table):
+    return np.zeros(tbl.num_rows, np.int64), tbl
+
+
+def _resolve_bucket_fn(on, bucket_fn, nbuckets: int):
+    """``bucket_fn`` if given, else hash ``on`` into ``nbuckets``; with
+    one bucket the key may be omitted (every row goes to bucket 0)."""
+    if bucket_fn is not None:
+        return bucket_fn
+    if on is not None:
+        return key_bucket_fn(on, nbuckets)
+    if nbuckets == 1:
+        return _zero_bucket
+    raise ValueError("need bucket_fn or on=")
 
 
 def key_bucket_fn(cols: list[str] | str, nbuckets: int):
@@ -164,16 +190,15 @@ def key_bucket_fn(cols: list[str] | str, nbuckets: int):
 
 def hash_exchange(ds, *, nbuckets: int, bucket_fn=None, on=None,
                   reduce_fn=None, schema: pa.Schema | None = None,
-                  blocks_per_map: int = 4, map_remote_args: dict | None = None,
-                  reduce_remote_args: dict | None = None,
                   rounds: int = 1):
     """Exchange ``ds`` so all rows of one bucket land in one output
     block, then apply ``reduce_fn(table) -> table`` per bucket.
 
     Pass either ``on`` (key column name(s); bucket = hash % nbuckets)
     or an explicit ``bucket_fn(tbl) -> (bucket ndarray, tbl)`` for
-    fan-out / custom routing.  Returns a Ray ``Dataset`` of the reduce
-    outputs (``nbuckets`` blocks).
+    fan-out / custom routing; with ``nbuckets=1`` both may be omitted.
+    Returns a Ray ``Dataset`` of the reduce outputs (``nbuckets``
+    blocks).
 
     ``rounds=2`` composes the exchange with itself for the
     >10^7-fragment regime: round 1 routes by the bucket id's HIGH part
@@ -182,16 +207,13 @@ def hash_exchange(ds, *, nbuckets: int, bucket_fn=None, on=None,
     ``reduce_fn``.  The bucket id is computed ONCE (round 1 stows it
     in a ``__bucket__`` column — a fan-out bucket_fn must not run
     twice) and fragment count drops from ``nmaps x nbuckets`` to
-    ``nmaps x n1 + ceil(n1 / blocks_per_map) x nbuckets``.  Each
+    ``nmaps x n1 + ceil(n1 / _BLOCKS_PER_MAP) x nbuckets``.  Each
     bucket holds the same set of rows as under the single-round
     exchange, but not necessarily in the same order, so under
     ``rounds=2`` ``reduce_fn`` must not depend on row order within a
     bucket.  Output blocks stay in bucket order.
     """
-    if bucket_fn is None:
-        if on is None:
-            raise ValueError("need bucket_fn or on=")
-        bucket_fn = key_bucket_fn(on, nbuckets)
+    bucket_fn = _resolve_bucket_fn(on, bucket_fn, nbuckets)
     if rounds > 1:
         n1 = max(1, int(np.ceil(np.sqrt(nbuckets))))
         fan = -(-nbuckets // n1)  # final buckets per coarse group
@@ -205,11 +227,7 @@ def hash_exchange(ds, *, nbuckets: int, bucket_fn=None, on=None,
             t = t.append_column("__bucket__", pa.array(b, pa.int64()))
             return b // fan, t
 
-        inter = hash_exchange(
-            ds, nbuckets=n1, bucket_fn=coarse_fn, reduce_fn=None,
-            blocks_per_map=blocks_per_map,
-            map_remote_args=map_remote_args,
-            reduce_remote_args=reduce_remote_args)
+        inter = hash_exchange(ds, nbuckets=n1, bucket_fn=coarse_fn)
 
         def fine_fn(tbl: pa.Table):
             b = tbl["__bucket__"].to_numpy(zero_copy_only=False) \
@@ -221,28 +239,17 @@ def hash_exchange(ds, *, nbuckets: int, bucket_fn=None, on=None,
                 tbl = tbl.drop_columns(["__bucket__"])
             return reduce_fn(tbl) if reduce_fn is not None else tbl
 
-        return hash_exchange(
-            inter, nbuckets=nbuckets, bucket_fn=fine_fn,
-            reduce_fn=strip_reduce, schema=schema,
-            blocks_per_map=blocks_per_map,
-            map_remote_args=map_remote_args,
-            reduce_remote_args=reduce_remote_args)
-    maps = _drive_splits(ds, bucket_fn, nbuckets, blocks_per_map,
-                         map_remote_args or {})
-    red = _reduce_one.options(**(reduce_remote_args or {}))
-    outs = [red.remote(reduce_fn, schema, *[m[b] for m in maps])
-            for b in range(nbuckets)]
-    return ray.data.from_arrow_refs(outs)
+        return hash_exchange(inter, nbuckets=nbuckets, bucket_fn=fine_fn,
+                             reduce_fn=strip_reduce, schema=schema)
+    maps = _drive_splits(ds, bucket_fn, nbuckets)
+    return _reduce(reduce_fn, nbuckets, [(maps, schema)])
 
 
 def hash_cogroup(left, right, *, nbuckets: int, reduce_fn,
                  left_on=None, right_on=None,
                  left_bucket_fn=None, right_bucket_fn=None,
                  left_schema: pa.Schema | None = None,
-                 right_schema: pa.Schema | None = None,
-                 blocks_per_map: int = 4,
-                 map_remote_args: dict | None = None,
-                 reduce_remote_args: dict | None = None):
+                 right_schema: pa.Schema | None = None):
     """Two-sided exchange: co-locate equal buckets of ``left`` and
     ``right`` and apply ``reduce_fn(left_tbl, right_tbl) -> table`` per
     bucket.  Each side ships only its own columns (no union padding).
@@ -251,65 +258,42 @@ def hash_cogroup(left, right, *, nbuckets: int, reduce_fn,
     two threads — ``iter_internal_ref_bundles`` would otherwise
     serialize read+map of right behind left).
     """
-    if left_bucket_fn is None:
-        left_bucket_fn = key_bucket_fn(left_on, nbuckets)
-    if right_bucket_fn is None:
-        right_bucket_fn = key_bucket_fn(right_on, nbuckets)
-    margs = map_remote_args or {}
+    left_bucket_fn = _resolve_bucket_fn(left_on, left_bucket_fn, nbuckets)
+    right_bucket_fn = _resolve_bucket_fn(right_on, right_bucket_fn,
+                                         nbuckets)
     with ThreadPoolExecutor(max_workers=2) as ex:
-        fl = ex.submit(_drive_splits, left, left_bucket_fn, nbuckets,
-                       blocks_per_map, margs)
-        fr = ex.submit(_drive_splits, right, right_bucket_fn, nbuckets,
-                       blocks_per_map, margs)
+        fl = ex.submit(_drive_splits, left, left_bucket_fn, nbuckets)
+        fr = ex.submit(_drive_splits, right, right_bucket_fn, nbuckets)
         lmaps, rmaps = fl.result(), fr.result()
-    red = _reduce_two.options(**(reduce_remote_args or {}))
-    outs = [red.remote(reduce_fn, left_schema, right_schema, len(lmaps),
-                       *[m[b] for m in lmaps], *[m[b] for m in rmaps])
-            for b in range(nbuckets)]
-    return ray.data.from_arrow_refs(outs)
+    return _reduce(reduce_fn, nbuckets,
+                   [(lmaps, left_schema), (rmaps, right_schema)])
 
 
-def presplit(ds, *, nbuckets: int, on=None, bucket_fn=None,
-             blocks_per_map: int = 4, map_remote_args: dict | None = None):
+def presplit(ds, *, nbuckets: int, on=None, bucket_fn=None):
     """Bucket a Dataset ONCE and return the per-map bucket refs for
     reuse across several :func:`cogroup_presplit` calls — the shape an
     iterative algorithm needs when one side (e.g. a static edge set)
     is re-co-grouped every round: hashing + shipping it once instead
     of once per round."""
-    if bucket_fn is None:
-        if on is None:
-            raise ValueError("need bucket_fn or on=")
-        bucket_fn = key_bucket_fn(on, nbuckets)
-    return _drive_splits(ds, bucket_fn, nbuckets, blocks_per_map,
-                         map_remote_args or {})
+    return _drive_splits(ds, _resolve_bucket_fn(on, bucket_fn, nbuckets),
+                         nbuckets)
 
 
 def cogroup_presplit(lmaps, right, *, nbuckets: int, reduce_fn,
                      right_on=None, right_bucket_fn=None,
                      left_schema: pa.Schema | None = None,
-                     right_schema: pa.Schema | None = None,
-                     blocks_per_map: int = 4,
-                     map_remote_args: dict | None = None,
-                     reduce_remote_args: dict | None = None):
+                     right_schema: pa.Schema | None = None):
     """Co-group an already-:func:`presplit` left side with a fresh
     right Dataset (same ``nbuckets`` as the presplit)."""
-    if right_bucket_fn is None:
-        right_bucket_fn = key_bucket_fn(right_on, nbuckets)
-    rmaps = _drive_splits(right, right_bucket_fn, nbuckets,
-                          blocks_per_map, map_remote_args or {})
-    red = _reduce_two.options(**(reduce_remote_args or {}))
-    outs = [red.remote(reduce_fn, left_schema, right_schema, len(lmaps),
-                       *[m[b] for m in lmaps], *[m[b] for m in rmaps])
-            for b in range(nbuckets)]
-    return ray.data.from_arrow_refs(outs)
+    rmaps = _drive_splits(
+        right, _resolve_bucket_fn(right_on, right_bucket_fn, nbuckets),
+        nbuckets)
+    return _reduce(reduce_fn, nbuckets,
+                   [(lmaps, left_schema), (rmaps, right_schema)])
 
 
 def grouped_exchange(ds, keys, group_fn, *, nbuckets: int,
-                     schema: pa.Schema | None = None,
-                     blocks_per_map: int = 4,
-                     map_remote_args: dict | None = None,
-                     reduce_remote_args: dict | None = None,
-                     rounds: int = 1):
+                     schema: pa.Schema | None = None, rounds: int = 1):
     """``groupby(keys).map_groups(group_fn)`` on the raw-task hash
     exchange: rows co-locate by ``hash(keys) % nbuckets`` (no
     distributed SORT — Ray's groupby pays a full range-sort shuffle),
@@ -318,8 +302,6 @@ def grouped_exchange(ds, keys, group_fn, *, nbuckets: int,
     group sizes and contents are identical, only the group-to-block
     placement differs.
     """
-    import numpy as np
-
     key_list = [keys] if isinstance(keys, str) else list(keys)
 
     def kernel(tbl: pa.Table) -> pa.Table:
@@ -358,8 +340,4 @@ def grouped_exchange(ds, keys, group_fn, *, nbuckets: int,
         return pa.concat_tables(outs, promote_options="default")
 
     return hash_exchange(ds, nbuckets=nbuckets, on=key_list,
-                         reduce_fn=kernel, schema=schema,
-                         blocks_per_map=blocks_per_map,
-                         map_remote_args=map_remote_args,
-                         reduce_remote_args=reduce_remote_args,
-                         rounds=rounds)
+                         reduce_fn=kernel, schema=schema, rounds=rounds)

@@ -92,7 +92,5 @@ def skyline(ds, cols: list[str], *, directions: list[str] | None = None,
                                         out_schema.types)))
     locals_ds = ds.map_batches(local, batch_format="pyarrow",
                                zero_copy_batch=True)
-    return hash_exchange(
-        locals_ds, nbuckets=1,
-        bucket_fn=lambda t: (np.zeros(t.num_rows, np.int64), t),
-        reduce_fn=local, schema=out_schema)
+    return hash_exchange(locals_ds, nbuckets=1, reduce_fn=local,
+                         schema=out_schema)

@@ -171,6 +171,13 @@ def read_geojson(paths, **read_kwargs):
     return ray.data.read_datasource(GeojsonDatasource(paths), **read_kwargs)
 
 
+_NDJSON_MANIFEST_SCHEMA = pa.schema([
+    ("path", pa.string()),
+    ("num_features", pa.int64()),
+    ("size_bytes", pa.int64()),
+])
+
+
 class _WriteNdjsonFn:
     """Per-block sink: feature rows -> one .ndjson shard + manifest row."""
 
@@ -194,20 +201,22 @@ class _WriteNdjsonFn:
         with open(tmp, "w") as f:
             f.write(body)
         os.replace(tmp, path)
-        return pa.table({
-            "path": pa.array([path]),
-            "num_features": pa.array([len(feats)], pa.int64()),
-            "size_bytes": pa.array([os.path.getsize(path)], pa.int64()),
-        })
+        return pa.Table.from_pylist(
+            [{"path": path, "num_features": len(feats),
+              "size_bytes": os.path.getsize(path)}],
+            schema=_NDJSON_MANIFEST_SCHEMA)
 
 
 def write_geojson(ds, out_dir: str, **map_kwargs) -> pa.Table:
     """Write feature rows as line-delimited GeoJSON shards; returns the
-    shard manifest (path, count, bytes)."""
+    shard manifest (path, count, bytes); an empty input yields an
+    empty manifest with those columns."""
+    from ..collect import collect_table
+
     manifest_ds = ds.map_batches(_WriteNdjsonFn(out_dir),
                                  batch_format="pyarrow",
                                  zero_copy_batch=True, **map_kwargs)
-    return pa.Table.from_pylist(manifest_ds.take_all())
+    return collect_table(manifest_ds, _NDJSON_MANIFEST_SCHEMA)
 
 
 def concat_feature_collection(shard_paths, out_path: str) -> int:

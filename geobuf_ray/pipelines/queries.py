@@ -11445,12 +11445,8 @@ def events_kruskal_wallis(sf_dir: str):
         .map_batches(partial, batch_format="pyarrow",
                      zero_copy_batch=True)
 
-    def one_bucket(tbl: pa.Table):
-        return np.zeros(tbl.num_rows, np.int64), tbl
-
     out = collect_table(hash_exchange(
-        ds, nbuckets=1, bucket_fn=one_bucket, reduce_fn=kernel,
-        schema=out_schema))
+        ds, nbuckets=1, reduce_fn=kernel, schema=out_schema))
     o = np.argsort(out["event_type"].to_numpy(zero_copy_only=False))
     return out.take(pa.array(o))
 
@@ -11647,12 +11643,8 @@ def events_value_entropy(sf_dir: str):
         .map_batches(partial, batch_format="pyarrow",
                      zero_copy_batch=True)
 
-    def one_bucket(tbl: pa.Table):
-        return np.zeros(tbl.num_rows, np.int64), tbl
-
     out = collect_table(hash_exchange(
-        ds, nbuckets=1, bucket_fn=one_bucket, reduce_fn=kernel,
-        schema=out_schema))
+        ds, nbuckets=1, reduce_fn=kernel, schema=out_schema))
     o = np.argsort(out["event_type"].to_numpy(zero_copy_only=False))
     return out.take(pa.array(o))
 
@@ -17223,10 +17215,7 @@ def events_time_to_convert(sf_dir: str):
                          "gap_seconds": pa.array(out, pa.int64()),
                          "n_converters": pa.array([n] * 3, pa.int64())})
 
-    def one_bucket(tbl: pa.Table):
-        return np.zeros(tbl.num_rows, np.int64), tbl
-
-    final = hash_exchange(per_user, nbuckets=1, bucket_fn=one_bucket,
+    final = hash_exchange(per_user, nbuckets=1,
                           reduce_fn=quartile_kernel, schema=out_schema)
     return collect_table(final)
 

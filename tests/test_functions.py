@@ -1494,6 +1494,80 @@ def test_lsh_no_member_rows_centralize(ray_session, monkeypatch):
                     or {"vec_id", "bucket"} <= cols), cols
 
 
+@pytest.mark.parametrize("check", ["hash_cogroup", "cogroup_presplit",
+                                   "one_bucket", "grouped_exchange"])
+def test_exchange_contract(ray_session, check):
+    """What every exchange caller relies on: a side with no rows reaches
+    ``reduce_fn`` as its schema's empty table, even when its blocks
+    were filtered down to zero columns; one bucket needs no key and
+    gathers every row into one reduce call; ``grouped_exchange`` forms
+    the same groups as ``pyarrow``'s ``group_by``."""
+    import ray
+
+    import geobuf_ray.functions.exchange as ex
+    from geobuf_ray.collect import collect_table
+
+    rng = np.random.default_rng(5)
+    n = 600
+    g = rng.choice(["a", "b", "c"], n).astype(object)
+    g[::17] = None
+    tbl = pa.table({"k": pa.array(rng.integers(0, 40, n), pa.int64()),
+                    "g": pa.array(g, pa.string()),
+                    "v": pa.array(rng.integers(0, 100, n), pa.int64())})
+    ds = ray.data.from_arrow(tbl).repartition(8)
+
+    if check in ("hash_cogroup", "cogroup_presplit"):
+        rschema = pa.schema([("k", pa.int64()), ("w", pa.float64())])
+        # every right block is filtered to a zero-column table
+        right = ray.data.from_arrow(tbl).repartition(3).map_batches(
+            lambda b: pa.table({}), batch_format="pyarrow")
+
+        def reduce_fn(lt, rt):
+            return pa.table({"nl": [lt.num_rows],
+                             "right_schema": [rt.schema.to_string()],
+                             "nr": [rt.num_rows]})
+
+        kw = dict(nbuckets=4, reduce_fn=reduce_fn, right_on="k",
+                  left_schema=tbl.schema, right_schema=rschema)
+        if check == "hash_cogroup":
+            res = ex.hash_cogroup(ds, right, left_on="k", **kw)
+        else:
+            res = ex.cogroup_presplit(
+                ex.presplit(ds, nbuckets=4, on="k"), right, **kw)
+        out = collect_table(res)
+        assert out.num_rows == 4
+        assert sum(out["nl"].to_pylist()) == n
+        assert set(out["nr"].to_pylist()) == {0}
+        assert set(out["right_schema"].to_pylist()) == {rschema.to_string()}
+    elif check == "one_bucket":
+        out = collect_table(ex.hash_exchange(
+            ds, nbuckets=1,
+            reduce_fn=lambda t: pa.table({"rows": [t.num_rows]})))
+        assert out["rows"].to_pylist() == [n]
+    else:
+        import pyarrow.compute as pc
+
+        def group_fn(t):
+            return pa.table({"g": t["g"].slice(0, 1), "k": t["k"].slice(0, 1),
+                             "v_sum": [pc.sum(t["v"]).as_py()],
+                             "v_count": [t.num_rows]})
+
+        out = collect_table(ex.grouped_exchange(ds, ["g", "k"], group_fn,
+                                                nbuckets=8))
+        # pyarrow 16's group_by can split a NULL string key into several
+        # groups, so the reference groups on the key with NULL filled in
+        filled = tbl.set_column(1, "g", pc.fill_null(tbl["g"], "~"))
+        want = filled.group_by(["g", "k"]).aggregate([("v", "sum"),
+                                                      ("v", "count")])
+
+        def rows(t):
+            return {("~" if r["g"] is None else r["g"], r["k"], r["v_sum"],
+                     r["v_count"]) for r in t.to_pylist()}
+
+        assert out.num_rows == want.num_rows
+        assert rows(out) == rows(want)
+
+
 def test_two_round_exchange_matches_single_round(ray_session, monkeypatch):
     """hash_exchange(rounds=2) must produce bucket-identical reduce
     inputs and results, while splitting the fragment fan into
@@ -1531,9 +1605,8 @@ def test_two_round_exchange_matches_single_round(ray_session, monkeypatch):
     calls = []
     real_drive = ex._drive_splits
 
-    def spy(ds_, bucket_fn, nbuckets, blocks_per_map, remote_args):
-        maps = real_drive(ds_, bucket_fn, nbuckets, blocks_per_map,
-                          remote_args)
+    def spy(ds_, bucket_fn, nbuckets):
+        maps = real_drive(ds_, bucket_fn, nbuckets)
         calls.append((len(maps), nbuckets))
         return maps
 
@@ -1541,12 +1614,11 @@ def test_two_round_exchange_matches_single_round(ray_session, monkeypatch):
 
     NB = 64
     one = collect_table(ex.hash_exchange(
-        ds, nbuckets=NB, on="k", reduce_fn=reduce_fn, schema=schema,
-        blocks_per_map=1))
+        ds, nbuckets=NB, on="k", reduce_fn=reduce_fn, schema=schema))
     single_calls, calls[:] = list(calls), []
     two = collect_table(ex.hash_exchange(
         ds, nbuckets=NB, on="k", reduce_fn=reduce_fn, schema=schema,
-        blocks_per_map=1, rounds=2))
+        rounds=2))
     two_calls = list(calls)
     monkeypatch.setattr(ex, "_drive_splits", real_drive)
 
@@ -1559,10 +1631,11 @@ def test_two_round_exchange_matches_single_round(ray_session, monkeypatch):
     # fragment accounting: single round = nmaps x NB in one hop;
     # two-round = a coarse hop at n1 ~ sqrt(NB) plus a fine hop at NB
     # driven from only n1 coarse blocks
-    assert single_calls == [(64, NB)]
+    # 64 input blocks coalesced _BLOCKS_PER_MAP = 4 per split task
+    assert single_calls == [(16, NB)]
     assert len(two_calls) == 2
     (m1, n1), (m2, n2) = two_calls
-    assert n1 == 8 and m1 == 64         # ceil(sqrt(64)) coarse groups
+    assert n1 == 8 and m1 == 16         # ceil(sqrt(64)) coarse groups
     assert n2 == NB and m2 <= n1        # fine hop fans out coarse blocks
     frags_single = single_calls[0][0] * single_calls[0][1]
     frags_two = m1 * n1 + m2 * n2

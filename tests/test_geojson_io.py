@@ -100,3 +100,18 @@ def test_geojson_geobuf_roundtrip_pipelines(ray_session, tmp_path):
         assert b["properties"]["AREA"] == f["properties"]["AREA"]
         # number->double rule: index survives as float
         assert float(b["properties"]["index"]) == float(f["properties"]["index"])
+
+
+def test_geobuf_to_geojson_empty_input_single_file(ray_session, tmp_path):
+    """A geobuf input with no features still yields a typed manifest and
+    an (empty) single FeatureCollection file."""
+    from geobuf_ray.pipelines import convert
+
+    empty = tmp_path / "empty.geobuf"
+    empty.write_bytes(b"")
+    single = str(tmp_path / "all.geojson")
+    m = convert.geobuf_to_geojson([str(empty)], str(tmp_path / "gj"),
+                                  single_file=single)
+    assert m.num_rows == 0
+    assert m.schema.names == ["path", "num_features", "size_bytes"]
+    assert gj.load_feature_collection(single) == []

@@ -7,12 +7,17 @@ Usage: python tools/check_oracles.py [sf_dir] [query ...]
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
 import duckdb
 import numpy as np
 import pandas as pd
+
+# the checkout this file lives in: the driver and the Ray workers both
+# import geobuf_ray from here, whatever the caller's cwd
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 TABLES = ("region nation customer supplier part orders lineitem events "
           "documents embeddings").split()
@@ -27,7 +32,6 @@ def to_pandas(res) -> pd.DataFrame:
         if isinstance(res, ray.data.Dataset):
             # collect_table, not Dataset.to_pandas(): the latter can
             # re-execute the plan behind a limit-1 schema fetch
-            sys.path.insert(0, ".")
             from geobuf_ray.collect import collect_table
 
             res = collect_table(res).to_pandas()
@@ -64,6 +68,10 @@ def value_hash(df: pd.DataFrame) -> str:
 def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
+    # Ray workers put the driver's cwd on their sys.path
+    sf_dir = os.path.abspath(sf_dir)
+    os.chdir(ROOT)
+    sys.path.insert(0, ROOT)
 
     import ray
 
@@ -74,7 +82,6 @@ def main():
 
     logging.getLogger("ray.data").setLevel(logging.ERROR)
 
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as entrymod
 
     qs = entrymod.queries()
