@@ -1,10 +1,11 @@
 """Similarity search over embedding columns.
 
-Baseline: brute-force cosine top-k — query matrix broadcast ONCE via
-``ray.put``, each streamed batch does one numpy matmul against it
-(never re-shipped per batch).  Scale path: IVF — coarse centroids fit
-driver-side on a sample, vectors hash-partitioned by nearest centroid,
-queries probe only the nearest ``nprobe`` partitions.
+Baseline: brute-force cosine top-k — the query matrix rides on the
+stage instance (shipped once per operator), each streamed batch does
+one numpy matmul against it (never re-shipped per batch).  Scale path:
+IVF — coarse centroids fit driver-side on a sample, vectors
+hash-partitioned by nearest centroid, queries probe only the nearest
+``nprobe`` partitions.
 """
 
 from __future__ import annotations
@@ -38,16 +39,13 @@ def _normalize(m: np.ndarray) -> np.ndarray:
 
 
 class BruteForceTopK:
-    """Actor-pool stage: cosine top-k of broadcast queries vs streamed
+    """Map stage: cosine top-k of broadcast queries vs streamed
     vectors.  Emits per-batch LOCAL top-k (query_id, vec_id, cosine);
     reduce with :func:`topk_reduce` for the global answer — a
     partial+final aggregation, not a full shuffle."""
 
-    def __init__(self, queries_ref, k: int, vec_col: str, id_col: str):
-        import ray
-
-        q = ray.get(queries_ref) if not isinstance(queries_ref, tuple) else queries_ref
-        self.q_ids, qm = q
+    def __init__(self, queries, k: int, vec_col: str, id_col: str):
+        self.q_ids, qm = queries
         self.qm = _normalize(qm)
         self.k = k
         self.vec_col, self.id_col = vec_col, id_col
@@ -83,28 +81,17 @@ def topk_reduce(partials: pa.Table, k: int) -> pa.Table:
 def brute_force_topk(ds, queries: pa.Table, k: int = 5, *,
                      vec_col="embedding", id_col="vec_id",
                      query_vec_col="embedding", query_id_col="vec_id",
-                     concurrency=(1, 8), **map_kwargs) -> pa.Table:
+                     **map_kwargs) -> pa.Table:
     """Exact cosine top-k of each query vs the full streamed dataset."""
-    import ray
+    from ..collect import collect_table
 
     q = (
         queries[query_id_col].combine_chunks().to_numpy(zero_copy_only=False).astype(np.int64),
         _to_matrix(queries[query_vec_col]),
     )
-    if concurrency is None:
-        # small query set: ride the task closure, skip actor startup
-        partials = ds.map_batches(
-            BruteForceTopK(q, k, vec_col, id_col),
-            batch_format="pyarrow", zero_copy_batch=True, **map_kwargs)
-    else:
-        qref = ray.put(q)
-        partials = ds.map_batches(
-            BruteForceTopK,
-            fn_constructor_args=(qref, k, vec_col, id_col),
-            batch_format="pyarrow", zero_copy_batch=True,
-            concurrency=concurrency, **map_kwargs,
-        )
-    from ..collect import collect_table
+    partials = ds.map_batches(
+        BruteForceTopK(q, k, vec_col, id_col),
+        batch_format="pyarrow", zero_copy_batch=True, **map_kwargs)
 
     return topk_reduce(collect_table(partials), k)
 
@@ -135,21 +122,18 @@ def ivf_partition(ds, centroids: np.ndarray, *, vec_col="embedding",
                   out_col="ivf_cell", **map_kwargs):
     """Stamp nearest-centroid id per row — the ONE partition key for
     vector data (mirrors the spatial cell key)."""
-    import ray
-
-    cref = ray.put(_normalize(centroids))
-
     class AssignFn:
-        def __init__(self):
-            self.cent = ray.get(cref)
+        def __init__(self, cent):
+            self.cent = cent
 
         def __call__(self, batch: pa.Table) -> pa.Table:
             vm = _normalize(_to_matrix(batch[vec_col]))
             cell = np.argmax(vm @ self.cent.T, axis=1).astype(np.int32)
             return batch.append_column(out_col, pa.array(cell))
 
-    return ds.map_batches(AssignFn, batch_format="pyarrow",
-                          zero_copy_batch=True, concurrency=(1, 4), **map_kwargs)
+    return ds.map_batches(AssignFn(_normalize(centroids)),
+                          batch_format="pyarrow", zero_copy_batch=True,
+                          **map_kwargs)
 
 
 def ivf_build(ds, centroids: np.ndarray, out_dir: str, *,
@@ -326,19 +310,13 @@ def pq_reconstruct(codebooks: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 
 class PQTopK:
-    """Actor-pool stage: ADC (asymmetric distance computation) top-k —
-    the per-query lookup tables ||q_j - c||^2 are built ONCE in
-    __init__; each batch is m uint8 gathers + adds, never touching
-    float vectors.  Emits per-batch local top-k (smallest ADC L2)."""
+    """Map stage: ADC (asymmetric distance computation) top-k — the
+    per-query lookup tables ||q_j - c||^2 are built ONCE in __init__,
+    on the driver, and ride on the instance; each batch is m uint8
+    gathers + adds, never touching float vectors.  Emits per-batch local top-k (smallest ADC L2)."""
 
-    def __init__(self, queries_ref, books_ref, k: int,
-                 code_col: str, id_col: str):
-        import ray
-
-        q_ids, qm = (ray.get(queries_ref)
-                     if not isinstance(queries_ref, tuple) else queries_ref)
-        books = (ray.get(books_ref)
-                 if not isinstance(books_ref, np.ndarray) else books_ref)
+    def __init__(self, queries, books, k: int, code_col: str, id_col: str):
+        q_ids, qm = queries
         self.q_ids = q_ids
         m, ksub, dsub = books.shape
         self.m = m
@@ -388,30 +366,19 @@ class PQTopK:
 def pq_topk(codes_ds, queries: pa.Table, codebooks: np.ndarray,
             k: int = 10, *, code_col: str = "pq_code",
             id_col: str = "vec_id", query_vec_col: str = "embedding",
-            query_id_col: str = "vec_id", concurrency=(1, 4),
-            **map_kwargs) -> pa.Table:
+            query_id_col: str = "vec_id", **map_kwargs) -> pa.Table:
     """ADC top-k of each query over the PQ-encoded dataset (partial
     per-block top-k + small final reduce; smallest distance wins,
     ties to the lowest vec_id)."""
-    import ray
-
     from ..collect import collect_table
 
     q = (queries[query_id_col].combine_chunks().to_numpy(
         zero_copy_only=False).astype(np.int64),
         _to_matrix(queries[query_vec_col]))
     books = np.asarray(codebooks, np.float64)
-    if concurrency is None:
-        # small query set: ride the task closure, skip actor startup
-        partials = codes_ds.map_batches(
-            PQTopK(q, books, k, code_col, id_col),
-            batch_format="pyarrow", zero_copy_batch=True, **map_kwargs)
-    else:
-        qref, bref = ray.put(q), ray.put(books)
-        partials = codes_ds.map_batches(
-            PQTopK, fn_constructor_args=(qref, bref, k, code_col, id_col),
-            batch_format="pyarrow", zero_copy_batch=True,
-            concurrency=concurrency, **map_kwargs)
+    partials = codes_ds.map_batches(
+        PQTopK(q, books, k, code_col, id_col),
+        batch_format="pyarrow", zero_copy_batch=True, **map_kwargs)
     df = collect_table(partials).to_pandas()
     df = df.sort_values(["query_id", "adc", "vec_id"],
                         ascending=[True, True, True], kind="stable")
@@ -456,14 +423,10 @@ class IVFPQTopK(PQTopK):
     semantics — a union-of-partitions read still scans per query only
     its lists)."""
 
-    def __init__(self, queries_ref, books_ref, k: int, code_col: str,
-                 id_col: str, probes_ref, cell_col: str = "cell"):
-        import ray
-
-        super().__init__(queries_ref, books_ref, k, code_col, id_col)
-        self.probes = (ray.get(probes_ref)
-                       if not isinstance(probes_ref, np.ndarray)
-                       else probes_ref)
+    def __init__(self, queries, books, k: int, code_col: str,
+                 id_col: str, probes, cell_col: str = "cell"):
+        super().__init__(queries, books, k, code_col, id_col)
+        self.probes = probes
         self.cell_col = cell_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -521,8 +484,7 @@ def ivfpq_topk(index_dir: str, queries: pa.Table,
                k: int = 10, *, nprobe: int = 4,
                code_col: str = "pq_code", id_col: str = "vec_id",
                query_vec_col: str = "embedding",
-               query_id_col: str = "vec_id", concurrency=(1, 4),
-               **map_kwargs) -> pa.Table:
+               query_id_col: str = "vec_id", **map_kwargs) -> pa.Table:
     """IVF-PQ top-k over an :func:`ivfpq_build` layout: per query the
     ``nprobe`` nearest coarse cells are chosen, the read touches ONLY
     the union of probed partitions (codes, never floats), and each
@@ -545,14 +507,10 @@ def ivfpq_topk(index_dir: str, queries: pa.Table,
                          "adc": pa.array([], pa.float64()),
                          "rank": pa.array([], pa.int32())})
     ds = ray.data.read_parquet(paths, columns=[id_col, code_col, "cell"])
-    q = (q_ids, qm_full)
     books = np.asarray(codebooks, np.float64)
-    qref, bref, pref = ray.put(q), ray.put(books), ray.put(probes)
     partials = ds.map_batches(
-        IVFPQTopK,
-        fn_constructor_args=(qref, bref, k, code_col, id_col, pref),
-        batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=concurrency, **map_kwargs)
+        IVFPQTopK((q_ids, qm_full), books, k, code_col, id_col, probes),
+        batch_format="pyarrow", zero_copy_batch=True, **map_kwargs)
     df = collect_table(partials).to_pandas()
     df = df.sort_values(["query_id", "adc", "vec_id"],
                         ascending=[True, True, True], kind="stable")
@@ -671,4 +629,4 @@ def bq_topk(ds, queries: pa.Table, *, k: int = 5, rerank: int = 64,
                                zero_copy_batch=True)
     return brute_force_topk(survivors, queries, k, vec_col=vec_col,
                             id_col=id_col, query_vec_col=query_vec_col,
-                            query_id_col=query_id_col, concurrency=None)
+                            query_id_col=query_id_col)

@@ -518,8 +518,8 @@ def _list_u64_matrix(col: pa.ChunkedArray | pa.Array,
 
 def minhash_candidate_pairs(ds, *, text_col="text", id_col="doc_id",
                             num_hashes=64, bands=16, shingle_k=3,
-                            sim_threshold=0.6, concurrency=None,
-                            bucket_cap=256, rounds=1, **map_kwargs):
+                            sim_threshold=0.6, bucket_cap=256, rounds=1,
+                            **map_kwargs):
     """docs Dataset -> candidate near-dup pairs via MinHash LSH.
 
     Returns a pyarrow Table (id_a, id_b, est_jaccard, truncated) —
@@ -530,22 +530,10 @@ def minhash_candidate_pairs(ds, *, text_col="text", id_col="doc_id",
     (``est_jaccard`` null) instead — bounded driver memory and
     O(members) work however wide the bucket.
     """
-    import ray
-
-    kw = dict(text_col=text_col, id_col=id_col, num_hashes=num_hashes,
-              bands=bands, shingle_k=shingle_k)
-    if concurrency is None:
-        # parameter-only "state": a pickled instance in a task pool
-        # avoids actor startup latency; pass concurrency for a real
-        # actor pool when per-worker init matters
-        sig_ds = ds.map_batches(MinHashFn(**kw), batch_format="pyarrow",
-                                zero_copy_batch=True, **map_kwargs)
-    else:
-        sig_ds = ds.map_batches(
-            MinHashFn, fn_constructor_kwargs=kw,
-            batch_format="pyarrow", zero_copy_batch=True,
-            concurrency=concurrency, **map_kwargs,
-        )
+    sig_ds = ds.map_batches(
+        MinHashFn(text_col=text_col, id_col=id_col, num_hashes=num_hashes,
+                  bands=bands, shingle_k=shingle_k),
+        batch_format="pyarrow", zero_copy_batch=True, **map_kwargs)
     # the pinned stream is skinny: (id, band, bucket) per doc x band
     # (3 scalars — round 1 pinned the 64x-uint64 signature PER BAND, an
     # ~8 KB/doc amplification) plus ONE signature carrier row per doc;

@@ -1433,9 +1433,8 @@ def all_pairs_hops(edges, sources, *, src: str = "src",
     ref = ray.put((nodes, adj))
 
     def bfs_batch(batch) -> pa.Table:
-        # stateless TASK, not an actor pool: the broadcast tuple is a
-        # zero-copy plasma get per call (cached node-locally), and for
-        # metadata-scale graphs actor spin-up would dominate the work
+        # stateless task: the broadcast tuple is a zero-copy plasma
+        # get per call (cached node-locally)
         g_nodes, g_adj = ray.get(ref)
         s = batch["node"].astype(np.int64)
         si = np.searchsorted(g_nodes, s)

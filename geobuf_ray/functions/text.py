@@ -94,8 +94,9 @@ _LANG_MARKERS: dict[str, list[str]] = {
 
 
 class LangIdFn:
-    """Actor-pool language-ID stage: marker regexes compiled ONCE per
-    actor in ``__init__`` (SURVEY.md §2.4 stateful-stage rule)."""
+    """Language-ID stage: marker regexes compiled ONCE in ``__init__``,
+    on the driver, and shipped with the instance (SURVEY.md §2.4
+    stateful-stage rule)."""
 
     def __init__(self, text_col: str = "text"):
         self.text_col = text_col

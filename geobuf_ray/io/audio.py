@@ -15,12 +15,13 @@ pipeline shape (binary in, sample array out, per-row invariant):
   for MP3/Opus); reconstruction SNR is bounded below in tests.
 - real ``wav``/``mp3`` bytes — decoded via soundfile when importable,
   else a clearly-marked NotImplementedError (STUB per the brief: the
-  Ray-side plumbing — schema, batch size, actor signature, output
+  Ray-side plumbing — schema, batch size, stage signature, output
   layout — is real and tested).
 
-All stages follow the actor-pool pattern: decode state in ``__init__``
-(once per actor), vectorized work per batch, SMALL batch_size because
-payloads are large (§ brief: memory-aware binary columns).
+All stages are callable instances run as Ray Data tasks: config in
+``__init__`` (built once on the driver, shipped once per operator),
+vectorized work per batch, SMALL batch_size because payloads are
+large (§ brief: memory-aware binary columns).
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def synthesize_audio_dataset(n: int, **map_kwargs):
 
 
 class AudioFeaturesFn:
-    """Actor-pool stage: decode + per-clip features.
+    """Map stage: decode + per-clip features.
 
     Emits duration, RMS level, zero-crossing rate and peak frequency
     (via a power-of-two rFFT on a fixed window) — the
@@ -203,7 +204,7 @@ class AudioFeaturesFn:
 
 
 class ResampleAudioFn:
-    """Actor-pool stage: linear-interp resample to a target rate —
+    """Map stage: linear-interp resample to a target rate —
     the audio analogue of image resize (payload in, payload out)."""
 
     def __init__(self, target_rate: int = 8000):
@@ -235,7 +236,7 @@ class ResampleAudioFn:
 
 
 class SampleVideoFramesFn:
-    """Actor-pool stage: emit every k-th frame of each clip as an image
+    """Map stage: emit every k-th frame of each clip as an image
     row — frame-sampling materializes ONLY the sampled frames (the
     sparse-decode shape for video training data).  Frames are the image
     module's procedural payloads keyed by (clip, frame)."""
@@ -281,7 +282,7 @@ def synthesize_video_index(n: int, **map_kwargs):
 
 
 class SilenceSegmentsFn:
-    """Actor-pool voice-activity-style segmentation: per clip, frame
+    """Map-stage voice-activity-style segmentation: per clip, frame
     RMS against a RELATIVE threshold (half the clip's median frame
     RMS — absolute thresholds break across gain levels), quiet runs of
     at least ``min_run`` frames count as silence segments, their
@@ -327,7 +328,7 @@ class SilenceSegmentsFn:
 
 
 class NormalizeAudioFn:
-    """Actor-pool loudness normalization: scale each clip to a target
+    """Map-stage loudness normalization: scale each clip to a target
     RMS (the broadcast-prep step before mixing corpora recorded at
     different gains), clipping guarded — the applied gain caps so the
     peak stays within full scale, and the ACHIEVED rms + gain ship as
@@ -368,7 +369,7 @@ class NormalizeAudioFn:
 
 
 class SceneCutsFn:
-    """Actor-pool scene-cut detection — the shot-boundary pass every
+    """Map-stage scene-cut detection — the shot-boundary pass every
     video curation pipeline runs before sampling clips.  Frames are
     procedural scene-structured payloads: a clip's frame f belongs to
     scene ``f // period`` and renders as that scene's procedural
@@ -377,7 +378,7 @@ class SceneCutsFn:
     pixel while a scene change swaps the whole pattern.  The detector
     knows NOTHING of the planting: it thresholds the exact integer
     mean-absolute frame delta (``sum|p_t - p_{t-1}| > thr * npx``).
-    Frames STREAM through the actor one at a time (only the previous
+    Frames STREAM through the stage one at a time (only the previous
     frame is held — a long clip costs O(1) frame memory), and only
     per-clip scalars leave the stage."""
 
@@ -479,7 +480,7 @@ class AudioClipAuditFn:
 
 
 class MotionEstimateFn:
-    """Actor-pool global-motion estimation — the block-matching pass
+    """Map-stage global-motion estimation — the block-matching pass
     (the H.264/MPEG motion-search primitive) video curation uses to
     separate static, panning and cut-heavy clips.  Frames are
     procedural PANNING scenes: clip frame f is the w x h crop of one
@@ -547,7 +548,7 @@ class MotionEstimateFn:
 
 
 class TranscodeWavFn:
-    """Actor-pool transcode stage: decode each row's payload and
+    """Transcode stage: decode each row's payload and
     re-encode as a REAL WAV byte stream (io/wav.py — the public
     RIFF/WAVE wire format).  ``wav_fmt='pcm16'`` is sample-lossless
     for pcmz sources (int16 -> int16); ``'mulaw'`` is the lossy G.711
@@ -575,11 +576,10 @@ class TranscodeWavFn:
             pa.array([f"wav-{self.wav_fmt}"] * len(out), pa.string()))
 
 
-def transcode_wav(ds, *, batch_size: int = 32, concurrency=(1, 8),
-                  wav_fmt: str = "pcm16", **map_kwargs):
+def transcode_wav(ds, *, batch_size: int = 32, wav_fmt: str = "pcm16",
+                  **map_kwargs):
     """Dataset stage: any audio rows -> the same rows with real WAV
     payloads."""
     return ds.map_batches(
-        TranscodeWavFn, fn_constructor_kwargs=dict(wav_fmt=wav_fmt),
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, **map_kwargs)
+        TranscodeWavFn(wav_fmt=wav_fmt), batch_format="pyarrow",
+        batch_size=batch_size, **map_kwargs)

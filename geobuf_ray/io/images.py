@@ -328,14 +328,15 @@ def read_image_table(path: str, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# actor-pool stages
+# map stages: callable instances built on the driver, run as Ray Data
+# tasks (Ray ships each instance once per operator)
 # ---------------------------------------------------------------------------
 
 
 class DecodeImagesFn:
-    """Actor-pool decode stage (the T4-style stateful decoder).
+    """Decode stage (the T4-style stateful decoder).
 
-    __init__ once per actor; __call__ decodes each row's payload and
+    __init__ once on the driver; __call__ decodes each row's payload and
     emits derived features: mean channel intensities, recomputed phash,
     PSNR vs the procedural source (fidelity metric), centroid lon/lat.
     Large binary batches: use small batch_size (payloads are MBs).
@@ -374,24 +375,22 @@ class DecodeImagesFn:
         return out
 
 
-def decode_images(ds, *, batch_size: int = 64, concurrency=(1, 8),
+def decode_images(ds, *, batch_size: int = 64,
                   check_fidelity: bool = True, **map_kwargs):
     """Dataset stage: image rows -> decoded feature rows.
 
-    Small ``batch_size`` keeps (payload x concurrency) inside worker
-    heaps — the memory-aware rule for binary columns."""
+    Small ``batch_size`` keeps (payload x concurrent tasks) inside
+    worker heaps — the memory-aware rule for binary columns."""
     return ds.map_batches(
-        DecodeImagesFn,
-        fn_constructor_kwargs=dict(check_fidelity=check_fidelity),
+        DecodeImagesFn(check_fidelity=check_fidelity),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
         **map_kwargs,
     )
 
 
 class TranscodePngFn:
-    """Actor-pool transcode stage: decode each row's payload (rawz /
+    """Transcode stage: decode each row's payload (rawz /
     quantz / png) and re-encode as a REAL PNG (io/png.py — the public
     RFC 2083 wire format).  Same table schema out; ``src_fmt`` keeps
     the original format, ``fmt`` becomes ``png``.  The transcode is
@@ -414,18 +413,17 @@ class TranscodePngFn:
                             pa.array(["png"] * len(out), pa.string()))
 
 
-def transcode_png(ds, *, batch_size: int = 32, concurrency=(1, 8),
-                  level: int = 6, **map_kwargs):
+def transcode_png(ds, *, batch_size: int = 32, level: int = 6,
+                  **map_kwargs):
     """Dataset stage: any image rows -> the same rows with real PNG
     payloads (pixel-lossless)."""
     return ds.map_batches(
-        TranscodePngFn, fn_constructor_kwargs=dict(level=level),
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, **map_kwargs)
+        TranscodePngFn(level=level), batch_format="pyarrow",
+        batch_size=batch_size, **map_kwargs)
 
 
 class TranscodeJpegFn:
-    """Actor-pool transcode stage: decode each row's payload and
+    """Transcode stage: decode each row's payload and
     re-encode as a REAL baseline JPEG (io/jpeg.py — the public ITU-T
     T.81 wire format).  Same table schema out; ``src_fmt`` keeps the
     original format, ``fmt`` becomes ``jpeg``.  The transcode is
@@ -448,18 +446,17 @@ class TranscodeJpegFn:
                             pa.array(["jpeg"] * len(out), pa.string()))
 
 
-def transcode_jpeg(ds, *, batch_size: int = 32, concurrency=(1, 8),
-                   quality: int = 90, **map_kwargs):
+def transcode_jpeg(ds, *, batch_size: int = 32, quality: int = 90,
+                   **map_kwargs):
     """Dataset stage: any image rows -> the same rows with real
     baseline JPEG payloads (lossy at ``quality``)."""
     return ds.map_batches(
-        TranscodeJpegFn, fn_constructor_kwargs=dict(quality=quality),
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, **map_kwargs)
+        TranscodeJpegFn(quality=quality), batch_format="pyarrow",
+        batch_size=batch_size, **map_kwargs)
 
 
 class ResizeImagesFn:
-    """Actor-pool resize stage: nearest-neighbor downsample to
+    """Resize stage: nearest-neighbor downsample to
     (target, target) then re-encode lossless — the feature-extraction
     shape for thumbnailing pipelines."""
 
@@ -531,9 +528,9 @@ def dct_phash64(stack: np.ndarray, dct: np.ndarray | None = None) -> np.ndarray:
 
 
 class DctPhashFn:
-    """Actor-pool stage: decode each payload, area-resample to 32x32
-    grayscale, batched DCT hash.  The DCT matrix is built once per
-    actor (T4 stateful-stage shape)."""
+    """Map stage: decode each payload, area-resample to 32x32
+    grayscale, batched DCT hash.  The DCT matrix is built once, on the
+    driver, and rides on the instance (T4 stateful-stage shape)."""
 
     def __init__(self, n: int = 32):
         self.n = n
@@ -550,13 +547,12 @@ class DctPhashFn:
         return out.append_column("dct_phash", pa.array(ph, pa.int64()))
 
 
-def dct_phash_images(ds, *, batch_size: int = 64, concurrency=(1, 8),
-                     **map_kwargs):
+def dct_phash_images(ds, *, batch_size: int = 64, **map_kwargs):
     """Dataset stage: image rows -> (row, dct_phash) — the
     near-duplicate signature feeding ``hash64_candidate_pairs``."""
     return ds.map_batches(
-        DctPhashFn, batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, **map_kwargs)
+        DctPhashFn(), batch_format="pyarrow", batch_size=batch_size,
+        **map_kwargs)
 
 
 def mean_pool2(px: np.ndarray) -> np.ndarray:
@@ -575,7 +571,7 @@ def mean_pool2(px: np.ndarray) -> np.ndarray:
 
 
 class PyramidImagesFn:
-    """Actor-pool overview-pyramid stage (the raster tile-pyramid /
+    """Overview-pyramid stage (the raster tile-pyramid /
     mipmap shape): each input image row fans out to ``levels + 1``
     rows — level 0 is the source, level L halves level L-1 via exact
     2x2 integer mean-pooling — re-encoded lossless with per-level
@@ -621,13 +617,12 @@ class PyramidImagesFn:
 
 
 def build_pyramid(ds, *, levels: int = 3, batch_size: int = 32,
-                  concurrency=(1, 8), **map_kwargs):
+                  **map_kwargs):
     """Dataset stage: image rows -> per-level pyramid rows (bounded
-    batches: payload x concurrency stays inside worker heaps)."""
+    batches: payload x concurrent tasks stays inside worker heaps)."""
     return ds.map_batches(
-        PyramidImagesFn, fn_constructor_kwargs=dict(levels=levels),
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, **map_kwargs)
+        PyramidImagesFn(levels=levels), batch_format="pyarrow",
+        batch_size=batch_size, **map_kwargs)
 
 
 def mosaic_tiles(ds, *, zoom: int = 4, cell: int = 32, max_images: int = 16,
@@ -702,7 +697,7 @@ def mosaic_tiles(ds, *, zoom: int = 4, cell: int = 32, max_images: int = 16,
 
 
 class PatchifyImagesFn:
-    """Actor-pool ViT-style patch extraction: each image row fans out
+    """ViT-style patch extraction stage: each image row fans out
     to its non-overlapping ``patch x patch`` tiles (bottom/right
     remainders cropped, the standard discipline), one row per patch
     with (patch_row, patch_col) grid coordinates and a lossless
@@ -750,16 +745,12 @@ class PatchifyImagesFn:
 
 
 def patchify_images(ds, *, patch: int = 16, emit_payload: bool = True,
-                    batch_size: int = 16, concurrency=(1, 8),
-                    **map_kwargs):
+                    batch_size: int = 16, **map_kwargs):
     """Dataset stage: image rows -> patch rows.  Small batch_size:
     each input row fans out to (w/p)*(h/p) payload rows."""
     return ds.map_batches(
-        PatchifyImagesFn,
-        fn_constructor_kwargs=dict(patch=patch,
-                                   emit_payload=emit_payload),
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, **map_kwargs)
+        PatchifyImagesFn(patch=patch, emit_payload=emit_payload),
+        batch_format="pyarrow", batch_size=batch_size, **map_kwargs)
 
 
 _AUG_NAMES = ("identity", "hflip", "vflip", "rot90", "rot180",
@@ -790,7 +781,7 @@ def apply_augment(px: np.ndarray, aug: str) -> np.ndarray:
 
 
 class AugmentImagesFn:
-    """Actor-pool augmentation stage: each image row emits one
+    """Augmentation stage: each image row emits one
     augmented row per requested op (or a deterministic hash-chosen
     subset with ``per_image``), payload re-encoded lossless and the
     op recorded in an ``aug`` column — the training-data augmentation
@@ -838,17 +829,15 @@ class AugmentImagesFn:
 
 def augment_images(ds, *, ops=("hflip", "rot90"),
                    per_image: int | None = None, batch_size: int = 16,
-                   concurrency=(1, 8), **map_kwargs):
+                   **map_kwargs):
     """Dataset stage: image rows -> augmented rows (one per op)."""
     return ds.map_batches(
-        AugmentImagesFn,
-        fn_constructor_kwargs=dict(ops=ops, per_image=per_image),
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, **map_kwargs)
+        AugmentImagesFn(ops=ops, per_image=per_image),
+        batch_format="pyarrow", batch_size=batch_size, **map_kwargs)
 
 
 class EmbedImagesFn:
-    """Actor-pool embedding stage — the CLIP-inference shape.
+    """Embedding stage — the CLIP-inference shape.
 
     A real image-embedding model loads ONCE in ``__init__`` (weights,
     device) and runs a batched forward pass in ``__call__``; this
@@ -858,7 +847,7 @@ class EmbedImagesFn:
     float vector.  Near-duplicate pixels land at cosine ~1, so the
     output drives the engine's embedding-dedup machinery exactly the
     way CLIP vectors would.  Small batch_size keeps payload x
-    concurrency inside worker heaps."""
+    concurrent tasks inside worker heaps."""
 
     def __init__(self, pool: int = 8):
         if pool < 1 or 32 % pool != 0:
@@ -889,12 +878,11 @@ class EmbedImagesFn:
 
 
 def embed_images(ds, *, pool: int = 8, batch_size: int = 64,
-                 concurrency=(1, 8), **map_kwargs):
+                 **map_kwargs):
     """Dataset stage: image rows -> (img_idx, embedding)."""
     return ds.map_batches(
-        EmbedImagesFn, fn_constructor_kwargs=dict(pool=pool),
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, **map_kwargs)
+        EmbedImagesFn(pool=pool), batch_format="pyarrow",
+        batch_size=batch_size, **map_kwargs)
 
 
 def caption_embed_batch(captions, dim: int = 64) -> np.ndarray:
@@ -934,13 +922,13 @@ def caption_embed_batch(captions, dim: int = 64) -> np.ndarray:
 
 
 class ClipScoreFn:
-    """Actor-pool CLIP-score stage: BOTH towers run in one batched
+    """CLIP-score stage: BOTH towers run in one batched
     forward over paired rows — image tower = the :class:`EmbedImagesFn`
     stand-in (decode → 32×32 → pooled, unit norm), text tower =
     :func:`caption_embed_batch` — and the per-row cosine is their dot
     product (both unit vectors).  This is the LAION-style pairing
     filter shape: a real deployment swaps the two stand-ins for CLIP's
-    encoders and nothing else changes (state loads once per actor,
+    encoders and nothing else changes (state loads once per stage,
     batches stay bounded by payload size).  Scores are quantized to
     exact integers ``floor(score * 2^20)`` so downstream aggregation is
     bit-deterministic and partition-invariant."""
@@ -962,13 +950,12 @@ class ClipScoreFn:
 
 
 def clip_scores(ds, *, pool: int = 8, batch_size: int = 64,
-                concurrency=(1, 8), **map_kwargs):
+                **map_kwargs):
     """Dataset stage: paired image+caption rows -> (img_idx, fmt,
     score_q) with score_q = floor(cosine(img_emb, txt_emb) * 2^20)."""
     return ds.map_batches(
-        ClipScoreFn, fn_constructor_kwargs=dict(pool=pool),
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, **map_kwargs)
+        ClipScoreFn(pool=pool), batch_format="pyarrow",
+        batch_size=batch_size, **map_kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -1059,7 +1046,7 @@ def nms_dense(x0: np.ndarray, y0: np.ndarray, x1: np.ndarray,
 
 
 class BoxSumsFn:
-    """Actor-pool stage composing decode -> integral image -> per-box
+    """Map stage composing decode -> integral image -> per-box
     pixel sums for the image's NMS-kept detection boxes: the
     summed-area table makes every box reduction O(1) corner lookups
     after one O(w*h) cumsum per image — the classic trick when MANY
@@ -1106,11 +1093,10 @@ class BoxSumsFn:
 
 
 def box_pixel_sums(ds, *, kb: int = 8, batch_size: int = 32,
-                   concurrency=(1, 8), **map_kwargs):
+                   **map_kwargs):
     """Dataset stage: decode + integral image + NMS-kept box sums."""
-    return ds.map_batches(BoxSumsFn, fn_constructor_kwargs=dict(kb=kb),
-                          batch_format="pyarrow", batch_size=batch_size,
-                          concurrency=concurrency, **map_kwargs)
+    return ds.map_batches(BoxSumsFn(kb=kb), batch_format="pyarrow",
+                          batch_size=batch_size, **map_kwargs)
 
 
 def blob_stats(mask: np.ndarray) -> tuple[int, int]:
@@ -1165,7 +1151,7 @@ def blob_stats(mask: np.ndarray) -> tuple[int, int]:
 
 
 class BlobStatsFn:
-    """Actor-pool stage: decode -> brightness threshold -> per-image
+    """Map stage: decode -> brightness threshold -> per-image
     connected-component blob statistics (count + largest)."""
 
     def __init__(self, threshold: int = 384):
@@ -1186,7 +1172,7 @@ class BlobStatsFn:
 
 
 class SharpnessFn:
-    """Actor-pool blur/sharpness scoring — the LAION-style image
+    """Blur/sharpness scoring stage — the LAION-style image
     quality gate: per image the EXACT integer variance numerator of
     the 4-neighbor Laplacian over interior gray pixels (blurry images
     have small high-frequency response).  All arithmetic int64
@@ -1378,7 +1364,7 @@ def equalize_pixels(px: np.ndarray) -> np.ndarray:
 
 
 class EqualizeImagesFn:
-    """Actor-pool histogram-equalization stage: decode -> exact
+    """Histogram-equalization stage: decode -> exact
     integer per-channel CDF remap (equalize_pixels) -> lossless
     re-encode, with span/variance audit columns.  The contrast-
     normalization prep a vision corpus runs before training when
@@ -1462,7 +1448,7 @@ def pixel_checksum(px: np.ndarray) -> int:
 
 
 class TrimBordersFn:
-    """Actor-pool crop-to-content stage: decode -> trim_margins ->
+    """Crop-to-content stage: decode -> trim_margins ->
     crop -> lossless re-encode, emitting detected margins, trimmed
     dims, a blank flag, and the exact pixel checksum of the cropped
     region.  The letterbox/scan-bar cleanup a vision corpus runs
@@ -1597,7 +1583,7 @@ class MatchTemplateFn:
 
 
 class OtsuThresholdFn:
-    """Actor-pool Otsu binarization — the document-image thresholding
+    """Otsu binarization stage — the document-image thresholding
     classic: per image the 8-bit gray histogram (gray = channel sum
     // 3) and the threshold t maximizing the between-class variance
     w0*w1*(mu0-mu1)^2, compared as the EXACT rational D(t)^2 / B(t)
@@ -1653,7 +1639,7 @@ class OtsuThresholdFn:
 
 
 class SeamEnergyFn:
-    """Actor-pool minimum-seam analysis — the content-aware-resize
+    """Minimum-seam analysis stage — the content-aware-resize
     (seam carving) primitive: per image the exact integer gradient
     energy E = |dx gray| + |dy gray| (one-sided differences, edge
     columns/rows replicate — pinned), the classic vertical-seam DP

@@ -38,6 +38,17 @@ def derive_lat(keys: np.ndarray) -> np.ndarray:
     return ((keys * 104729) % 17000) / 100.0 - 85.0
 
 
+def _int_sums(codes: np.ndarray, values, nbins: int) -> np.ndarray:
+    """Exact int64 per-code sums of integer ``values``.
+
+    ``np.bincount(weights=...)`` accumulates in float64 and rounds past
+    2^53; a scatter-add on an int64 accumulator keeps the
+    exact-integers contract."""
+    out = np.zeros(nbins, np.int64)
+    np.add.at(out, codes, np.asarray(values, np.int64))
+    return out
+
+
 def _final_combine(partials_ds, group_cols: list[str],
                    sum_cols: list[str]) -> pa.Table:
     """Driver-side final reduce of per-block partial aggregates.
@@ -81,10 +92,7 @@ def _exchange_combine(partials_ds, key: str,
         for c, how in agg_spec:
             v = tbl[c].to_numpy(zero_copy_only=False).astype(np.int64)
             if how == "sum":
-                # scatter-add in int64: bincount's float64 weights
-                # would round past 2^53 (exact-integers contract)
-                r = np.zeros(len(uniq), np.int64)
-                np.add.at(r, inv, v)
+                r = _int_sums(inv, v, len(uniq))
             elif how == "max":
                 r = np.full(len(uniq), np.int64(-1) << 62)
                 np.maximum.at(r, inv, v)
@@ -110,14 +118,14 @@ def _broadcast_lookup_aggregate(side_sql: str, label_col: str,
     """Shared broadcast-dimension join + grouped integer sums.
 
     ``side_sql`` yields (key, label); it composes into a dense
-    key->label-code array shipped once via ``ray.put``.  The fact table
-    streams through a bincount partial per block; ``measures`` is a
-    list of ``(out_name, fn(batch) -> int64 values)`` weighted sums and
+    key->label-code array that rides on the join stage, which Ray Data
+    ships once per operator.  The fact table streams through an exact
+    int64 partial per block; ``measures`` is a list of
+    ``(out_name, fn(batch) -> int64 values)`` weighted sums and
     ``count_name`` the row-count column.  One implementation serves
     every dimension join (segment / brand / region) — previously three
     diverging copies."""
     import duckdb
-    import ray
 
     side = duckdb.connect().execute(side_sql).fetch_arrow_table()
     keys = side.column(0).to_numpy().astype(np.int64)
@@ -131,15 +139,15 @@ def _broadcast_lookup_aggregate(side_sql: str, label_col: str,
         # dense FK-integral keys (TPC-H shape): O(1) array lookup
         idx = np.full(span, -1, np.int16)
         idx[keys] = codes
-        side_ref = ray.put((idx, None, names))
+        lookup = (idx, None, names)
     else:
         # sparse / 64-bit keys: sorted-key binary search, no dense blow-up
         order = np.argsort(keys)
-        side_ref = ray.put((keys[order], codes[order], names))
+        lookup = (keys[order], codes[order], names)
 
     class JoinFn:
-        def __init__(self):
-            self.lookup, self.codes, self.names = ray.get(side_ref)
+        def __init__(self, lookup, codes, names):
+            self.lookup, self.codes, self.names = lookup, codes, names
 
         def __call__(self, batch: pa.Table) -> pa.Table:
             k = batch[fact_key].to_numpy().astype(np.int64)
@@ -163,24 +171,14 @@ def _broadcast_lookup_aggregate(side_sql: str, label_col: str,
             present = np.flatnonzero(counts)
             cols = {label_col: pa.array([self.names[c] for c in present])}
             for name, fn in measures:
-                sums = np.bincount(code, weights=fn(batch)[matched],
-                                   minlength=nbins).astype(np.int64)
+                sums = _int_sums(code, fn(batch)[matched], nbins)
                 cols[name] = pa.array(sums[present])
             cols[count_name] = pa.array(counts[present].astype(np.int64))
             return pa.table(cols)
 
-    ds_fact = _read(fact_path, fact_columns)
-    # a dimension lookup under ~4 MB rides the task closure — a task
-    # pool skips the per-query actor-pool startup latency (measured);
-    # bigger lookups keep the ray.put + actor pattern (ship once)
-    nbytes = idx.nbytes if dense else keys.nbytes + codes.nbytes
-    if nbytes <= (4 << 20):
-        partials = ds_fact.map_batches(JoinFn(), batch_format="pyarrow",
-                                       batch_size=None, zero_copy_batch=True)
-    else:
-        partials = ds_fact.map_batches(JoinFn, batch_format="pyarrow",
-                                       batch_size=None, zero_copy_batch=True,
-                                       concurrency=(1, 4))
+    partials = _read(fact_path, fact_columns).map_batches(
+        JoinFn(*lookup), batch_format="pyarrow", batch_size=None,
+        zero_copy_batch=True)
     return _final_combine(partials, [label_col], sum_order)
 
 
@@ -501,11 +499,10 @@ def customers_without_orders(sf_dir: str, min_price: float = 450000.0):
                                              batch_size=None))
     have = np.unique(parts["k"].to_numpy(zero_copy_only=False)) \
         if parts.num_rows else np.empty(0, np.int64)
-    have_ref = ray.put(have)
 
     class AntiFn:
-        def __init__(self):
-            self.have = ray.get(have_ref)
+        def __init__(self, have):
+            self.have = have
 
         def __call__(self, batch: pa.Table) -> pa.Table:
             k = batch["c_custkey"].to_numpy().astype(np.int64)
@@ -516,8 +513,8 @@ def customers_without_orders(sf_dir: str, min_price: float = 450000.0):
 
     cust = ray.data.read_parquet(f"{sf_dir}/customer.parquet",
                                  columns=["c_custkey", "c_mktsegment"])
-    # the distinct-key set is small: task closure beats actor startup
-    return cust.map_batches(AntiFn(), batch_format="pyarrow",
+    # the distinct-key set is small: it rides on the stage instance
+    return cust.map_batches(AntiFn(have), batch_format="pyarrow",
                             zero_copy_batch=True)
 
 
@@ -961,7 +958,7 @@ def embeddings_pq_topk(sf_dir: str, k: int = 10, n_queries: int = 20,
     codebooks train on a bounded driver-side sample (standard PQ
     practice), every vector compresses to m uint8 codes (d*8 bytes ->
     m bytes), and the ADC scan streams the CODES — per-query lookup
-    tables built once per actor, each batch is m gathers + adds.
+    tables built once on the driver, each batch is m gathers + adds.
     Rows-only (k-means codebooks are not SQL); the pytest oracle pins
     the ADC identity (ADC distance == exact L2 to the reconstruction),
     blob-level recall, and partition invariance."""
@@ -983,7 +980,7 @@ def embeddings_pq_topk(sf_dir: str, k: int = 10, n_queries: int = 20,
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
                                columns=["vec_id", "embedding"])
     codes = pq_encode(ds, books)
-    out = pq_topk(codes, queries, books, k=k, concurrency=(1, 4))
+    out = pq_topk(codes, queries, books, k=k)
     return out.select(["query_id", "rank", "vec_id"])
 
 
@@ -2275,8 +2272,8 @@ def events_top_users_mg(sf_dir: str, k: int = 10):
             return out_schema.empty_table()
         u = tbl["user_id"].to_numpy(zero_copy_only=False)
         uniq, inv = np.unique(u, return_inverse=True)
-        cnt = np.bincount(inv, weights=tbl["n_events"].to_numpy(
-            zero_copy_only=False)).astype(np.int64)
+        cnt = _int_sums(inv, tbl["n_events"].to_numpy(
+            zero_copy_only=False), len(uniq))
         order = np.lexsort((uniq, -cnt))[:k]
         return pa.table({"user_id": pa.array(uniq[order]),
                          "n_events": pa.array(cnt[order])})
@@ -3006,7 +3003,7 @@ def revenue_by_region_shuffle(sf_dir: str):
     names = lab.dictionary.to_pylist()
     idx = np.full(int(nk.max()) + 1, -1, np.int16)
     idx[nk] = lab.indices.to_numpy().astype(np.int16)
-    # nation->region fits the task closure (25 entries): no actor pool
+    # nation->region fits the task closure (25 entries)
     def agg(batch: pa.Table) -> pa.Table:
         nkey = batch["c_nationkey"].to_numpy(
             zero_copy_only=False).astype(np.int64)
@@ -3758,8 +3755,7 @@ def pip_rect_join(sf_dir: str, zoom: int = 5):
     polys = supplier_rects(sf_dir)
     # big batches amortize the per-candidate-polygon refine loop (64
     # block-sized batches measured 37 core-seconds; 2 batches ~1s)
-    joined = point_in_polygon_join(pts, polys, zoom=zoom, concurrency=(1, 4),
-                                   batch_size=8192)
+    joined = point_in_polygon_join(pts, polys, zoom=zoom, batch_size=8192)
     return joined.select_columns(["custkey", "polygon_id"])
 
 
@@ -3837,7 +3833,7 @@ def knn_suppliers(sf_dir: str, k: int = 3, n_queries: int = 20):
 
     pts = customer_points(sf_dir).map_batches(head, batch_format="pyarrow",
                                               zero_copy_batch=True)
-    out = knn_join(pts, ref, k=k, concurrency=(1, 2), batch_size=8192)
+    out = knn_join(pts, ref, k=k, batch_size=8192)
     return out.select_columns(["custkey", "rank", "neighbor_id"]).rename_columns(
         {"neighbor_id": "s_suppkey"}
     )
@@ -4368,7 +4364,7 @@ def suppliers_assortativity(sf_dir: str):
     exact int64 sums over the directed edge list — edge count M,
     sum deg(u)*deg(v), sum deg(u), sum deg(u)^2 — from which Pearson
     r = (M*S_jk - S_j^2) / (M*S_j2 - S_j^2) is a consumer-side
-    division.  Degrees broadcast once via ray.put (the graph is
+    division.  Degrees ride on the stage instance (the graph is
     supplier-dimension-sized — the small side); per-block partials
     sum.  Hash-checked vs a degree-join twin."""
     import ray
@@ -4381,15 +4377,14 @@ def suppliers_assortativity(sf_dir: str):
     # as suppliers_bfs_hops) — degree indexing shifts by +1
     span = int(max(src.max(), dst.max())) + 2
     deg = np.bincount(src + 1, minlength=span).astype(np.int64)
-    deg_ref = ray.put(deg)
 
     edges = ray.data.from_arrow(pa.table({
         "src": pa.array(src, pa.int64()),
         "dst": pa.array(dst, pa.int64())})).repartition(4)
 
     class Partial:
-        def __init__(self):
-            self.deg = ray.get(deg_ref)
+        def __init__(self, deg):
+            self.deg = deg
 
         def __call__(self, b: pa.Table) -> pa.Table:
             u = b["src"].to_numpy(zero_copy_only=False)
@@ -4403,8 +4398,7 @@ def suppliers_assortativity(sf_dir: str):
                 "sum_j2": pa.array([int((dj * dj).sum())], pa.int64())})
 
     parts = collect_table(edges.map_batches(
-        Partial, batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=(1, 4)))
+        Partial(deg), batch_format="pyarrow", zero_copy_batch=True))
     return pa.table({
         "m": pa.array([int(parts["m"].to_numpy(
             zero_copy_only=False).sum())], pa.int64()),
@@ -4457,8 +4451,6 @@ def docs_langid(sf_dir: str):
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
-    # regex state compiles in milliseconds: per-task init is cheaper
-    # than spinning an actor pool per query invocation
     return ds.map_batches(LangIdFn(), batch_format="pyarrow",
                           zero_copy_batch=True)
 
@@ -4555,14 +4547,12 @@ def images_patchify(sf_dir: str, patch: int = 16):
     reshape+transpose per image), then a per-image aggregate pins the
     grid shape and the exact pixel sum (rows-only: w/h are
     rng-derived; the pytest oracle checks pixel-exact reassembly)."""
-    import ray
-
     from ..io import images as im
 
     n = 100 if "0.001" in sf_dir else (300 if "0.01" in sf_dir else 1000)
     ds = _cached_media_ds("images", n, im.synthesize_image_dataset)
     patches = im.patchify_images(ds, patch=patch, emit_payload=False,
-                                 batch_size=32, concurrency=(1, 4))
+                                 batch_size=32)
 
     def agg(batch: pa.Table) -> pa.Table:
         ids = batch["image_id"].combine_chunks()
@@ -4605,14 +4595,12 @@ def images_augment(sf_dir: str):
     hflip + rot90 + rot180 per image, payloads re-encoded lossless;
     returns per-(image, aug) dims and payload size (rows-only; the
     pytest oracles pin involution/4-cycle pixel identities)."""
-    import ray
-
     from ..io import images as im
 
     n = 100 if "0.001" in sf_dir else (300 if "0.01" in sf_dir else 1000)
     ds = _cached_media_ds("images", n, im.synthesize_image_dataset)
     out = im.augment_images(ds, ops=("hflip", "rot90", "rot180"),
-                            batch_size=16, concurrency=(2, 12))
+                            batch_size=16)
 
     def stats(batch: pa.Table) -> pa.Table:
         sizes = [len(b) for b in batch["bytes"].to_pylist()]
@@ -4628,17 +4616,14 @@ def images_augment(sf_dir: str):
 
 
 def images_resize(sf_dir: str, target: int = 16):
-    """Actor-pool thumbnail stage over binary payloads (the
+    """Thumbnail stage over binary payloads (the
     feature-extraction shape for multimodal pipelines)."""
-    import ray
-
     from ..io import images as im
 
     n = 100 if "0.001" in sf_dir else (300 if "0.01" in sf_dir else 1000)
     ds = _cached_media_ds("images", n, im.synthesize_image_dataset)
-    out = ds.map_batches(
-        im.ResizeImagesFn, fn_constructor_kwargs=dict(target=target),
-        batch_format="pyarrow", batch_size=32, concurrency=(1, 4))
+    out = ds.map_batches(im.ResizeImagesFn(target=target),
+                         batch_format="pyarrow", batch_size=32)
 
     def stats(batch: pa.Table) -> pa.Table:
         sizes = [len(b) for b in batch["bytes"].to_pylist()]
@@ -4654,15 +4639,13 @@ def images_resize(sf_dir: str, target: int = 16):
 def embeddings_topk(sf_dir: str, k: int = 5, n_queries: int = 5):
     from ..functions.ann import brute_force_topk
 
-    import ray
-
     import duckdb
 
     ds = _pq(sf_dir, "embeddings")
     queries = duckdb.connect().execute(
         f"SELECT * FROM '{sf_dir}/embeddings.parquet' WHERE vec_id < {n_queries}"
     ).fetch_arrow_table()
-    out = brute_force_topk(ds, queries, k=k, concurrency=None)
+    out = brute_force_topk(ds, queries, k=k)
     return out.select(["query_id", "rank", "vec_id"])
 
 
@@ -4766,8 +4749,7 @@ def images_in_rects(sf_dir: str, zoom: int = 5):
 
     pts = ds.map_batches(centroids, batch_format="pyarrow", zero_copy_batch=True)
     polys = supplier_rects(sf_dir)
-    joined = point_in_polygon_join(pts, polys, zoom=zoom, concurrency=(1, 4),
-                                    batch_size=8192)
+    joined = point_in_polygon_join(pts, polys, zoom=zoom, batch_size=8192)
     return joined.select_columns(["image_id", "polygon_id"])
 
 
@@ -4816,18 +4798,15 @@ def images_footprint_overlap(sf_dir: str):
 
 def images_pyramid(sf_dir: str, levels: int = 3):
     """Overview-pyramid build (raster tile-pyramid / mipmap shape):
-    per-level row fan-out through the actor-pool pooling stage, then a
+    per-level row fan-out through the pooling stage, then a
     per-level partial aggregate.  Rows-only for the driver (pixel
     payloads are procedural); the EXACT 2x2 integer mean-pool kernel
     is pytest-oracled in test_images.py."""
-    import ray
-
     from ..io import images as im
 
     n = 100 if "0.001" in sf_dir else (300 if "0.01" in sf_dir else 1000)
     ds = _cached_media_ds("images", n, im.synthesize_image_dataset)
-    pyr = im.build_pyramid(ds, levels=levels, batch_size=32,
-                           concurrency=(1, 4))
+    pyr = im.build_pyramid(ds, levels=levels, batch_size=32)
 
     def partial(batch: pa.Table) -> pa.Table:
         lvl = batch["level"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -4882,14 +4861,12 @@ def images_mosaic(sf_dir: str, zoom: int = 4):
 
 def images_decode_stats(sf_dir: str):
     """Synthesize the Lance-shaped image table (size scaled to the sf
-    tier), run the actor-pool decode, return per-row fidelity stats."""
-    import ray
-
+    tier), run the decode stage, return per-row fidelity stats."""
     from ..io import images as im
 
     n = 100 if "0.001" in sf_dir else (300 if "0.01" in sf_dir else 1000)
     ds = _cached_media_ds("images", n, im.synthesize_image_dataset)
-    out = im.decode_images(ds, batch_size=32, concurrency=(1, 4))
+    out = im.decode_images(ds, batch_size=32)
 
     def project(batch: pa.Table) -> pa.Table:
         ps = batch["psnr_db"].to_numpy(zero_copy_only=False)
@@ -4909,7 +4886,7 @@ def images_decode_stats(sf_dir: str):
 def images_png_pipeline(sf_dir: str):
     """Real-PNG media path (round-3 judge ask #4): the image corpus
     transcodes to ACTUAL PNG byte streams (io/png.py — the public RFC
-    2083 wire format, pure zlib + stdlib) in one actor-pool stage,
+    2083 wire format, pure zlib + stdlib) in one map stage,
     then the standard decode stage consumes the PNG payloads like any
     other format.  Per source format the rollup pins the invariants
     in-query: every payload carries the 8-byte PNG signature, decode
@@ -4917,8 +4894,6 @@ def images_png_pipeline(sf_dir: str):
     rawz-sourced rows (lossless chain end-to-end) reproduce their
     ingest phash bit-exactly.  Rows-only (PNG bytes aren't SQL);
     scalar oracle in tests/test_images.py."""
-    import ray
-
     from ..io import images as im
 
     n = 60 if "0.001" in sf_dir else (150 if "0.01" in sf_dir else 400)
@@ -4929,10 +4904,10 @@ def images_png_pipeline(sf_dir: str):
             assert b[:8] == b"\x89PNG\r\n\x1a\n", "not a PNG payload"
         return batch
 
-    png = im.transcode_png(ds, batch_size=32, concurrency=(1, 4)) \
+    png = im.transcode_png(ds, batch_size=32) \
         .map_batches(sig_check, batch_format="pyarrow",
                      zero_copy_batch=True)
-    out = im.decode_images(png, batch_size=32, concurrency=(1, 4))
+    out = im.decode_images(png, batch_size=32)
 
     def partial(batch: pa.Table) -> pa.Table:
         sf = batch["src_fmt"].to_numpy(zero_copy_only=False)
@@ -4973,7 +4948,7 @@ def images_jpeg_pipeline(sf_dir: str):
     """Real-JPEG media path (round-4 judge ask #4): the image corpus
     transcodes to ACTUAL baseline JPEG byte streams (io/jpeg.py — the
     public ITU-T T.81 wire format, pure numpy + stdlib) in one
-    actor-pool stage, then the standard decode stage consumes the
+    map stage, then the standard decode stage consumes the
     JPEG payloads like any other format.  Per source format the
     rollup pins the invariants in-query: every payload opens with the
     SOI marker, and decode fidelity holds (psnr >= 40 dB vs the
@@ -4981,8 +4956,6 @@ def images_jpeg_pipeline(sf_dir: str):
     equality the lossless PNG chain asserts does not apply; the DCT
     chain's fidelity bound does).  Rows-only (JPEG bytes aren't SQL);
     scalar round-trip oracle in tests/test_images.py."""
-    import ray
-
     from ..io import images as im
 
     n = 40 if "0.001" in sf_dir else (80 if "0.01" in sf_dir else 200)
@@ -4994,14 +4967,12 @@ def images_jpeg_pipeline(sf_dir: str):
                 "not a JPEG payload"
         return batch
 
-    # batch 8 / wider pool: payload stages are latency-bound per
-    # image, so smaller batches balance the actors (measured 3.7 ->
-    # 3.0 s at sf0.1)
-    jpg = im.transcode_jpeg(ds, batch_size=8, concurrency=(2, 12),
-                            quality=98) \
+    # batch 8: payload stages are latency-bound per image, so smaller
+    # batches balance the tasks
+    jpg = im.transcode_jpeg(ds, batch_size=8, quality=98) \
         .map_batches(sig_check, batch_format="pyarrow",
                      zero_copy_batch=True)
-    out = im.decode_images(jpg, batch_size=8, concurrency=(2, 12))
+    out = im.decode_images(jpg, batch_size=8)
 
     def partial(batch: pa.Table) -> pa.Table:
         sf = batch["src_fmt"].to_numpy(zero_copy_only=False)
@@ -5177,7 +5148,7 @@ def docs_bm25_topk(sf_dir: str, k: int = 10):
 
 def images_dct_phash_pairs(sf_dir: str, max_distance: int = 3):
     """Near-duplicate image pairs by DCT perceptual hash computed FROM
-    PIXELS (io/images.DctPhashFn actor pool: decode -> 32x32 area
+    PIXELS (io/images.DctPhashFn stage: decode -> 32x32 area
     resample -> batched DCT-II -> 64-bit signature), then the same
     Hamming-LSH pair engine as images_phash_pairs.  Unlike the
     ingest-time block-mean phash, the DCT hash is recomputed from the
@@ -5264,14 +5235,12 @@ def images_dup_clusters(sf_dir: str, max_distance: int = 3):
 
 def images_zonal_stats(sf_dir: str, zoom: int = 5):
     """Zonal statistics — the raster->vector AGGREGATE: decode image
-    payloads once (actor pool), join centroids into supplier rectangles
+    payloads once (map stage), join centroids into supplier rectangles
     (broadcast PIP), then per-polygon image counts and mean channel
     intensities.  Decode happens BEFORE the fan-out join so an image in
     k zones is decoded once; the aggregate is a per-batch partial sum +
     tiny driver combine.  Rows-only for the driver (pixel payloads are
     not SQL-expressible); the pytest oracle recomputes directly."""
-    import ray
-
     from ..io import images as im
     from ..spatial.join import point_in_polygon_join
 
@@ -5279,12 +5248,11 @@ def images_zonal_stats(sf_dir: str, zoom: int = 5):
     ds = _cached_media_ds("images", n, im.synthesize_image_dataset)
     decoded = im.decode_images(
         ds.select_columns(["image_id", "bytes"]),
-        batch_size=32, concurrency=(1, 4), check_fidelity=False)
+        batch_size=32, check_fidelity=False)
     stats = decoded.select_columns(
         ["image_id", "mean_r", "mean_g", "mean_b", "lon", "lat"])
     joined = point_in_polygon_join(stats, supplier_rects(sf_dir),
-                                   zoom=zoom, concurrency=(1, 2),
-                                   batch_size=8192)
+                                   zoom=zoom, batch_size=8192)
 
     def partial(batch: pa.Table) -> pa.Table:
         pid = batch["polygon_id"].combine_chunks()
@@ -5321,21 +5289,21 @@ def images_zonal_stats(sf_dir: str, zoom: int = 5):
 
 
 def audio_features(sf_dir: str):
-    """Actor-pool audio decode + feature extraction over binary
+    """Audio decode + feature extraction over binary
     payloads (multimodal brief: audio as opaque binary + typed
     metadata; codec is the documented pcmz/ulawz stand-in)."""
     from ..io import audio as au
 
     n = 50 if "0.001" in sf_dir else (150 if "0.01" in sf_dir else 500)
     ds = _cached_media_ds("audio", n, au.synthesize_audio_dataset)
-    return ds.map_batches(au.AudioFeaturesFn, batch_format="pyarrow",
-                          batch_size=32, concurrency=(1, 4))
+    return ds.map_batches(au.AudioFeaturesFn(), batch_format="pyarrow",
+                          batch_size=32)
 
 
 def audio_wav_pipeline(sf_dir: str):
     """Real-WAV media path: the audio corpus transcodes to ACTUAL
     RIFF/WAVE byte streams (io/wav.py — the public wire format, plus
-    real G.711 mu-law) in one actor-pool stage, then the standard
+    real G.711 mu-law) in one map stage, then the standard
     feature stage consumes the WAV payloads like any other format.
     In-query invariants per source format: every payload opens with
     RIFF....WAVE, the pcmz-sourced chain is int16-sample-lossless
@@ -5343,8 +5311,6 @@ def audio_wav_pipeline(sf_dir: str):
     and the ulawz-sourced chain stays above its companding bound
     (>= 25 dB).  Rows-only (WAV bytes aren't SQL); scalar round-trip
     oracles in tests/test_audio.py."""
-    import ray
-
     from ..io import audio as au
 
     n = 40 if "0.001" in sf_dir else (100 if "0.01" in sf_dir else 300)
@@ -5356,13 +5322,11 @@ def audio_wav_pipeline(sf_dir: str):
                 "not a WAV payload"
         return batch
 
-    wav = au.transcode_wav(ds, batch_size=32, concurrency=(1, 4)) \
+    wav = au.transcode_wav(ds, batch_size=32) \
         .map_batches(sig_check, batch_format="pyarrow",
                      zero_copy_batch=True)
-    out = wav.map_batches(
-        au.AudioFeaturesFn,
-        fn_constructor_kwargs=dict(check_fidelity=True),
-        batch_format="pyarrow", batch_size=32, concurrency=(1, 4))
+    out = wav.map_batches(au.AudioFeaturesFn(check_fidelity=True),
+                          batch_format="pyarrow", batch_size=32)
 
     def partial(batch: pa.Table) -> pa.Table:
         sf = batch["src_fmt"].to_numpy(zero_copy_only=False)
@@ -5397,9 +5361,8 @@ def audio_resample(sf_dir: str, target_rate: int = 8000):
 
     n = 50 if "0.001" in sf_dir else (150 if "0.01" in sf_dir else 500)
     ds = _cached_media_ds("audio", n, au.synthesize_audio_dataset)
-    out = ds.map_batches(
-        au.ResampleAudioFn, fn_constructor_kwargs=dict(target_rate=target_rate),
-        batch_format="pyarrow", batch_size=32, concurrency=(1, 4))
+    out = ds.map_batches(au.ResampleAudioFn(target_rate=target_rate),
+                         batch_format="pyarrow", batch_size=32)
 
     def stats(batch: pa.Table) -> pa.Table:
         sizes = [len(b) for b in batch["bytes"].to_pylist()]
@@ -5421,8 +5384,6 @@ def video_mjpeg_pipeline(sf_dir: str, every: int = 5):
     and every decoded frame stays >= 30 dB vs its procedural source
     (32x32 noisy frames at quality 95).  Rows-only (AVI bytes aren't
     SQL); container-law oracles in tests/test_avi.py."""
-    import ray
-
     from ..io import audio as au
 
     n = 20 if "0.001" in sf_dir else (50 if "0.01" in sf_dir else 120)
@@ -5488,10 +5449,8 @@ def video_mjpeg_pipeline(sf_dir: str, every: int = 5):
                 "n_frames": pa.array(nf, pa.int64()),
                 "min_psnr_db": pa.array(minp)})
 
-    avi = ds.map_batches(BuildAvi, batch_format="pyarrow",
-                         batch_size=8, concurrency=(1, 8))
-    out = avi.map_batches(ReadAvi, batch_format="pyarrow",
-                          batch_size=8, concurrency=(1, 8))
+    avi = ds.map_batches(BuildAvi(), batch_format="pyarrow", batch_size=8)
+    out = avi.map_batches(ReadAvi(), batch_format="pyarrow", batch_size=8)
 
     def rollup(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -5522,9 +5481,8 @@ def video_frame_sample(sf_dir: str, every: int = 5):
 
     n = 30 if "0.001" in sf_dir else (100 if "0.01" in sf_dir else 300)
     ds = au.synthesize_video_index(n)
-    frames = ds.map_batches(
-        au.SampleVideoFramesFn, fn_constructor_kwargs=dict(every=every),
-        batch_format="pyarrow", batch_size=16, concurrency=(1, 4))
+    frames = ds.map_batches(au.SampleVideoFramesFn(every=every),
+                            batch_format="pyarrow", batch_size=16)
 
     def partial(batch: pa.Table) -> pa.Table:
         ids = batch["clip_id"].combine_chunks()
@@ -6081,7 +6039,7 @@ def docs_chunk_spans(sf_dir: str, chunk: int = 500, overlap: int = 100):
 def images_embed_dedup(sf_dir: str, threshold: float = 0.995):
     """The CLIP-dedup pipeline end to end (io/images.embed_images ->
     functions/dedup.embedding_dedup_pairs -> graph.connected_components):
-    decode each image in an actor pool, produce a deterministic
+    decode each image in a map stage, produce a deterministic
     CLIP-stand-in embedding (real model slots into the same stage),
     find cosine near-duplicates via hyperplane LSH with exact verify,
     resolve transitive clusters, label every clustered image with its
@@ -6096,7 +6054,7 @@ def images_embed_dedup(sf_dir: str, threshold: float = 0.995):
     ds = _cached_media_ds("images", n, im.synthesize_image_dataset)
     import ray
 
-    emb = im.embed_images(ds, batch_size=32, concurrency=(1, 4))
+    emb = im.embed_images(ds, batch_size=32)
     pairs = embedding_dedup_pairs(emb, vec_col="embedding",
                                   id_col="img_idx",
                                   threshold=threshold)
@@ -7200,7 +7158,7 @@ def tpch_q14(sf_dir: str):
 
     def partial(b: pa.Table) -> pa.Table:
         # task closure: the promo key set is tiny; a local ray.get is
-        # a zero-copy handle, cheaper than actor-pool startup
+        # a zero-copy handle
         promo = ray.get(promo_ref)
         sd = b["l_shipdate"].to_numpy().astype("datetime64[D]")
         keep = (sd >= lo) & (sd < hi)
@@ -7407,14 +7365,13 @@ def tpch_q7(sf_dir: str):
     span = int(sk.max()) + 1 if len(sk) else 0
     s2n = np.full(span, -1, np.int64)
     s2n[sk] = snk
-    s2n_ref = ray.put(s2n)
 
     lo = np.datetime64("1996-01-01")
     hi = np.datetime64("1998-01-01")
 
     class LPrep:
-        def __init__(self):
-            self.s2n = ray.get(s2n_ref)
+        def __init__(self, s2n):
+            self.s2n = s2n
             self.keep_nk = np.array(sorted(pair_keys), np.int64)
 
         def __call__(self, b: pa.Table) -> pa.Table:
@@ -7441,8 +7398,7 @@ def tpch_q7(sf_dir: str):
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_suppkey", "l_shipdate",
                  "l_extendedprice", "l_discount"]).map_batches(
-        LPrep, batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=(1, 4))
+        LPrep(s2n), batch_format="pyarrow", zero_copy_batch=True)
     orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
                                    columns=["o_orderkey", "o_custkey"])
     j1 = hash_join(items, orders, on="o_orderkey", nbuckets=32)
@@ -7595,9 +7551,8 @@ def customers_map_match(sf_dir: str):
                    abx[keep], aby[keep], len2[keep]))  # guarded anyway)
 
     def assign(batch: pa.Table) -> pa.Table:
-        # task closure, not an actor pool: the segment table is tiny
-        # (<100 KB at any sf tier) and ray.get of a local object is a
-        # zero-copy handle — actor startup would cost more than it saves
+        # task closure: the segment table is tiny (<100 KB at any sf
+        # tier) and ray.get of a local object is a zero-copy handle
         sid, ax, ay, abx, aby, len2 = ray.get(seg)
         k = batch["c_custkey"].to_numpy(
             zero_copy_only=False).astype(np.int64)
@@ -8232,11 +8187,10 @@ def orders_percent_rank_probe(sf_dir: str, n_probe: int = 8):
     pk = np.array([r[0] for r in probes], np.int64)
     ppri = [r[1] for r in probes]
     pcents = np.array([r[2] for r in probes], np.int64)
-    probe_ref = ray.put((pk, ppri, pcents))
 
     class Partial:
-        def __init__(self):
-            self.pk, self.ppri, self.pcents = ray.get(probe_ref)
+        def __init__(self, pk, ppri, pcents):
+            self.pk, self.ppri, self.pcents = pk, ppri, pcents
 
         def __call__(self, b: pa.Table) -> pa.Table:
             pri = b["o_orderpriority"].to_numpy(zero_copy_only=False)
@@ -8257,8 +8211,8 @@ def orders_percent_rank_probe(sf_dir: str, n_probe: int = 8):
         f"{sf_dir}/orders.parquet",
         columns=["o_orderpriority", "o_totalprice"])
     parts = collect_table(ds.map_batches(
-        Partial, batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=(1, 4)))
+        Partial(pk, ppri, pcents), batch_format="pyarrow",
+        zero_copy_batch=True))
     agg = parts.group_by(["o_orderkey"]).aggregate(
         [("n_less", "sum"), ("n_partition", "sum")])
     key = agg["o_orderkey"].to_numpy(zero_copy_only=False)
@@ -8757,7 +8711,7 @@ def embeddings_topk_filtered(sf_dir: str, k: int = 5,
 
     ds = _pq(sf_dir, "embeddings").map_batches(
         lfilter, batch_format="pyarrow", zero_copy_batch=True)
-    out = brute_force_topk(ds, queries, k=k, concurrency=None)
+    out = brute_force_topk(ds, queries, k=k)
     return out.select(["query_id", "rank", "vec_id"])
 
 
@@ -11267,7 +11221,7 @@ def images_clip_score(sf_dir: str):
     LAION-style filter: both towers (io/images.ClipScoreFn: the
     deterministic image-embedding stand-in + the feature-hashed text
     tower, each unit-norm with the exact contract real encoders slot
-    into) run in ONE batched actor-pool forward over paired rows, the
+    into) run in ONE batched forward over paired rows, the
     per-row cosine quantizes to exact int floor(score * 2^20), and the
     gate aggregates per format: images, passes (score > 0), quantized
     score sum and min/max.  Pure map + driver-sized combine — no
@@ -12577,8 +12531,6 @@ def images_nms(sf_dir: str, kb: int = 8):
     asserts pin that every image keeps its top box and suppression
     genuinely fires.  Rows-only (procedural boxes aren't SQL); the
     pytest oracle replays scalar greedy NMS."""
-    import ray
-
     from ..io import images as im
 
     n = 100 if "0.001" in sf_dir else (300 if "0.01" in sf_dir else 1000)
@@ -12670,9 +12622,7 @@ def parts_soundex_blocks(sf_dir: str):
         n = pairs["n_sum"].to_numpy(zero_copy_only=False)
         return pa.table({
             "sdx": sdx.dictionary,
-            "n_parts": pa.array(np.bincount(
-                code, weights=n,
-                minlength=len(sdx.dictionary)).astype(np.int64)),
+            "n_parts": pa.array(_int_sums(code, n, len(sdx.dictionary))),
             "n_distinct": pa.array(np.bincount(
                 code, minlength=len(sdx.dictionary)).astype(np.int64))})
 
@@ -12836,7 +12786,7 @@ def images_box_pixel_sums(sf_dir: str):
 
     n = 100 if "0.001" in sf_dir else (300 if "0.01" in sf_dir else 1000)
     ds = _cached_media_ds("images", n, im.synthesize_image_dataset)
-    rows = box_pixel_sums(ds, batch_size=32, concurrency=(1, 4))
+    rows = box_pixel_sums(ds, batch_size=32)
 
     def partial(b: pa.Table) -> pa.Table:
         fmt = b["fmt"].combine_chunks().dictionary_encode()
@@ -12957,7 +12907,7 @@ def lineitem_lookup_join(sf_dir: str):
     """INDEX-NESTED-LOOP enrichment join (state/mergeinto.lookup_join):
     the lineitem STREAM enriches with order priority by probing the
     keyed orders layout — each probe batch opens only the partitions
-    its orderkeys hash to, with a per-actor LRU of resolved partitions
+    its orderkeys hash to, with a per-task LRU of resolved partitions
     (the physical join shape when the dimension side is a huge
     disk-partitioned table: too big to broadcast, wasteful to
     re-shuffle).  A pending merge-on-read delta RE-PRIORITIZES every
@@ -13005,7 +12955,7 @@ def lineitem_lookup_join(sf_dir: str):
             li.map_batches(lprep, batch_format="pyarrow",
                            zero_copy_batch=True),
             d, "l_orderkey", columns=["o_orderpriority"],
-            batch_size=8192, concurrency=(1, 4))
+            batch_size=8192)
 
         def partial(b: pa.Table) -> pa.Table:
             pr = b["o_orderpriority"].combine_chunks() \
@@ -13240,8 +13190,8 @@ def images_blob_stats(sf_dir: str):
 
     n = 100 if "0.001" in sf_dir else (300 if "0.01" in sf_dir else 1000)
     ds = _cached_media_ds("images", n, im.synthesize_image_dataset)
-    rows = ds.map_batches(im.BlobStatsFn, batch_format="pyarrow",
-                          batch_size=32, concurrency=(1, 4))
+    rows = ds.map_batches(im.BlobStatsFn(), batch_format="pyarrow",
+                          batch_size=32)
 
     def partial(b: pa.Table) -> pa.Table:
         fmt = b["fmt"].combine_chunks().dictionary_encode()
@@ -13493,8 +13443,8 @@ def audio_silence_segments(sf_dir: str):
 
     n = 50 if "0.001" in sf_dir else (150 if "0.01" in sf_dir else 500)
     ds = _cached_media_ds("audio", n, au.synthesize_audio_dataset)
-    rows = ds.map_batches(au.SilenceSegmentsFn, batch_format="pyarrow",
-                          batch_size=32, concurrency=(1, 4))
+    rows = ds.map_batches(au.SilenceSegmentsFn(), batch_format="pyarrow",
+                          batch_size=32)
 
     def partial(b: pa.Table) -> pa.Table:
         fmt = b["fmt"].combine_chunks().dictionary_encode()
@@ -13663,8 +13613,8 @@ def images_sharpness(sf_dir: str):
 
     n = 100 if "0.001" in sf_dir else (300 if "0.01" in sf_dir else 1000)
     ds = _cached_media_ds("images", n, im.synthesize_image_dataset)
-    rows = ds.map_batches(im.SharpnessFn, batch_format="pyarrow",
-                          batch_size=32, concurrency=(1, 4))
+    rows = ds.map_batches(im.SharpnessFn(), batch_format="pyarrow",
+                          batch_size=32)
 
     def partial(b: pa.Table) -> pa.Table:
         fmt = b["fmt"].combine_chunks().dictionary_encode()
@@ -13786,8 +13736,7 @@ def images_quarantine_decode(sf_dir: str):
 
     rows = ds.map_batches(corrupt, batch_format="pyarrow",
                           zero_copy_batch=True).map_batches(
-        im.QuarantineDecodeFn, batch_format="pyarrow",
-        batch_size=32, concurrency=(1, 4))
+        im.QuarantineDecodeFn(), batch_format="pyarrow", batch_size=32)
 
     def partial(b: pa.Table) -> pa.Table:
         ids = np.asarray([int(s[3:]) for s in
@@ -16052,10 +16001,8 @@ def audio_normalize(sf_dir: str, target: float = 0.125):
 
     n = 50 if "0.001" in sf_dir else (150 if "0.01" in sf_dir else 500)
     ds = _cached_media_ds("audio", n, au.synthesize_audio_dataset)
-    rows = ds.map_batches(au.NormalizeAudioFn,
-                          fn_constructor_kwargs=dict(target_rms=target),
-                          batch_format="pyarrow", batch_size=32,
-                          concurrency=(1, 4))
+    rows = ds.map_batches(au.NormalizeAudioFn(target_rms=target),
+                          batch_format="pyarrow", batch_size=32)
 
     def partial(b: pa.Table) -> pa.Table:
         # group by rate: the stable metadata axis post-re-encode
@@ -16670,8 +16617,8 @@ def docs_langid_confusion(sf_dir: str):
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "lang", "text"])
-    pred = ds.map_batches(LangIdFn, batch_format="pyarrow",
-                          batch_size=256, concurrency=(1, 4))
+    pred = ds.map_batches(LangIdFn(), batch_format="pyarrow",
+                          batch_size=256)
 
     def partial(b: pa.Table) -> pa.Table:
         t = pa.table({"lang": b["lang"], "pred": b["lang_pred"],
@@ -17577,7 +17524,7 @@ def rects_line_of_sight(sf_dir: str, npair: int = 48, mast: int = 2):
 def video_scene_cuts(sf_dir: str):
     """Video shot-boundary detection (io/audio.SceneCutsFn): per clip,
     the exact integer mean-absolute frame-delta threshold finds scene
-    changes; frames stream through the actor with O(1) frame memory
+    changes; frames stream through the stage with O(1) frame memory
     and only per-clip scalars leave.  The clips plant scene
     boundaries every ``idx%7+4`` frames and the detector — which
     never sees the plant — must recover them exactly; the in-query
@@ -17588,8 +17535,7 @@ def video_scene_cuts(sf_dir: str):
     n = 30 if "0.001" in sf_dir else (100 if "0.01" in sf_dir else 300)
     ds = au.synthesize_video_index(n)
     per_clip = ds.map_batches(
-        au.SceneCutsFn, batch_format="pyarrow", batch_size=16,
-        concurrency=(1, 4))
+        au.SceneCutsFn(), batch_format="pyarrow", batch_size=16)
 
     def partial(b: pa.Table) -> pa.Table:
         idx = np.asarray([int(c[3:]) for c in
@@ -17635,8 +17581,8 @@ def images_equalize(sf_dir: str):
 
     n = 100 if "0.001" in sf_dir else (300 if "0.01" in sf_dir else 1000)
     ds = _cached_media_ds("images", n, im.synthesize_image_dataset)
-    rows = ds.map_batches(im.EqualizeImagesFn, batch_format="pyarrow",
-                          batch_size=32, concurrency=(1, 4))
+    rows = ds.map_batches(im.EqualizeImagesFn(), batch_format="pyarrow",
+                          batch_size=32)
 
     def partial(b: pa.Table) -> pa.Table:
         nonflat = b["nonflat_ch"].to_numpy(zero_copy_only=False)
@@ -17806,8 +17752,8 @@ def images_trim_borders(sf_dir: str):
 
     rows = ds.map_batches(plant, batch_format="pyarrow",
                           batch_size=32) \
-        .map_batches(im.TrimBordersFn, batch_format="pyarrow",
-                     batch_size=32, concurrency=(1, 4))
+        .map_batches(im.TrimBordersFn(), batch_format="pyarrow",
+                     batch_size=32)
 
     def partial(b: pa.Table) -> pa.Table:
         d = {k: b[k].to_numpy(zero_copy_only=False)
@@ -17914,8 +17860,8 @@ def audio_clip_audit(sf_dir: str):
 
     rows = ds.map_batches(plant, batch_format="pyarrow",
                           batch_size=32) \
-        .map_batches(au.AudioClipAuditFn, batch_format="pyarrow",
-                     batch_size=32, concurrency=(1, 4))
+        .map_batches(au.AudioClipAuditFn(), batch_format="pyarrow",
+                     batch_size=32)
 
     def partial(b: pa.Table) -> pa.Table:
         planted = b["planted"].to_numpy(zero_copy_only=False)
@@ -18417,10 +18363,10 @@ def images_template_match(sf_dir: str):
 
     n = 100 if "0.001" in sf_dir else (300 if "0.01" in sf_dir else 1000)
     ds = _cached_media_ds("images", n, im.synthesize_image_dataset)
-    rows = ds.map_batches(im.StampTemplateFn, batch_format="pyarrow",
-                          batch_size=32, concurrency=(1, 4)) \
-        .map_batches(im.MatchTemplateFn, batch_format="pyarrow",
-                     batch_size=16, concurrency=(1, 4))
+    rows = ds.map_batches(im.StampTemplateFn(), batch_format="pyarrow",
+                          batch_size=32) \
+        .map_batches(im.MatchTemplateFn(), batch_format="pyarrow",
+                     batch_size=16)
 
     def partial(b: pa.Table) -> pa.Table:
         planted = b["planted"].to_numpy(zero_copy_only=False)
@@ -18484,8 +18430,7 @@ def video_motion_estimate(sf_dir: str):
     n = 30 if "0.001" in sf_dir else (100 if "0.01" in sf_dir else 300)
     ds = au.synthesize_video_index(n)
     per_clip = ds.map_batches(
-        au.MotionEstimateFn, batch_format="pyarrow", batch_size=16,
-        concurrency=(1, 4))
+        au.MotionEstimateFn(), batch_format="pyarrow", batch_size=16)
 
     def partial(b: pa.Table) -> pa.Table:
         idx = np.asarray([int(c[3:]) for c in
@@ -18633,8 +18578,8 @@ def images_otsu_threshold(sf_dir: str):
 
     n = 100 if "0.001" in sf_dir else (300 if "0.01" in sf_dir else 1000)
     ds = _cached_media_ds("images", n, im.synthesize_image_dataset)
-    rows = ds.map_batches(im.OtsuThresholdFn, batch_format="pyarrow",
-                          batch_size=32, concurrency=(1, 4))
+    rows = ds.map_batches(im.OtsuThresholdFn(), batch_format="pyarrow",
+                          batch_size=32)
 
     def partial(b: pa.Table) -> pa.Table:
         fgv = b["n_fg"].to_numpy(zero_copy_only=False)
@@ -19046,8 +18991,8 @@ def images_seam_energy(sf_dir: str):
 
     n = 100 if "0.001" in sf_dir else (300 if "0.01" in sf_dir else 1000)
     ds = _cached_media_ds("images", n, im.synthesize_image_dataset)
-    rows = ds.map_batches(im.SeamEnergyFn, batch_format="pyarrow",
-                          batch_size=32, concurrency=(1, 4))
+    rows = ds.map_batches(im.SeamEnergyFn(), batch_format="pyarrow",
+                          batch_size=32)
 
     def partial(b: pa.Table) -> pa.Table:
         sc = b["seam_cost"].to_numpy(zero_copy_only=False)

@@ -6,10 +6,11 @@ construct is the feature→tile flat-map.  This module generalizes it:
 - **cell key** = packed slippy tile at a chosen zoom (quadtree cell —
   the same role H3/S2 res-N cells play; zoom 12 cells are ~10 km,
   zoom 15 ~1 km).
-- **point-in-polygon join**: polygons are broadcast once via
-  ``ray.put`` as a cell-bucketed index (small side), points stream
-  through ``map_batches`` tasks that prune by cell then refine with
-  exact ray-casting PIP — broadcast hash join, no shuffle.
+- **point-in-polygon join**: the cell-bucketed polygon index (small
+  side) rides on the stage instance, which Ray Data ships once per
+  operator; points stream through ``map_batches`` tasks that prune by
+  cell then refine with exact ray-casting PIP — broadcast hash join,
+  no shuffle.
 - **large-polygon variant**: when the polygon side is too big to
   broadcast, both sides shuffle on cell (`groupby(cell).map_groups`)
   — a co-partitioned equi-join on cell with PIP refinement.
@@ -35,11 +36,11 @@ from .geometry import haversine_m, point_in_rings
 class PolygonIndex:
     """Cell-bucketed polygon set for broadcast PIP joins.
 
-    Built once driver-side from a (small) polygon table, shipped to
-    every worker via ``ray.put`` — read per task, never re-shipped per
-    batch (SURVEY.md §4).  Polygons are stored as flat numpy buffers;
-    the bucket map sends each cell to the polygon ids whose bbox covers
-    it.
+    Built once driver-side from a (small) polygon table and carried by
+    the join stage, which Ray Data ships once per operator — read per
+    task, never re-shipped per batch (SURVEY.md §4).  Polygons are
+    stored as flat numpy buffers; the bucket map sends each cell to the
+    polygon ids whose bbox covers it.
     """
 
     def __init__(self, table: pa.Table, zoom: int = 9,
@@ -133,13 +134,11 @@ class PolygonIndex:
 
 
 class _PIPJoinFn:
-    """Actor-pool stage: broadcast polygon index held per actor
-    (__init__ once), points stream through __call__ per batch."""
+    """Map stage: the broadcast polygon index rides on the instance,
+    points stream through __call__ per batch."""
 
-    def __init__(self, index_ref, lon_col: str, lat_col: str):
-        import ray
-
-        self.index: PolygonIndex = ray.get(index_ref) if not isinstance(index_ref, PolygonIndex) else index_ref
+    def __init__(self, index: PolygonIndex, lon_col: str, lat_col: str):
+        self.index = index
         self.lon_col = lon_col
         self.lat_col = lat_col
 
@@ -159,25 +158,19 @@ def point_in_polygon_join(
     lat_col: str = "lat",
     zoom: int = 9,
     poly_id_column: str = "id",
-    concurrency: int | tuple[int, int] = (1, 8),
     **map_kwargs,
 ):
     """Broadcast PIP join: points Dataset x small polygon table.
 
-    The polygon index is ``ray.put`` once; each actor materializes it
-    once in ``__init__``.  Output = point rows (inside any polygon)
-    with a ``polygon_id`` column; points in k polygons emit k rows.
+    The polygon index is built once on the driver and rides on the
+    stage instance.  Output = point rows (inside any polygon) with a
+    ``polygon_id`` column; points in k polygons emit k rows.
     """
-    import ray
-
     index = PolygonIndex(polygons, zoom=zoom, id_column=poly_id_column)
-    index_ref = ray.put(index)
     return points_ds.map_batches(
-        _PIPJoinFn,
-        fn_constructor_args=(index_ref, lon_col, lat_col),
+        _PIPJoinFn(index, lon_col, lat_col),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=concurrency,
         **map_kwargs,
     )
 
@@ -188,7 +181,7 @@ def point_in_polygon_join(
 
 
 class _KNNFn:
-    """Actor-pool stage: brute-force exact kNN of each streamed point
+    """Map stage: brute-force exact kNN of each streamed point
     against a broadcast reference point set (haversine).
 
     Exact (no pruning) — the oracle-matching baseline.  For large
@@ -196,11 +189,8 @@ class _KNNFn:
     cells first.
     """
 
-    def __init__(self, ref_points_ref, k: int, lon_col: str, lat_col: str):
-        import ray
-
-        ref = ray.get(ref_points_ref) if not isinstance(ref_points_ref, tuple) else ref_points_ref
-        self.ref_lon, self.ref_lat, self.ref_ids = ref
+    def __init__(self, ref_points, k: int, lon_col: str, lat_col: str):
+        self.ref_lon, self.ref_lat, self.ref_ids = ref_points
         self.k = k
         self.lon_col, self.lat_col = lon_col, lat_col
 
@@ -252,25 +242,19 @@ def knn_join(
     ref_lon_col: str = "lon",
     ref_lat_col: str = "lat",
     ref_id_col: str = "id",
-    concurrency: int | tuple[int, int] = (1, 8),
     **map_kwargs,
 ):
     """Exact kNN of every streamed point against a broadcast reference
     set.  Output: one row per (point, neighbor) with rank + distance."""
-    import ray
-
     ref = (
         ref_table[ref_lon_col].combine_chunks().to_numpy(zero_copy_only=False).astype(np.float64),
         ref_table[ref_lat_col].combine_chunks().to_numpy(zero_copy_only=False).astype(np.float64),
         ref_table[ref_id_col].combine_chunks().to_numpy(zero_copy_only=False).astype(np.int64),
     )
-    ref_ref = ray.put(ref)
     return points_ds.map_batches(
-        _KNNFn,
-        fn_constructor_args=(ref_ref, k, lon_col, lat_col),
+        _KNNFn(ref, k, lon_col, lat_col),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=concurrency,
         **map_kwargs,
     )
 

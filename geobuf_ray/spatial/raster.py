@@ -984,8 +984,8 @@ def voronoi_label_grid(sites: pa.Table, *, gx: int, gy: int,
     labeling is bit-stable and a CROSS JOIN + QUALIFY SQL twin is
     exact.
 
-    Shape: the (small) site table ships ONCE via ``ray.put``
-    pre-sorted by id so ``argmin``'s first-occurrence rule IS the
+    Shape: the (small) site table rides on the stage instance
+    (shipped once per operator), pre-sorted by id so ``argmin``'s first-occurrence rule IS the
     min-id tie-break; the grid itself never materializes — cells
     stream from ``ray.data.range(gx*gy)`` and each batch computes its
     ``(batch, nsites)`` distance matrix vectorized, so memory is
@@ -1000,11 +1000,10 @@ def voronoi_label_grid(sites: pa.Table, *, gx: int, gy: int,
         .astype(np.int64)
     sy = sites[y_col].to_numpy(zero_copy_only=False)[order] \
         .astype(np.int64)
-    ref = ray.put((ids, sx, sy))
 
     class LabelFn:
-        def __init__(self):
-            self.ids, self.sx, self.sy = ray.get(ref)
+        def __init__(self, ids, sx, sy):
+            self.ids, self.sx, self.sy = ids, sx, sy
 
         def __call__(self, batch) -> pa.Table:
             cell = batch["id"].astype(np.int64)
@@ -1020,8 +1019,7 @@ def voronoi_label_grid(sites: pa.Table, *, gx: int, gy: int,
 
     grid = ray.data.range(gx * gy, override_num_blocks=max(
         1, (gx * gy) // batch_rows))
-    # autoscaling pool with min 1: a fixed pool the size of the CPU
-    # count would starve the ReadRange tasks that feed it (deadlock
-    # observed under the 4-cpu test session)
-    return grid.map_batches(LabelFn, batch_format="numpy",
-                            batch_size=batch_rows, concurrency=(1, 4))
+    # a task stage, like every map stage: it holds no CPU while the
+    # ReadRange tasks that feed it wait for one
+    return grid.map_batches(LabelFn(ids, sx, sy), batch_format="numpy",
+                            batch_size=batch_rows)

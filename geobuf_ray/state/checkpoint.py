@@ -86,30 +86,25 @@ def completed_keys(out_dir: str) -> set[str]:
 def filter_completed(ds, key_col: str, done: set[str], **map_kwargs):
     """Drop rows whose partition already committed (resume fast-path).
 
-    ``done`` is shipped once via ``ray.put`` and read per actor/task —
-    a broadcast small-side lookup, not re-serialized per batch.
+    ``done`` rides on the stage instance, which Ray Data ships once per
+    operator — a broadcast small-side lookup, not re-serialized per
+    batch.
     """
     if not done:
         return ds
-    import ray
-
-    done_ref = ray.put(frozenset(done))
 
     class _Filter:
-        def __init__(self):
-            self.done = ray.get(done_ref)
+        def __init__(self, done):
+            self.done = pa.array(sorted(done), pa.string())
 
         def __call__(self, batch: pa.Table) -> pa.Table:
             import pyarrow.compute as pc
 
-            hit = pc.is_in(batch[key_col],
-                           value_set=pa.array(sorted(self.done), pa.string()))
+            hit = pc.is_in(batch[key_col], value_set=self.done)
             return batch.filter(pc.invert(pc.fill_null(hit, False)))
 
-    return ds.map_batches(_Filter, batch_format="pyarrow",
-                          zero_copy_batch=True,
-                          concurrency=map_kwargs.pop("concurrency", (1, 4)),
-                          **map_kwargs)
+    return ds.map_batches(_Filter(done), batch_format="pyarrow",
+                          zero_copy_batch=True, **map_kwargs)
 
 
 def checkpointed_split_combine(

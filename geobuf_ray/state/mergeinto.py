@@ -711,12 +711,13 @@ def vacuum_keyed_layout(out_dir: str) -> dict:
 
 
 class LookupJoinFn:
-    """Actor-pool INDEX-NESTED-LOOP join against a keyed layout: each
+    """Map-stage INDEX-NESTED-LOOP join against a keyed layout: each
     probe batch routes its keys through the pinned hash and resolves
     ONLY the partitions they land in (latest-wins through pending
-    merge-on-read deltas), with a per-actor LRU of resolved,
-    key-sorted partitions so hot partitions load once per actor, not
-    once per batch.
+    merge-on-read deltas), with an LRU of resolved, key-sorted
+    partitions so hot partitions load once per task, not once per
+    batch.  The layout's metadata and delta list are read once, when
+    the stage is built on the driver, so every task sees one snapshot.
 
     This is the enrichment-join physical shape the other joins can't
     give at 100 TB: the dimension table is too big to broadcast, and
@@ -827,14 +828,11 @@ class LookupJoinFn:
 
 def lookup_join(probe_ds, layout_dir: str, on: str, *,
                 how: str = "inner", columns=None, rsuffix: str = "_r",
-                batch_size: int = 8192, concurrency=(1, 8),
-                cache_parts: int = 64, **map_kwargs):
-    """Dataset stage: stream probe rows through per-actor partition-
+                batch_size: int = 8192, cache_parts: int = 64,
+                **map_kwargs):
+    """Dataset stage: stream probe rows through per-task partition-
     cached lookups against a keyed layout (see :class:`LookupJoinFn`)."""
     return probe_ds.map_batches(
-        LookupJoinFn,
-        fn_constructor_kwargs=dict(layout_dir=layout_dir, on=on, how=how,
-                                   columns=columns, rsuffix=rsuffix,
-                                   cache_parts=cache_parts),
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, **map_kwargs)
+        LookupJoinFn(layout_dir, on, how=how, columns=columns,
+                     rsuffix=rsuffix, cache_parts=cache_parts),
+        batch_format="pyarrow", batch_size=batch_size, **map_kwargs)

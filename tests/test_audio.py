@@ -35,10 +35,8 @@ def test_unknown_codec_raises_stub():
 
 def test_audio_features_pipeline(ray_session):
     ds = au.synthesize_audio_dataset(30)
-    out = ds.map_batches(au.AudioFeaturesFn,
-                         fn_constructor_kwargs=dict(check_fidelity=True),
-                         batch_format="pyarrow",
-                         batch_size=8, concurrency=(1, 2))
+    out = ds.map_batches(au.AudioFeaturesFn(check_fidelity=True),
+                         batch_format="pyarrow", batch_size=8)
     rows = out.take_all()
     assert len(rows) == 30
     for r in rows:
@@ -50,9 +48,8 @@ def test_audio_features_pipeline(ray_session):
 
 def test_audio_resample_halves_samples(ray_session):
     ds = au.synthesize_audio_dataset(10)
-    out = ds.map_batches(
-        au.ResampleAudioFn, fn_constructor_kwargs=dict(target_rate=8000),
-        batch_format="pyarrow", batch_size=8, concurrency=(1, 2))
+    out = ds.map_batches(au.ResampleAudioFn(target_rate=8000),
+                         batch_format="pyarrow", batch_size=8)
     orig = {r["clip_id"]: r["n_samples"] for r in ds.take_all()}
     for r in out.take_all():
         assert r["sample_rate"] == 8000
@@ -66,9 +63,8 @@ def test_video_frame_sampling(ray_session):
 
     ds = au.synthesize_video_index(12)
     idx = {r["clip_id"]: r["n_frames"] for r in ds.take_all()}
-    frames = ds.map_batches(
-        au.SampleVideoFramesFn, fn_constructor_kwargs=dict(every=4),
-        batch_format="pyarrow", batch_size=8, concurrency=(1, 2))
+    frames = ds.map_batches(au.SampleVideoFramesFn(every=4),
+                            batch_format="pyarrow", batch_size=8)
     rows = frames.take_all()
     by_clip = {}
     for r in rows:

@@ -97,12 +97,15 @@ def test_cli_job_entrypoint(ray_session, tmp_path):
 def test_cli_tile_pyramid(ray_session, tmp_path):
     """--levels > 1 writes the multi-level Combine pyramid with a
     gob-indexed combined file per level."""
+    from feature_corpus import write_geojson
+
+    infile = str(tmp_path / "corpus.geojson")
+    n = write_geojson(infile)
     bufdir = str(tmp_path / "buf")
     out = io.StringIO()
     with redirect_stdout(out):
-        rc = cli.cmd_geojson2geobuf(_A(infile=f"{REF}/county.geojson",
-                                       outdir=bufdir))
-    assert rc == 0
+        rc = cli.cmd_geojson2geobuf(_A(infile=infile, outdir=bufdir))
+    assert rc == 0 and f"wrote {n} features" in out.getvalue()
     buf = sorted(os.path.join(bufdir, f) for f in os.listdir(bufdir)
                  if f.endswith(".geobuf"))[0]
     pyr = str(tmp_path / "pyr")

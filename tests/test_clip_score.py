@@ -32,8 +32,7 @@ def test_clip_score_scalar_replay(ray_session):
 
     rows = im.synthesize_rows(np.arange(60))
     got = pa.concat_tables(ray.get(im.clip_scores(
-        ray.data.from_arrow(rows).repartition(4),
-        concurrency=(1, 2)).to_arrow_refs()))
+        ray.data.from_arrow(rows).repartition(4)).to_arrow_refs()))
     by = dict(zip(got["img_idx"].to_pylist(),
                   got["score_q"].to_pylist()))
     assert by == _scalar_scores(rows)
@@ -49,7 +48,7 @@ def test_clip_score_planted_caption_dups(ray_session):
     idx = np.arange(160)
     rows = im.synthesize_rows(idx)
     got = pa.concat_tables(ray.get(im.clip_scores(
-        ray.data.from_arrow(rows), concurrency=(1, 2)).to_arrow_refs()))
+        ray.data.from_arrow(rows)).to_arrow_refs()))
     by = dict(zip(got["img_idx"].to_pylist(), got["score_q"].to_pylist()))
     pairs = [(i, i - 7) for i in idx if i >= 23 and i % 23 == 11]
     assert pairs
@@ -73,8 +72,7 @@ def test_clip_score_partition_invariance(ray_session):
 
     def run(k):
         t = pa.concat_tables(ray.get(im.clip_scores(
-            ray.data.from_arrow(rows).repartition(k),
-            concurrency=(1, 2)).to_arrow_refs()))
+            ray.data.from_arrow(rows).repartition(k)).to_arrow_refs()))
         return dict(zip(t["img_idx"].to_pylist(),
                         t["score_q"].to_pylist()))
 

@@ -92,7 +92,7 @@ def test_minhash_finds_planted_dups(ray_session):
 
     tbl = _docs_table()
     ds = ray.data.from_arrow(tbl).repartition(2)
-    pairs = dedup.minhash_candidate_pairs(ds, sim_threshold=0.5, concurrency=2)
+    pairs = dedup.minhash_candidate_pairs(ds, sim_threshold=0.5)
     got = set(zip(pairs["id_a"].to_pylist(), pairs["id_b"].to_pylist()))
     # oracle: all pairs with true word-3-gram jaccard >= 0.8 must be found
     sh = dedup.word_shingle_hashes(tbl["text"], 3)
@@ -115,7 +115,7 @@ def test_minhash_dedup_removes_cluster_members(ray_session):
 
     tbl = _docs_table()
     ds = ray.data.from_arrow(tbl).repartition(2)
-    kept_ds, dropped = dedup.minhash_dedup(ds, sim_threshold=0.9, concurrency=2)
+    kept_ds, dropped = dedup.minhash_dedup(ds, sim_threshold=0.9)
     kept_ids = {r["doc_id"] for r in kept_ds.take_all()}
     assert kept_ids.isdisjoint(dropped)
     assert len(kept_ids) + len(dropped) == tbl.num_rows
@@ -198,7 +198,7 @@ def test_brute_force_topk_matches_numpy(ray_session):
                     "embedding": pa.array(vecs.tolist(), pa.list_(pa.float64()))})
     queries = tbl.slice(0, 5)
     ds = ray.data.from_arrow(tbl).repartition(4)
-    got = ann.brute_force_topk(ds, queries, k=4, concurrency=2)
+    got = ann.brute_force_topk(ds, queries, k=4)
     vm = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
     for qi in range(5):
         sims = vm[qi] @ vm.T
@@ -222,7 +222,7 @@ def test_ivf_topk_recall(ray_session):
     ds = ray.data.from_arrow(tbl).repartition(4)
     cent = ann.fit_centroids(vecs[rng.choice(n, 300, replace=False)], 8)
     approx = ann.ivf_topk(ds, queries, cent, k=5, nprobe=3)
-    exact = ann.brute_force_topk(ds, queries, k=5, concurrency=2)
+    exact = ann.brute_force_topk(ds, queries, k=5)
     # recall@5 >= 0.9 on clustered data
     ex = {}
     for r in exact.to_pylist():

@@ -57,7 +57,7 @@ def test_decode_images_pipeline(ray_session, tmp_path):
     path = str(tmp_path / "imgs.parquet")
     pq.write_table(tbl, path)
     ds = im.read_image_table(path)
-    out = im.decode_images(ds, batch_size=16, concurrency=2)
+    out = im.decode_images(ds, batch_size=16)
     rows = out.take_all()
     assert len(rows) == 40
     by_id = {r["image_id"]: r for r in rows}
@@ -79,9 +79,8 @@ def test_resize_pipeline(ray_session, tmp_path):
 
     tbl = im.synthesize_image_table(10)
     ds = ray.data.from_arrow(tbl)
-    out = ds.map_batches(im.ResizeImagesFn, fn_constructor_kwargs=dict(target=16),
-                         batch_format="pyarrow", batch_size=4,
-                         concurrency=2).take_all()
+    out = ds.map_batches(im.ResizeImagesFn(target=16),
+                         batch_format="pyarrow", batch_size=4).take_all()
     assert all(r["w"] == 16 and r["h"] == 16 for r in out)
     px = im.decode_image(out[0]["bytes"])
     assert px.shape == (16, 16, 3)
@@ -139,8 +138,7 @@ def test_pyramid_stage(ray_session):
         bw, bh = base_wh[r.image_id]
         assert r.w == bw // (2 ** r.level) and r.h == bh // (2 ** r.level)
     # dataset-level stage
-    ds = build_pyramid(ray.data.from_arrow(tbl), levels=1,
-                       batch_size=4, concurrency=(1, 2))
+    ds = build_pyramid(ray.data.from_arrow(tbl), levels=1, batch_size=4)
     assert ds.count() == 16
 
 
@@ -234,8 +232,7 @@ def test_patchify_pixel_exact_reassembly(ray_session):
     tbl = im.synthesize_image_table(6, start=0)
     ds = ray.data.from_arrow(tbl).repartition(2)
     p = 16
-    out = im.patchify_images(ds, patch=p, batch_size=2,
-                             concurrency=(1, 2)).to_pandas()
+    out = im.patchify_images(ds, patch=p, batch_size=2).to_pandas()
     src = tbl.to_pandas()
     for _, row in src.iterrows():
         px = im.decode_image(row["bytes"])
@@ -262,8 +259,7 @@ def test_augment_identities(ray_session):
     ds = ray.data.from_arrow(tbl)
     out = im.augment_images(
         ds, ops=("hflip", "vflip", "rot90", "rot180", "rot270",
-                 "center_crop"), batch_size=2,
-        concurrency=(1, 2)).to_pandas()
+                 "center_crop"), batch_size=2).to_pandas()
     src = {r.image_id: im.decode_image(r["bytes"])
            for _, r in tbl.to_pandas().iterrows()}
     assert len(out) == 6 * 4
@@ -408,7 +404,7 @@ def test_embed_images_dedup_planted_and_brute_force(ray_session):
     prev = None
     for nparts in (2, 5):
         ds = ray.data.from_arrow(tbl).repartition(nparts)
-        emb = im.embed_images(ds, batch_size=16, concurrency=(1, 2))
+        emb = im.embed_images(ds, batch_size=16)
         edf = emb.to_pandas().sort_values("img_idx")
         V = np.stack(edf["embedding"].to_numpy())
         ids = edf["img_idx"].to_numpy()
@@ -1047,7 +1043,7 @@ def test_transcode_png_stage(ray_session):
 
     tbl = im.synthesize_image_table(24)
     ds = ray.data.from_arrow(tbl).repartition(3)
-    png = im.transcode_png(ds, batch_size=8, concurrency=(1, 2))
+    png = im.transcode_png(ds, batch_size=8)
     rows = png.take_all()
     assert all(r["fmt"] == "png" for r in rows)
     assert all(r["bytes"][:8] == b"\x89PNG\r\n\x1a\n" for r in rows)
@@ -1057,7 +1053,7 @@ def test_transcode_png_stage(ray_session):
         want = im.decode_image(orig["bytes"])
         assert (got == want).all()
 
-    out = im.decode_images(png, batch_size=8, concurrency=(1, 2))
+    out = im.decode_images(png, batch_size=8)
     feats = out.take_all()
     assert all(np.isfinite(min(r["psnr_db"], 99.0)) and
                min(r["psnr_db"], 99.0) >= 40.0 for r in feats)

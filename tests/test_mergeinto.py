@@ -647,14 +647,14 @@ def test_lookup_join_inner_left_and_delta_visibility(ray_session, tmp_path):
     probe = pa.table({"l": pa.array([0, 5, 10, 10, 250, 42], pa.int64()),
                       "tag": pa.array(list("abcdef"), pa.string())})
     inner = lookup_join(ray.data.from_arrow(probe).repartition(3),
-                        d, "l", concurrency=1).to_pandas() \
+                        d, "l").to_pandas() \
         .sort_values(["l", "tag"]).reset_index(drop=True)
     # 250 is absent -> dropped; delta'd vals visible
     assert inner["l"].tolist() == [0, 5, 10, 10, 42]
     assert inner["val"].tolist() == [7, 50, 107, 107, 420]
 
-    left = lookup_join(ray.data.from_arrow(probe), d, "l", how="left",
-                       concurrency=1).to_pandas() \
+    left = lookup_join(ray.data.from_arrow(probe), d, "l",
+                       how="left").to_pandas() \
         .sort_values(["l", "tag"]).reset_index(drop=True)
     assert len(left) == 6
     assert left[left.l == 250]["val"].isna().all()

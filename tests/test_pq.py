@@ -34,8 +34,7 @@ def test_pq_adc_equals_reconstructed_distance(ray_session):
                                               pa.list_(pa.float64()))})
     codes_ds = ray.data.from_arrow(
         pa.Table.from_pandas(enc, preserve_index=False)).repartition(3)
-    out = pq_topk(codes_ds, queries, books, k=len(X),
-                  concurrency=None).to_pandas()
+    out = pq_topk(codes_ds, queries, books, k=len(X)).to_pandas()
     # ADC distance IS the exact L2 to the reconstruction
     for r in out.itertuples():
         want = ((q[int(r.query_id)] - recon[int(r.vec_id)]) ** 2).sum()
@@ -59,8 +58,7 @@ def test_pq_topk_matches_reconstructed_exact_and_blobs(ray_session):
     codes_ds = ray.data.from_arrow(
         pa.Table.from_pandas(enc, preserve_index=False)).repartition(5)
     queries = tbl.slice(0, 10)
-    got = pq_topk(codes_ds, queries, books, k=10,
-                  concurrency=None).to_pandas()
+    got = pq_topk(codes_ds, queries, books, k=10).to_pandas()
     blob_hits = 0
     for qi in range(10):
         # the PQ answer IS the exact top-k over the reconstructions
@@ -89,8 +87,7 @@ def test_pq_partition_invariance(ray_session):
     for nb in (1, 6):
         ds = ray.data.from_arrow(tbl).repartition(nb)
         codes = pq_encode(ds, books)
-        outs.append(pq_topk(codes, queries, books, k=7,
-                            concurrency=None).to_pandas()
+        outs.append(pq_topk(codes, queries, books, k=7).to_pandas()
                     .reset_index(drop=True))
     assert outs[0].equals(outs[1])
 
@@ -155,8 +152,7 @@ def test_ivfpq_masked_identity_pruning_and_partitions(ray_session, tmp_path):
             "vec_id": pa.array(sub["vec_id"].to_numpy()),
             "pq_code": pa.array(list(sub["pq_code"]), pa.binary())}))
         one_q = q.slice(qi, 1)
-        want = pq_topk(sub_ds, one_q, books, k=k,
-                       concurrency=None).to_pandas()
+        want = pq_topk(sub_ds, one_q, books, k=k).to_pandas()
         got_rows = [r for r in prev if r[0] == int(q["vec_id"][qi].as_py())]
         want_rows = [(int(r.query_id), int(r.rank), int(r.vec_id))
                      for r in want.itertuples(index=False)]
@@ -182,8 +178,7 @@ def test_bq_topk_rerank_all_is_exact(ray_session):
     queries = tbl.slice(0, 4)
     ds = ray.data.from_arrow(tbl).repartition(5)
     got = bq_topk(ds, queries, k=5, rerank=tbl.num_rows)
-    exp = brute_force_topk(ray.data.from_arrow(tbl), queries, 5,
-                           concurrency=None)
+    exp = brute_force_topk(ray.data.from_arrow(tbl), queries, 5)
     assert got.select(["query_id", "rank", "vec_id"]).to_pydict() == \
         exp.select(["query_id", "rank", "vec_id"]).to_pydict()
 

@@ -979,3 +979,32 @@ def test_markov_stationary_laws(ray_session):
     P[np.flatnonzero(dead), np.flatnonzero(dead)] = 1.0
     P /= np.where(dead, 1.0, rows)[:, None]
     assert np.abs(p @ P - p).max() < 1e-3
+
+
+def test_int_sums_exact_past_2_53(ray_session, tmp_path):
+    """Counts documented as exact stay exact past 2^53: the shared
+    int64 scatter-add, and the broadcast-lookup aggregate built on it
+    (a float64 ``np.bincount`` rounds these sums)."""
+    import pyarrow.parquet as pq
+
+    from geobuf_ray.pipelines.queries import (_broadcast_lookup_aggregate,
+                                              _int_sums)
+
+    big = 2**53 + 1
+    codes = np.array([0, 0, 1, 1])
+    vals = np.array([big, 1, big, 3], np.int64)
+    want = [big + 1, big + 3]
+    assert _int_sums(codes, vals, 2).tolist() == want
+    assert np.bincount(codes, weights=vals).astype(np.int64).tolist() \
+        != want
+
+    path = str(tmp_path / "fact.parquet")
+    pq.write_table(pa.table({"k": pa.array([1, 1, 2, 2, 3], pa.int64()),
+                             "v": pa.array([big, 1, big, 3, 5], pa.int64())}),
+                   path)
+    out = _broadcast_lookup_aggregate(
+        "SELECT * FROM (VALUES (1, 'a'), (2, 'b')) t(k, label)", "label",
+        path, ["k", "v"], "k", [("s", lambda b: b["v"].to_numpy())], "n",
+        ["s", "n"])
+    got = {r["label"]: (r["s"], r["n"]) for r in out.to_pylist()}
+    assert got == {"a": (big + 1, 2), "b": (big + 3, 2)}

@@ -101,7 +101,7 @@ def test_pip_join_ray(ray_session):
         "lat": pa.array(rng.uniform(-12, 12, 2000)),
     })
     ds = ray.data.from_arrow(pts).repartition(4)
-    joined = point_in_polygon_join(ds, polys, zoom=7, concurrency=2)
+    joined = point_in_polygon_join(ds, polys, zoom=7)
     got = {(r["pid"], r["polygon_id"]) for r in joined.take_all()}
     idx = PolygonIndex(polys, zoom=7)
     pi, pg = idx.contains(
@@ -127,7 +127,7 @@ def test_knn_join_matches_bruteforce(ray_session):
         "lat": pa.array(rng.uniform(-5, 5, 100)),
     })
     ds = ray.data.from_arrow(qs).repartition(2)
-    out = knn_join(ds, ref, k=5, concurrency=2).take_all()
+    out = knn_join(ds, ref, k=5).take_all()
     assert len(out) == 100 * 5
     by_q = {}
     for r in out:
@@ -206,7 +206,7 @@ def test_knn_cell_join_matches_brute_force(ray_session):
     })
     ds = ray.data.from_arrow(pts).repartition(3)
     exact = {}
-    for r in knn_join(ds, refs, k=3, concurrency=(1, 2)).take_all():
+    for r in knn_join(ds, refs, k=3).take_all():
         exact[(r["custkey"], r["rank"])] = r["neighbor_id"]
     got = knn_cell_join(ray.data.from_arrow(pts).repartition(3), refs,
                         k=3, zoom=3, ring=1).take_all()
@@ -237,8 +237,8 @@ def test_pip_cell_join_matches_broadcast(ray_session):
     pts = q.customer_points(sf)
     polys = q.supplier_rects(sf)
     want = {(r["custkey"], r["polygon_id"]) for r in
-            point_in_polygon_join(q.customer_points(sf), polys, zoom=5,
-                                  concurrency=(1, 2)).take_all()}
+            point_in_polygon_join(q.customer_points(sf), polys,
+                                  zoom=5).take_all()}
     got_rows = pip_cell_join(pts, ray.data.from_arrow(polys), zoom=5).take_all()
     got = {(r["custkey"], r["polygon_id"]) for r in got_rows}
     assert len(got_rows) == len(got)  # no duplicate pairs

@@ -1,4 +1,4 @@
-"""WKB codec: pinned public byte vectors, all-type roundtrip, county
+"""WKB codec: pinned public byte vectors, all-type roundtrip, feature
 corpus roundtrip through the geobuf codec, malformed-input errors."""
 
 import json
@@ -58,12 +58,17 @@ def test_roundtrip_all_types_and_county():
     for c in ("geom_type", "dim", "coords", "ring_sizes", "poly_sizes"):
         assert tbl[c].combine_chunks().cast(dec[c].type).equals(
             dec[c].combine_chunks()), c
-    # the county corpus (3304 real property-heavy polygons) through
-    # the engine's own geobuf decode, then WKB roundtrip
+    # the suite's own corpus (mixed types, every property kind, empty
+    # rings) through the engine's own geobuf decode, then WKB roundtrip
+    # of its 2-D features (WKB here is 2-D only)
+    import pyarrow.compute as pc
+    from feature_corpus import stream
+
     from geobuf_ray.codec import decode, feature
 
-    stream = open("/root/reference/test_data/county.geobuf", "rb").read()
-    geo = decode.decode_batch(feature.scan_frames(stream))
+    geo = decode.decode_batch(feature.scan_frames(stream()))
+    geo = geo.filter(pc.equal(geo["dim"], 2))
+    assert 0 in pc.list_flatten(geo["ring_sizes"]).to_pylist()
     dec2 = decode_wkb(encode_wkb(geo))
     for c in ("geom_type", "dim", "coords", "ring_sizes", "poly_sizes"):
         assert geo[c].combine_chunks().cast(dec2[c].type).equals(
