@@ -466,17 +466,24 @@ def read_geobuf(paths, *, skip_metadata: bool = True, **read_kwargs):
 # ---------------------------------------------------------------------------
 
 
-def _bounds_of_batch(batch: pa.Table) -> tuple[float, float, float, float]:
-    if "coords" not in batch.column_names or batch.num_rows == 0:
-        return (np.nan,) * 4
+def _row_bboxes(batch: pa.Table) -> np.ndarray:
+    """Per-row ``(west, south, east, north)`` of feature rows (NaN rows
+    where a feature has no coordinates)."""
+    n = batch.num_rows
+    if "coords" not in batch.column_names or n == 0:
+        return np.full((n, 4), np.nan)
     coords, offs = list_column_parts(batch["coords"], np.float64)
     dim = (
         batch["dim"].combine_chunks().to_numpy(zero_copy_only=False).astype(np.int64)
         if "dim" in batch.column_names
-        else np.full(batch.num_rows, 2, np.int64)
+        else np.full(n, 2, np.int64)
     )
-    bb = feature_bbox(coords, offs, dim)
-    if np.isnan(bb).all():
+    return feature_bbox(coords, offs, dim)
+
+
+def _bounds_of_rows(bb: np.ndarray) -> tuple[float, float, float, float]:
+    """The data bounds of per-row bboxes; NaN when no row has one."""
+    if np.isnan(bb).all():  # also: zero rows
         return (np.nan,) * 4
     return (
         float(np.nanmin(bb[:, 0])),
@@ -486,9 +493,14 @@ def _bounds_of_batch(batch: pa.Table) -> tuple[float, float, float, float]:
     )
 
 
+# per-row feature bboxes the split's encode step carries through the
+# shuffle, so the per-group writer takes its bounds without decoding
+_BBOX_COLUMNS = ("_bbox_west", "_bbox_south", "_bbox_east", "_bbox_north")
+
 # key columns the split pipelines add for the shuffle; they never reach
 # the encoded records as feature properties
-_SHUFFLE_COLUMNS = ("tile_key", "tile_str", "tile_salt", "ckpt_key")
+_SHUFFLE_COLUMNS = ("tile_key", "tile_str", "tile_salt", "ckpt_key") \
+    + _BBOX_COLUMNS
 
 # one row per written stream file (_WriteGeobufFn's output layout)
 _MANIFEST_SCHEMA = pa.schema([
@@ -499,23 +511,59 @@ _MANIFEST_SCHEMA = pa.schema([
     ("write_seconds", pa.float64())])
 
 
+def _key_columns(batch: pa.Table, key_column: str | None) -> list[str]:
+    """The shuffle-only columns of ``batch``, ``key_column`` included."""
+    return [c for c in batch.column_names
+            if c in _SHUFFLE_COLUMNS or c == key_column]
+
+
+class _EncodeRowsFn:
+    """The split's encode step: one keyed block's feature columns become
+    ``geobuf`` records in ONE ``encode_batch`` call, before the shuffle.
+
+    Output: the block's key columns (``_SHUFFLE_COLUMNS`` and
+    ``key_column``), ``geobuf`` and the per-row bboxes
+    (``_BBOX_COLUMNS``), so the per-group writer only frames
+    (:func:`_encode_stream`).  Blocks that already carry ``geobuf``
+    (raw ``read_geobuf`` rows) and zero-column blocks pass through."""
+
+    def __init__(self, write_bbox: bool, key_column: str | None = None):
+        self.write_bbox = write_bbox
+        self.key_column = key_column
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        if batch.num_columns == 0 or "geobuf" in batch.column_names:
+            return batch
+        keys = _key_columns(batch, self.key_column)
+        feat = batch.drop_columns(keys)
+        records = (fc.encode_batch(feat, write_bbox=self.write_bbox)
+                   if batch.num_rows else pa.array([], pa.binary()))
+        out = batch.select(keys).append_column("geobuf", records)
+        for name, side in zip(_BBOX_COLUMNS, _row_bboxes(feat).T):
+            out = out.append_column(name, pa.array(side, pa.float64()))
+        return out
+
+
 def _encode_stream(batch: pa.Table, write_bbox: bool = True,
                    key_column: str | None = None):
     """One group's framed stream: ``(stream, num_features, bounds)``.
 
-    Rows already carrying a ``geobuf`` column are framed as they are
-    (bounds unknown: NaN); feature rows drop the shuffle-only columns
-    (and ``key_column``), then encode."""
+    Rows already carrying a ``geobuf`` column are framed as they are:
+    the split's encoded rows (:class:`_EncodeRowsFn`) take their bounds
+    from the carried bbox columns, raw ``read_geobuf`` rows have none
+    (bounds NaN).  Feature rows (``write_geobuf``) drop the shuffle-only
+    columns (and ``key_column``), then encode."""
     if "geobuf" in batch.column_names:
         records = batch["geobuf"].combine_chunks()
-        bounds = (np.nan,) * 4
+        if _BBOX_COLUMNS[0] in batch.column_names:
+            bb = np.column_stack([batch[c].to_numpy() for c in _BBOX_COLUMNS])
+        else:
+            bb = np.full((len(records), 4), np.nan)
     else:
-        aux = [c for c in dict.fromkeys(_SHUFFLE_COLUMNS + (key_column,))
-               if c and c in batch.column_names]
-        feat = batch.drop_columns(aux) if aux else batch
+        feat = batch.drop_columns(_key_columns(batch, key_column))
         records = fc.encode_batch(feat, write_bbox=write_bbox)
-        bounds = _bounds_of_batch(feat)
-    return fc.frame_records(records), len(records), bounds
+        bb = _row_bboxes(feat)
+    return fc.frame_records(records), len(records), _bounds_of_rows(bb)
 
 
 def _write_atomic(path: str, data: bytes) -> None:

@@ -6,17 +6,22 @@ features to per-tile subfiles through a fd-bounded (≈750 open files)
 hierarchical multi-pass split, then byte-concatenates subfiles with a
 gob index.  Ray Data replaces all of that with:
 
-    assign tiles (vectorized flat-map)  →  hash exchange on
-    (tile_key, tile_salt)  →  per-tile output file + manifest row
+    assign tiles (vectorized flat-map)  →  encode each block once
+    (fused map)  →  hash exchange on (tile_key, tile_salt)  →  per-tile
+    file of framed records + manifest row
 
 One all-to-all shuffle on the raw-task hash exchange
 (``functions.exchange.grouped_exchange``: rows co-locate by key hash,
 no distributed sort), no fd bound, no multi-round refinement
 (SURVEY.md §3.2).  The TILEID property stamp (split_combine.go:385-389)
-becomes a plain ``tile_key`` column.
+becomes a plain ``tile_key`` column.  Like the reference, the shuffle
+moves feature BYTES: every geobuf record encodes on its own, so each
+block's rows encode in one ``encode_batch`` call before the exchange,
+and the per-tile reduce only frames: a tile of ten features pays no
+encode call of its own, and the hot tile's reduce does no compute.
 
 Tile split, key split and the checkpointed split share one write path:
-the clip/assign step (:func:`_tile_rows`), the shuffle-write
+the clip/assign step (:func:`_tile_rows`), the encode-and-shuffle write
 (:func:`_write_groups`, :func:`_split_write`) and the Combine step
 (:func:`_combine`), which the pyramid rollup reuses.
 
@@ -165,18 +170,27 @@ def _tile_rows(ds, zoom: int, bounds, salt_bits: int, clip: bool,
         batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _write_groups(keyed, group_cols, write_fn) -> pa.Table:
-    """The split's one shuffle: rows that already carry their keys
+def _write_groups(keyed, group_cols, write_fn, *, write_bbox: bool,
+                  key_column: str | None = None) -> pa.Table:
+    """The split's one shuffle.  A map step fused into the upstream
+    stage first encodes each keyed block once
+    (:class:`~..io.geobuf_file._EncodeRowsFn`), so rows cross the shuffle
+    as ``geobuf`` records beside their key and bbox columns; they then
     co-locate by ``group_cols`` on the raw-task hash exchange (no
-    distributed sort, unlike Ray's groupby); ``write_fn`` writes each
-    group's file and returns its manifest row.  Returns the manifest,
-    zero rows (with the manifest columns) when no group was written."""
+    distributed sort, unlike Ray's groupby), and ``write_fn`` frames
+    each group's records into its file and returns its manifest row —
+    the reduce does no encoding.  Returns the manifest, zero rows (with
+    the manifest columns) when no group was written."""
     from ..collect import collect_table
     from ..functions.exchange import grouped_exchange
-    from ..io.geobuf_file import _MANIFEST_SCHEMA
+    from ..io.geobuf_file import _MANIFEST_SCHEMA, _EncodeRowsFn
 
+    # every group column is a shuffle column or the key column, so the
+    # encode step keeps it
+    encoded = keyed.map_batches(_EncodeRowsFn(write_bbox, key_column),
+                                batch_format="pyarrow", zero_copy_batch=True)
     return collect_table(
-        grouped_exchange(keyed, group_cols, write_fn, nbuckets=64,
+        grouped_exchange(encoded, group_cols, write_fn, nbuckets=64,
                          schema=_MANIFEST_SCHEMA),
         _MANIFEST_SCHEMA)
 
@@ -192,11 +206,17 @@ def _split_write(keyed, out_dir: str, group_cols, key_column: str,
     from ..io.geobuf_file import _WriteGeobufFn
 
     manifest = _write_groups(
-        keyed, group_cols, _WriteGeobufFn(out_dir, write_bbox, key_column))
+        keyed, group_cols, _WriteGeobufFn(out_dir, write_bbox, key_column),
+        write_bbox=write_bbox, key_column=key_column)
     pq.write_table(manifest, os.path.join(out_dir, "_manifest.parquet"))
     if combine_path is not None:
         _combine(manifest, combine_path)
     return manifest
+
+
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as f:
+        return f.read()
 
 
 def _combine(manifest: pa.Table, combine_path: str) -> None:
@@ -207,8 +227,7 @@ def _combine(manifest: pa.Table, combine_path: str) -> None:
 
     def subfiles():
         for row in manifest.sort_by("key").select(["key", "path"]).to_pylist():
-            with open(row["path"], "rb") as f:
-                yield row["key"], f.read()
+            yield row["key"], _read_bytes(row["path"])
 
     sides = [manifest[c].to_numpy(zero_copy_only=False).astype(np.float64)
              for c in ("west", "south", "east", "north")]
@@ -724,7 +743,7 @@ def _rollup_level(manifest: pa.Table, out_dir: str,
         rows = sorted(group.to_pylist(),
                       key=lambda r: (r["key"], r["path"]))
         pkey = rows[0]["parent"]
-        stream = b"".join(open(r["path"], "rb").read() for r in rows)
+        stream = b"".join(_read_bytes(r["path"]) for r in rows)
         path = os.path.join(out_dir, f"{pkey}-{uuid.uuid4().hex[:12]}.geobuf")
         _write_atomic(path, stream)
 

@@ -127,8 +127,11 @@ def open_rings(x, y, offsets):
     sizes = np.diff(offsets)
     starts = offsets[:-1]
     ends = offsets[1:] - 1
-    closed = (sizes > 1) & (x[starts] == x[np.maximum(ends, 0)]) \
-        & (y[starts] == y[np.maximum(ends, 0)])
+    # compare ends only where a ring has two vertices: an empty last
+    # ring's start is len(x), past the coordinates
+    closed = sizes > 1
+    s, e = starts[closed], ends[closed]
+    closed[closed] = (x[s] == x[e]) & (y[s] == y[e])
     drop = np.zeros(len(x), bool)
     drop[ends[closed]] = True
     new_sizes = sizes - closed.astype(np.int64)

@@ -155,7 +155,7 @@ def checkpointed_split_combine(
     def write_tile(group: pa.Table) -> pa.Table:
         t0 = time.perf_counter()
         key = str(group["ckpt_key"][0].as_py())
-        stream, nfeat, bb = _encode_stream(group, write_bbox)
+        stream, nfeat, bb = _encode_stream(group)
         path = os.path.join(out_dir, _safe_key(key) + ".geobuf")
         os.makedirs(out_dir, exist_ok=True)
         _write_atomic(path, stream)
@@ -175,5 +175,6 @@ def checkpointed_split_combine(
 
     # the shuffle: one group per (salted) tile key, committed
     # independently; the manifest is read back from the durable rows
-    _write_groups(todo, ["tile_key", "tile_salt"], write_tile)
+    _write_groups(todo, ["tile_key", "tile_salt"], write_tile,
+                  write_bbox=write_bbox)
     return load_manifest(out_dir)

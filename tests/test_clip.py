@@ -108,6 +108,17 @@ def test_open_close_rings_roundtrip():
     assert np.array_equal(boffs, offs)
 
 
+def test_open_rings_empty_last_ring():
+    """A polygon whose last ring is empty (the reference writes them)
+    ends the buffer with a ring that starts past the coordinates."""
+    x, y, offs = _rings_to_flat([[(0, 0), (2, 0), (1, 2), (0, 0)], []])
+    ox, oy, ooffs, closed = clip.open_rings(x, y, offs)
+    assert closed.tolist() == [True, False]
+    assert np.diff(ooffs).tolist() == [3, 0]
+    bx, by, boffs = clip.close_rings(ox, oy, ooffs)
+    assert np.array_equal(bx, x) and np.array_equal(boffs, offs)
+
+
 def lb_clip_scalar(line, west, south, east, north):
     """Scalar Liang–Barsky polyline clip -> list of parts."""
     parts = []

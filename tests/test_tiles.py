@@ -316,3 +316,213 @@ def test_empty_split_returns_manifest(ray_session, tmp_path, split):
     meta, _ = read_metadata(combined)
     assert meta["Files"] == {} and meta["NumberFeatures"] == 0
     assert read_subfile(combined, "0-0-0").num_rows == 0
+
+
+# ---- the split encodes each block once before the shuffle; per key it
+# writes the same records, counts, sizes and bounds as one encode of
+# that key's rows (``_encode_stream``, the per-group writer's own path)
+
+_ZOOM = 4
+
+
+def _corpus_table():
+    """tests/feature_corpus.py decoded: every geometry type, 2-D and
+    3-D, every wire property kind, empty rings."""
+    from feature_corpus import stream
+
+    from geobuf_ray.codec import decode as dc
+    from geobuf_ray.codec import feature as fc
+
+    return dc.decode_batch(fc.scan_frames(stream()))
+
+
+def _blocks(tbl, n=3):
+    """A dataset of ``n`` fixed blocks of ``tbl``."""
+    import ray
+
+    step = -(-tbl.num_rows // n)
+    return ray.data.from_arrow(
+        [tbl.slice(i, step) for i in range(0, tbl.num_rows, step)])
+
+
+def _keyed(rows, key_fn, name="split_key"):
+    import pyarrow as pa
+
+    idx, keys = key_fn(rows)
+    return rows.take(pa.array(idx, pa.int64())).append_column(
+        name, pa.array(keys, pa.string()))
+
+
+def _side(vals, fn):
+    vals = [np.nan if v is None else v for v in vals]
+    return np.nan if np.isnan(vals).all() else fn(vals)
+
+
+def _per_key_written(manifest):
+    """Per manifest key: (sorted records, features, bytes, W/S/E/N) over
+    every file written for that key."""
+    from geobuf_ray.codec import feature as fc
+
+    out = {}
+    for row in manifest.to_pylist():
+        with open(row["path"], "rb") as f:
+            recs = fc.scan_frames(f.read()).to_pylist()
+        acc = out.setdefault(row["key"], ([], [], [], []))
+        acc[0].extend(recs)
+        acc[1].append(row["num_features"])
+        acc[2].append(row["size_bytes"])
+        acc[3].append([row[s] for s in ("west", "south", "east", "north")])
+    return {k: (sorted(r), sum(n), sum(b),
+                tuple(_side([x[i] for x in bb], f)
+                      for i, f in enumerate((np.nanmin, np.nanmin,
+                                             np.nanmax, np.nanmax))))
+            for k, (r, n, b, bb) in out.items()}
+
+
+def _per_key_encoded(rows, key_col, write_bbox, key_column):
+    """Per key: ``_encode_stream`` over that key's rows at once."""
+    import pyarrow as pa
+
+    from geobuf_ray.codec import feature as fc
+    from geobuf_ray.io.geobuf_file import _encode_stream
+
+    keys = np.array(rows[key_col].to_pylist(), object)
+    out = {}
+    for k in sorted(set(keys)):
+        group = rows.take(pa.array(np.flatnonzero(keys == k), pa.int64()))
+        stream, n, bb = _encode_stream(group, write_bbox, key_column)
+        out[k] = (sorted(fc.scan_frames(stream).to_pylist()), n,
+                  len(stream), tuple(bb))
+    return out
+
+
+@pytest.mark.parametrize("case", ["fanout", "salted", "clipped", "no_bbox",
+                                  "keys", "raw_keys", "checkpointed"])
+def test_split_writes_same_records_as_per_group_encode(ray_session, tmp_path,
+                                                       case):
+    """Sorted records, not file bytes: the record order inside a tile
+    follows block arrival, which no run fixes."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from geobuf_ray.codec import feature as fc
+    from geobuf_ray.io.geobuf_file import read_geobuf
+    from geobuf_ray.pipelines import tiling
+    from geobuf_ray.state import checkpoint as ck
+    from feature_corpus import stream
+
+    # the key hooks live in the test: Ray ships them to workers by
+    # value, and workers cannot import a test module
+    def by_geom_type(batch):
+        """Every row to its geometry type; ids divisible by 3 also to
+        ``third`` (fan-out)."""
+        ids = batch["id"].to_numpy()
+        third = np.flatnonzero(ids % 3 == 0)
+        return (np.concatenate([np.arange(batch.num_rows), third]),
+                [f"g{t}" for t in batch["geom_type"].to_pylist()]
+                + ["third"] * len(third))
+
+    def by_record_length(batch):
+        lens = pc.binary_length(batch["geobuf"]).to_pylist()
+        return np.arange(batch.num_rows), [f"len{k % 5}" for k in lens]
+
+    tbl = _corpus_table()
+    out = str(tmp_path / "split")
+    write_bbox = case != "no_bbox"
+    key_column = "tile_str"
+    if case == "clipped":
+        tbl = tbl.filter(pc.equal(tbl["dim"], 2))
+        rows = tiling.tile_clip_batch(tbl, _ZOOM)
+        rows = rows.append_column(
+            "tile_salt", pa.array(np.zeros(rows.num_rows, np.uint8)))
+        manifest = tiling.split_combine(_blocks(tbl), out, _ZOOM, clip=True)
+    elif case in ("keys", "raw_keys"):
+        key_column = "split_key"
+        if case == "keys":
+            ds, key_fn = _blocks(tbl), by_geom_type
+        else:
+            path = str(tmp_path / "corpus.geobuf")
+            with open(path, "wb") as f:
+                f.write(stream())
+            ds, key_fn = read_geobuf(path), by_record_length
+            tbl = pa.table({"geobuf": fc.scan_frames(stream())})
+        rows = _keyed(tbl, key_fn)
+        manifest = tiling.split_combine_keys(ds, out, key_fn)
+    else:
+        salt_bits = 2 if case in ("salted", "checkpointed") else 0
+        rows = tiling.assign_tiles_batch(tbl, _ZOOM, salt_bits=salt_bits)
+        if case == "checkpointed":
+            key_column = "ckpt_key"
+            rows = rows.append_column("ckpt_key", pa.array(
+                [f"{t}~s{s}" for t, s in zip(rows["tile_str"].to_pylist(),
+                                             rows["tile_salt"].to_pylist())]))
+            manifest = ck.checkpointed_split_combine(
+                _blocks(tbl), out, _ZOOM, salt_bits=salt_bits)
+        else:
+            manifest = tiling.split_combine(
+                _blocks(tbl), out, _ZOOM, salt_bits=salt_bits,
+                write_bbox=write_bbox)
+
+    got = _per_key_written(manifest)
+    want = _per_key_encoded(rows, key_column, write_bbox,
+                            None if case == "checkpointed" else key_column)
+    assert sorted(got) == sorted(want) and len(want) > 3
+    if case == "salted":  # some tile split into several files
+        assert manifest.num_rows > len(want)
+    for k, (recs, n, size, bb) in want.items():
+        g_recs, g_n, g_size, g_bb = got[k]
+        assert g_recs == recs, k
+        assert (g_n, g_size) == (n, size), k
+        np.testing.assert_array_equal(g_bb, bb, err_msg=k)
+        if case == "raw_keys":
+            assert np.isnan(bb).all()
+        else:
+            assert not np.isnan(bb).any()
+
+
+def test_encode_rows_step_once_per_block(monkeypatch):
+    """The split's map step, without Ray: one ``encode_batch`` per
+    block, key columns kept, a property named like a manifest or bbox
+    column still a property, empty blocks passed through."""
+    import pyarrow as pa
+
+    from geobuf_ray.codec import decode as dc
+    from geobuf_ray.codec import feature as fc
+    from geobuf_ray.io.geobuf_file import (_BBOX_COLUMNS, _EncodeRowsFn,
+                                           _encode_stream)
+
+    real = fc.encode_batch
+    calls = []
+
+    def spy(table, **kw):
+        calls.append(table.num_rows)
+        return real(table, **kw)
+
+    monkeypatch.setattr(fc, "encode_batch", spy)
+    n = 6
+    tbl = _points_table(n)
+    for name in ("west", "east", "bbox_north", "path", "num_features"):
+        tbl = tbl.append_column(name, pa.array(np.arange(n) * 1.5))
+    tbl = (tbl.append_column("split_key", pa.array(["a", "b"] * 3))
+           .append_column("tile_salt", pa.array(np.zeros(n, np.uint8))))
+    step = _EncodeRowsFn(True, "split_key")
+
+    out = step(tbl)
+    assert calls == [n]
+    assert out.column_names == ["split_key", "tile_salt", "geobuf",
+                                *_BBOX_COLUMNS]
+    assert out["split_key"].to_pylist() == tbl["split_key"].to_pylist()
+    dec = dc.decode_batch(out["geobuf"].combine_chunks())
+    for name in ("west", "east", "bbox_north", "path", "num_features"):
+        assert dec[name].to_pylist() == tbl[name].to_pylist(), name
+    assert "split_key" not in dec.column_names
+    assert "tile_salt" not in dec.column_names
+    _, nfeat, bounds = _encode_stream(out)
+    lon, lat = np.arange(n) * 0.5, -np.arange(n) * 0.25
+    assert nfeat == n
+    assert bounds == (lon.min(), lat.min(), lon.max(), lat.max())
+
+    empty = step(tbl.slice(0, 0))
+    assert calls == [n]
+    assert empty.num_rows == 0 and empty.schema == out.schema
+    assert step(pa.table({})).num_columns == 0

@@ -10,7 +10,14 @@ distributed stages multiply.
 
 Usage: python tools/codec_vs_json.py [N] [V]
        python tools/codec_vs_json.py --concurrent [P] [N] [V]
+       python tools/codec_vs_json.py --batch-sizes 10,80,8000 [N] [V]
 Prints one JSON line with sizes, seconds, and speedups.
+
+``--batch-sizes`` measures ``encode_batch``'s fixed cost per call: the
+same N features (default 8,000 LineStrings of 8 vertices) are encoded
+in consecutive slices of each batch size, and the line reports the
+best-of-3 encode microseconds per feature at every size.  A small
+batch pays the per-call cost over few features.
 
 ``--concurrent`` mirrors the reference's 18x READ protocol
 (README.md:6 + geobuf_concurrent.go:23-33: goroutine-parallel feature
@@ -114,7 +121,28 @@ def run_concurrent(procs: int, n: int, v: int) -> None:
     }))
 
 
+def run_batch_sizes(sizes: list[int], n: int, v: int) -> None:
+    """Encode microseconds per feature when N features are encoded in
+    slices of each batch size (one ``encode_batch`` call per slice)."""
+    tbl = parse_features_batch([json.dumps(f) for f in build_features(n, v)])
+    prop_cols = [c for c in tbl.column_names if c not in GEOM_COLS]
+    per_feature = {}
+    for size in sizes:
+        slices = [tbl.slice(i, size) for i in range(0, n, size)]
+        best, _ = best_of(3, lambda: [
+            feature.encode_batch(s, prop_cols=prop_cols) for s in slices])
+        per_feature[str(size)] = round(best / n * 1e6, 2)
+    print(json.dumps({"mode": "batch_sizes", "n": n, "vertices": v,
+                      "encode_us_per_feature": per_feature}))
+
+
 def main() -> None:
+    if len(sys.argv) > 1 and sys.argv[1] == "--batch-sizes":
+        sizes = [int(x) for x in sys.argv[2].split(",")]
+        n = int(sys.argv[3]) if len(sys.argv) > 3 else 8_000
+        v = int(sys.argv[4]) if len(sys.argv) > 4 else 8
+        run_batch_sizes(sizes, n, v)
+        return
     if len(sys.argv) > 1 and sys.argv[1] == "--concurrent":
         procs = int(sys.argv[2]) if len(sys.argv) > 2 else 8
         n = int(sys.argv[3]) if len(sys.argv) > 3 else 20_000
