@@ -33,10 +33,18 @@ Cost accounting at scale (the number that matters at 100 TB): the
 exchange creates ``nmaps x nbuckets`` small objects.  Bound both
 factors: ``_BLOCKS_PER_MAP`` coalesces input blocks so
 ``nmaps ~ input_bytes / (_BLOCKS_PER_MAP x block_size)``, and
-``nbuckets`` should track ``data / target_partition_bytes``, not the
-cluster size.  Past ~10^7 fragments, pass ``rounds=2`` to
-:func:`hash_exchange` (bucket high bits, then the exact bucket id) —
-same primitive, composed.
+``nbuckets`` tracks the data, not the cluster size.  A keyed exchange
+called without ``nbuckets`` sizes itself: it sums the input blocks'
+``size_bytes`` from the bundle metadata (no data moves) and takes
+``nbuckets = clamp(ceil(bytes / _BUCKET_BYTES), 1, _MAX_BUCKETS)``, so
+a bucket carries enough bytes to cover its task's fixed cost.  It
+holds at most ``_MAX_BUCKETS x _BUCKET_BYTES`` of block refs before the
+first split (a block with no size counts as reaching the cap); past
+that the count is the cap.  Exchanges whose count both sides, or a
+persisted layout, depend on (:func:`hash_cogroup`, :func:`presplit`)
+keep an explicit ``nbuckets``.  Past ~10^7 fragments, pass
+``rounds=2`` to :func:`hash_exchange` (bucket high bits, then the exact
+bucket id) — same primitive, composed.
 
 Skew: the bucket key is a HASH of the join key, so hot single keys are
 the only irreducible skew; salt at the caller (as `knn_cell_join` and
@@ -50,6 +58,7 @@ story for its own shuffle too.
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -58,6 +67,11 @@ import ray
 
 # input blocks coalesced into one split task: nmaps ~ nblocks / this
 _BLOCKS_PER_MAP = 4
+# a self-sized exchange gives each bucket about this many input bytes:
+# at 1 MiB a bucket's frame-and-write work about equals its task cost
+_BUCKET_BYTES = 1 << 20
+# and never more buckets than this
+_MAX_BUCKETS = 64
 
 
 def _to_table(block) -> pa.Table:
@@ -123,10 +137,18 @@ def _reduce_task(reduce_fn, schemas, sizes, *parts):
     return reduce_fn(*sides) if reduce_fn is not None else sides[0]
 
 
-def _drive_splits(ds, bucket_fn, nbuckets: int) -> list:
-    """Launch one split task per ``_BLOCKS_PER_MAP`` input blocks,
-    streaming: upstream stages execute with backpressure while we
-    launch; the only barrier is the reduce (inherent to any shuffle)."""
+def _bundles(ds):
+    """``ds``'s ref bundles, lazily: the Dataset starts executing when
+    the first bundle is pulled, not when this is called."""
+    yield from ds.iter_internal_ref_bundles()
+
+
+def _drive_splits(bundles, bucket_fn, nbuckets: int) -> list:
+    """Launch one split task per ``_BLOCKS_PER_MAP`` blocks of
+    ``bundles`` (from :func:`_bundles`), streaming: upstream stages
+    execute with backpressure while we launch; the only barrier is the
+    reduce (inherent to any shuffle).  Returns one sequence of
+    ``nbuckets`` refs per split task."""
     split = _split_task.options(num_returns=nbuckets)
 
     def launch(blocks):
@@ -135,7 +157,7 @@ def _drive_splits(ds, bucket_fn, nbuckets: int) -> list:
         return (res,) if nbuckets == 1 else res
 
     maps, pend = [], []
-    for bundle in ds.iter_internal_ref_bundles():
+    for bundle in bundles:
         for bref, _meta in bundle.blocks:
             pend.append(bref)
             if len(pend) >= _BLOCKS_PER_MAP:
@@ -144,6 +166,26 @@ def _drive_splits(ds, bucket_fn, nbuckets: int) -> list:
     if pend:
         maps.append(launch(pend))
     return maps
+
+
+def _size_buckets(bundles):
+    """The self-sized bucket count: ``(nbuckets, bundles)``, where the
+    returned iterator replays the bundles read while sizing, then the
+    rest.  Sums each block's metadata ``size_bytes`` and stops reading
+    once the total reaches ``_MAX_BUCKETS x _BUCKET_BYTES`` (a block
+    with no size counts as reaching it) or the input ends."""
+    cap = _MAX_BUCKETS * _BUCKET_BYTES
+    bundles = iter(bundles)
+    held, total = [], 0
+    for bundle in bundles:
+        held.append(bundle)
+        for _, meta in bundle.blocks:
+            size = meta.size_bytes
+            total = cap if size is None else total + size
+        if total >= cap:
+            break
+    nbuckets = min(_MAX_BUCKETS, max(1, -(-total // _BUCKET_BYTES)))
+    return nbuckets, itertools.chain(held, bundles)
 
 
 def _reduce(reduce_fn, nbuckets: int, sides):
@@ -162,14 +204,14 @@ def _zero_bucket(tbl: pa.Table):
 
 
 def _resolve_bucket_fn(on, bucket_fn, nbuckets: int):
-    """``bucket_fn`` if given, else hash ``on`` into ``nbuckets``; with
-    one bucket the key may be omitted (every row goes to bucket 0)."""
+    """``bucket_fn`` if given, else hash ``on`` into ``nbuckets``; one
+    bucket needs no hash and no key (every row goes to bucket 0)."""
     if bucket_fn is not None:
         return bucket_fn
-    if on is not None:
-        return key_bucket_fn(on, nbuckets)
     if nbuckets == 1:
         return _zero_bucket
+    if on is not None:
+        return key_bucket_fn(on, nbuckets)
     raise ValueError("need bucket_fn or on=")
 
 
@@ -188,8 +230,8 @@ def key_bucket_fn(cols: list[str] | str, nbuckets: int):
     return fn
 
 
-def hash_exchange(ds, *, nbuckets: int, bucket_fn=None, on=None,
-                  reduce_fn=None, schema: pa.Schema | None = None,
+def hash_exchange(ds, *, nbuckets: int | None = None, bucket_fn=None,
+                  on=None, reduce_fn=None, schema: pa.Schema | None = None,
                   rounds: int = 1):
     """Exchange ``ds`` so all rows of one bucket land in one output
     block, then apply ``reduce_fn(table) -> table`` per bucket.
@@ -197,8 +239,11 @@ def hash_exchange(ds, *, nbuckets: int, bucket_fn=None, on=None,
     Pass either ``on`` (key column name(s); bucket = hash % nbuckets)
     or an explicit ``bucket_fn(tbl) -> (bucket ndarray, tbl)`` for
     fan-out / custom routing; with ``nbuckets=1`` both may be omitted.
-    Returns a Ray ``Dataset`` of the reduce outputs (``nbuckets``
-    blocks).
+    Without ``nbuckets`` a keyed (``on``) exchange sizes itself from
+    the input's block metadata (``_BUCKET_BYTES`` per bucket, at most
+    ``_MAX_BUCKETS``); a custom ``bucket_fn`` needs an explicit count.
+    Returns a Ray ``Dataset`` of the reduce outputs, one block per
+    bucket (``nbuckets`` blocks, or the self-sized count).
 
     ``rounds=2`` composes the exchange with itself for the
     >10^7-fragment regime: round 1 routes by the bucket id's HIGH part
@@ -213,6 +258,12 @@ def hash_exchange(ds, *, nbuckets: int, bucket_fn=None, on=None,
     ``rounds=2`` ``reduce_fn`` must not depend on row order within a
     bucket.  Output blocks stay in bucket order.
     """
+    if nbuckets is None and (bucket_fn is not None or on is None):
+        raise ValueError("an exchange without nbuckets sizes itself and "
+                         "needs on=; a custom bucket_fn needs nbuckets")
+    bundles = _bundles(ds)
+    if nbuckets is None:
+        nbuckets, bundles = _size_buckets(bundles)
     bucket_fn = _resolve_bucket_fn(on, bucket_fn, nbuckets)
     if rounds > 1:
         n1 = max(1, int(np.ceil(np.sqrt(nbuckets))))
@@ -227,7 +278,8 @@ def hash_exchange(ds, *, nbuckets: int, bucket_fn=None, on=None,
             t = t.append_column("__bucket__", pa.array(b, pa.int64()))
             return b // fan, t
 
-        inter = hash_exchange(ds, nbuckets=n1, bucket_fn=coarse_fn)
+        inter = _reduce(None, n1,
+                        [(_drive_splits(bundles, coarse_fn, n1), None)])
 
         def fine_fn(tbl: pa.Table):
             b = tbl["__bucket__"].to_numpy(zero_copy_only=False) \
@@ -241,7 +293,7 @@ def hash_exchange(ds, *, nbuckets: int, bucket_fn=None, on=None,
 
         return hash_exchange(inter, nbuckets=nbuckets, bucket_fn=fine_fn,
                              reduce_fn=strip_reduce, schema=schema)
-    maps = _drive_splits(ds, bucket_fn, nbuckets)
+    maps = _drive_splits(bundles, bucket_fn, nbuckets)
     return _reduce(reduce_fn, nbuckets, [(maps, schema)])
 
 
@@ -262,8 +314,10 @@ def hash_cogroup(left, right, *, nbuckets: int, reduce_fn,
     right_bucket_fn = _resolve_bucket_fn(right_on, right_bucket_fn,
                                          nbuckets)
     with ThreadPoolExecutor(max_workers=2) as ex:
-        fl = ex.submit(_drive_splits, left, left_bucket_fn, nbuckets)
-        fr = ex.submit(_drive_splits, right, right_bucket_fn, nbuckets)
+        fl = ex.submit(_drive_splits, _bundles(left), left_bucket_fn,
+                       nbuckets)
+        fr = ex.submit(_drive_splits, _bundles(right), right_bucket_fn,
+                       nbuckets)
         lmaps, rmaps = fl.result(), fr.result()
     return _reduce(reduce_fn, nbuckets,
                    [(lmaps, left_schema), (rmaps, right_schema)])
@@ -275,7 +329,8 @@ def presplit(ds, *, nbuckets: int, on=None, bucket_fn=None):
     iterative algorithm needs when one side (e.g. a static edge set)
     is re-co-grouped every round: hashing + shipping it once instead
     of once per round."""
-    return _drive_splits(ds, _resolve_bucket_fn(on, bucket_fn, nbuckets),
+    return _drive_splits(_bundles(ds),
+                         _resolve_bucket_fn(on, bucket_fn, nbuckets),
                          nbuckets)
 
 
@@ -286,13 +341,13 @@ def cogroup_presplit(lmaps, right, *, nbuckets: int, reduce_fn,
     """Co-group an already-:func:`presplit` left side with a fresh
     right Dataset (same ``nbuckets`` as the presplit)."""
     rmaps = _drive_splits(
-        right, _resolve_bucket_fn(right_on, right_bucket_fn, nbuckets),
-        nbuckets)
+        _bundles(right),
+        _resolve_bucket_fn(right_on, right_bucket_fn, nbuckets), nbuckets)
     return _reduce(reduce_fn, nbuckets,
                    [(lmaps, left_schema), (rmaps, right_schema)])
 
 
-def grouped_exchange(ds, keys, group_fn, *, nbuckets: int,
+def grouped_exchange(ds, keys, group_fn, *, nbuckets: int | None = None,
                      schema: pa.Schema | None = None, rounds: int = 1):
     """``groupby(keys).map_groups(group_fn)`` on the raw-task hash
     exchange: rows co-locate by ``hash(keys) % nbuckets`` (no
@@ -300,7 +355,9 @@ def grouped_exchange(ds, keys, group_fn, *, nbuckets: int,
     then each bucket lexsorts locally and applies ``group_fn`` to every
     (keys) segment.  Drop-in for kernels written against map_groups;
     group sizes and contents are identical, only the group-to-block
-    placement differs.
+    placement differs.  Without ``nbuckets`` the count is sized from
+    the input's bytes (see :func:`hash_exchange`); the result has one
+    block per bucket.
     """
     key_list = [keys] if isinstance(keys, str) else list(keys)
 

@@ -566,6 +566,13 @@ def _encode_stream(batch: pa.Table, write_bbox: bool = True,
     return fc.frame_records(records), len(records), _bounds_of_rows(bb)
 
 
+def _safe_key(key: str) -> str:
+    """``key`` as one file-name component: every character but
+    alphanumerics and ``-_.`` becomes ``_``, so no key adds a directory
+    level or climbs out of the output directory."""
+    return "".join(c if (c.isalnum() or c in "-_.") else "_" for c in key)
+
+
 def _write_atomic(path: str, data: bytes) -> None:
     """Write ``data`` to a temp file, then rename it onto ``path``: a
     killed writer never leaves a partial file under the final name."""
@@ -598,7 +605,9 @@ class _WriteGeobufFn:
             key = str(batch[self.key_column][0].as_py())
         stream, nfeat, bounds = _encode_stream(batch, self.write_bbox,
                                                self.key_column)
-        name = f"{key + '-' if key else ''}{uuid.uuid4().hex[:12]}.geobuf"
+        # the manifest keeps the raw key; only the file name is made safe
+        prefix = _safe_key(key) + "-" if key else ""
+        name = f"{prefix}{uuid.uuid4().hex[:12]}.geobuf"
         path = os.path.join(self.out_dir, name)
         _write_atomic(path, stream)
         w, s, e, n = bounds

@@ -13,8 +13,11 @@ gob index.  Ray Data replaces all of that with:
 One all-to-all shuffle on the raw-task hash exchange
 (``functions.exchange.grouped_exchange``: rows co-locate by key hash,
 no distributed sort), no fd bound, no multi-round refinement
-(SURVEY.md §3.2).  The TILEID property stamp (split_combine.go:385-389)
-becomes a plain ``tile_key`` column.  Like the reference, the shuffle
+(SURVEY.md §3.2).  The exchange sizes its bucket count from the bytes
+it is given (one bucket per ``_BUCKET_BYTES``, at most
+``_MAX_BUCKETS``), so a few-MB split runs a few reduce tasks, not 64.
+The TILEID property stamp (split_combine.go:385-389) becomes a plain
+``tile_key`` column.  Like the reference, the shuffle
 moves feature BYTES: every geobuf record encodes on its own, so each
 block's rows encode in one ``encode_batch`` call before the exchange,
 and the per-tile reduce only frames: a tile of ten features pays no
@@ -190,7 +193,7 @@ def _write_groups(keyed, group_cols, write_fn, *, write_bbox: bool,
     encoded = keyed.map_batches(_EncodeRowsFn(write_bbox, key_column),
                                 batch_format="pyarrow", zero_copy_batch=True)
     return collect_table(
-        grouped_exchange(encoded, group_cols, write_fn, nbuckets=64,
+        grouped_exchange(encoded, group_cols, write_fn,
                          schema=_MANIFEST_SCHEMA),
         _MANIFEST_SCHEMA)
 
@@ -658,7 +661,7 @@ def adaptive_tile_assign(points, *, lon_col: str = "lon",
 
 def make_mvt_tiles(ds, zoom: int, *, extent: int = 4096,
                    layer_name: str = "layer", prop_cols=None,
-                   id_col: str = "id", bounds=None, nbuckets: int = 64,
+                   id_col: str = "id", bounds=None,
                    order_by: tuple = ("tile_key", "id"),
                    map_kwargs: dict | None = None):
     """Features -> one Mapbox Vector Tile blob per slippy tile — the
@@ -689,7 +692,8 @@ def make_mvt_tiles(ds, zoom: int, *, extent: int = 4096,
                                 layer_name=layer_name,
                                 prop_cols=prop_cols, id_col=id_col)
 
-    return hash_exchange(clipped, nbuckets=nbuckets, on="tile_key",
+    # a fixed count until a self-sized one is timed on this reduce
+    return hash_exchange(clipped, nbuckets=64, on="tile_key",
                          reduce_fn=enc, schema=MVT_TILE_SCHEMA)
 
 

@@ -33,13 +33,11 @@ import os
 import numpy as np
 import pyarrow as pa
 
+from ..io.geobuf_file import _safe_key
+
 CODEC_VERSION = "geobuf-ray-1"
 
 _MANIFEST_DIR = "_manifest"
-
-
-def _safe_key(key: str) -> str:
-    return "".join(c if (c.isalnum() or c in "-_.") else "_" for c in key)
 
 
 def manifest_dir(out_dir: str) -> str:

@@ -1495,13 +1495,16 @@ def test_lsh_no_member_rows_centralize(ray_session, monkeypatch):
 
 
 @pytest.mark.parametrize("check", ["hash_cogroup", "cogroup_presplit",
-                                   "one_bucket", "grouped_exchange"])
+                                   "one_bucket", "grouped_exchange",
+                                   "grouped_exchange_self_sized"])
 def test_exchange_contract(ray_session, check):
     """What every exchange caller relies on: a side with no rows reaches
     ``reduce_fn`` as its schema's empty table, even when its blocks
     were filtered down to zero columns; one bucket needs no key and
     gathers every row into one reduce call; ``grouped_exchange`` forms
-    the same groups as ``pyarrow``'s ``group_by``."""
+    the same groups as ``pyarrow``'s ``group_by``, both across eight
+    hash buckets and with the count sized from the input (one bucket
+    for these few KB)."""
     import ray
 
     import geobuf_ray.functions.exchange as ex
@@ -1552,8 +1555,11 @@ def test_exchange_contract(ray_session, check):
                              "v_sum": [pc.sum(t["v"]).as_py()],
                              "v_count": [t.num_rows]})
 
+        # omitted, the exchange sizes itself from the input's bytes
+        kw = {} if check == "grouped_exchange_self_sized" \
+            else dict(nbuckets=8)
         out = collect_table(ex.grouped_exchange(ds, ["g", "k"], group_fn,
-                                                nbuckets=8))
+                                                **kw))
         # pyarrow 16's group_by can split a NULL string key into several
         # groups, so the reference groups on the key with NULL filled in
         filled = tbl.set_column(1, "g", pc.fill_null(tbl["g"], "~"))
@@ -1566,6 +1572,99 @@ def test_exchange_contract(ray_session, check):
 
         assert out.num_rows == want.num_rows
         assert rows(out) == rows(want)
+
+
+def test_exchange_bucket_count_follows_bytes():
+    """The self-sized count, on a fake bundle stream: one bucket per
+    ``_BUCKET_BYTES`` (at least one), capped at ``_MAX_BUCKETS``, with
+    the stream read no further than the block that reached the cap; a
+    block of unknown size counts as reaching it.  Every bundle read
+    while sizing is replayed, in order, before the rest."""
+    from types import SimpleNamespace
+
+    import geobuf_ray.functions.exchange as ex
+
+    mib = 1 << 20
+    assert ex._BUCKET_BYTES == mib and ex._MAX_BUCKETS == 64
+
+    def size(bundle_sizes):
+        pulled = []
+
+        def stream():
+            for i, sizes in enumerate(bundle_sizes):
+                pulled.append(i)
+                yield SimpleNamespace(blocks=[
+                    ((i, j), SimpleNamespace(size_bytes=b))
+                    for j, b in enumerate(sizes)])
+
+        nbuckets, bundles = ex._size_buckets(stream())
+        seen = len(pulled)
+        replay = [ref for b in bundles for ref, _ in b.blocks]
+        assert replay == [(i, j) for i, sizes in enumerate(bundle_sizes)
+                          for j in range(len(sizes))]
+        return nbuckets, seen
+
+    assert size([]) == (1, 0)
+    assert size([[0], [0, 0]]) == (1, 2)
+    assert size([[mib], [mib // 2, mib // 2], [mib]]) == (3, 3)
+    assert size([[mib, 2 * mib + 1]]) == (4, 1)
+    assert size([[40 * mib], [20 * mib, 4 * mib], [mib], [mib]]) == (64, 2)
+    assert size([[70 * mib], [mib]]) == (64, 1)
+    assert size([[mib], [None], [mib]]) == (64, 2)
+
+
+def test_exchange_without_nbuckets_needs_a_key():
+    """A custom ``bucket_fn`` (or no key at all) with no ``nbuckets``
+    is refused at the call, before the input runs."""
+    import geobuf_ray.functions.exchange as ex
+
+    class NeverRun:
+        def iter_internal_ref_bundles(self):
+            raise AssertionError("the exchange ran its input")
+
+    def bucket_fn(tbl):
+        return np.zeros(tbl.num_rows, np.int64), tbl
+
+    with pytest.raises(ValueError, match="nbuckets"):
+        ex.hash_exchange(NeverRun(), bucket_fn=bucket_fn)
+    with pytest.raises(ValueError, match="nbuckets"):
+        ex.hash_exchange(NeverRun(), on="k", bucket_fn=bucket_fn)
+    with pytest.raises(ValueError, match="nbuckets"):
+        ex.hash_exchange(NeverRun())
+
+
+def test_self_sized_exchange_splits_contract(ray_session, monkeypatch):
+    """A self-sized exchange hands ``_drive_splits`` the int bucket count
+    the input's bytes give and gets back that many refs per split task
+    (the contract the benchmark tracer reads); the output has one block
+    per bucket and every row."""
+    import ray
+
+    import geobuf_ray.functions.exchange as ex
+    from geobuf_ray.collect import collect_table
+
+    n = 160_000
+    tbl = pa.table({"k": pa.array(np.arange(n) % 97, pa.int64()),
+                    "v": pa.array(np.arange(n, dtype=np.float64))})
+    ds = ray.data.from_arrow(tbl).repartition(4).materialize()
+    want = -(-ds.size_bytes() // ex._BUCKET_BYTES)
+    assert 1 < want < ex._MAX_BUCKETS
+
+    calls = []
+    real_drive = ex._drive_splits
+
+    def spy(bundles, bucket_fn, nbuckets):
+        maps = real_drive(bundles, bucket_fn, nbuckets)
+        calls.append((nbuckets, [len(m) for m in maps]))
+        return maps
+
+    monkeypatch.setattr(ex, "_drive_splits", spy)
+    res = ex.hash_exchange(ds, on="k")
+    assert res.num_blocks() == want
+    assert collect_table(res).num_rows == n
+    ((nbuckets, per_map),) = calls
+    assert type(nbuckets) is int and nbuckets == want
+    assert per_map == [want]
 
 
 def test_two_round_exchange_matches_single_round(ray_session, monkeypatch):

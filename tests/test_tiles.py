@@ -318,6 +318,39 @@ def test_empty_split_returns_manifest(ray_session, tmp_path, split):
     assert read_subfile(combined, "0-0-0").num_rows == 0
 
 
+def test_key_split_files_stay_in_out_dir(ray_session, tmp_path):
+    """A user key names a file, never a path: ``../up`` and ``a/b``
+    write inside ``out_dir``, while the manifest and the combined index
+    keep the raw keys."""
+    import os
+
+    import ray
+
+    from geobuf_ray.codec import decode as dc
+    from geobuf_ray.io.geobuf_file import read_subfile
+    from geobuf_ray.pipelines.tiling import split_combine_keys
+
+    keys = ["../up", "a/b", "plain"]
+
+    def key_fn(batch):
+        ids = batch["id"].to_numpy()
+        return np.arange(batch.num_rows), [keys[i % 3] for i in ids]
+
+    out = str(tmp_path / "split")
+    combined = str(tmp_path / "combined.geobuf")
+    manifest = split_combine_keys(ray.data.from_arrow(_points_table(12)),
+                                  out, key_fn, combine_path=combined)
+    assert sorted(manifest["key"].to_pylist()) == sorted(keys)
+    for path in manifest["path"].to_pylist():
+        assert os.path.dirname(os.path.realpath(path)) == \
+            os.path.realpath(out), path
+        assert os.path.isfile(path)
+    assert sorted(os.listdir(tmp_path)) == ["combined.geobuf", "split"]
+    got = dc.decode_batch(read_subfile(combined, "a/b")["geobuf"]
+                          .combine_chunks())
+    assert sorted(got["id"].to_pylist()) == [1, 4, 7, 10]
+
+
 # ---- the split encodes each block once before the shuffle; per key it
 # writes the same records, counts, sizes and bounds as one encode of
 # that key's rows (``_encode_stream``, the per-group writer's own path)
