@@ -92,9 +92,13 @@ def geometry_from_nested(
     """Convert GeoJSON-style nested coordinate lists to the flat layout.
 
     Returns a dict with keys geom_type/dim/coords/ring_sizes/poly_sizes.
-    Driver/test-side helper (per-feature, not a hot path).
+    Runs once per converted feature (``features_to_table``).  ``dim``
+    defaults to the first position's length; longer positions are
+    truncated to it.  An unknown type, or a position with fewer than
+    2 values or fewer than ``dim``, raises ``ValueError`` here rather
+    than a shape error later in the encoder.
     """
-    code = GEOM_TYPE_CODES[geom_type]
+    code = GEOM_TYPE_CODES.get(geom_type)
     if code == POINT:
         rings = [[coordinates]]
         polys = [1]
@@ -108,10 +112,15 @@ def geometry_from_nested(
         rings = [r for poly in coordinates for r in poly]
         polys = [len(poly) for poly in coordinates]
     else:
-        raise ValueError(f"unsupported geometry type {geom_type}")
+        raise ValueError(f"unsupported geometry type {geom_type!r}")
     if dim is None:
         dim = len(rings[0][0]) if rings and rings[0] else 2
-    flat = [v for ring in rings for pt in ring for v in pt[:dim]]
+    pts = [pt for ring in rings for pt in ring]
+    need = max(dim, 2)
+    if pts and min(map(len, pts)) < need:
+        raise ValueError(f"{geom_type} has a position with fewer than "
+                         f"{need} values")
+    flat = [v for pt in pts for v in pt[:dim]]
     return {
         "geom_type": code,
         "dim": dim,

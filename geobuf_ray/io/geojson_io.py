@@ -5,9 +5,12 @@ The reference converts GeoJSON with a streaming brace-splitter: find the
 balanced ``{...}`` feature strings (``convert_geojson.go:25-107``), one
 goroutine per feature to parse+encode (``:110-139``).  Here the same
 capability is a Ray ``FileBasedDatasource``: each read task streams its
-file in chunks, splits feature spans with a VECTORIZED numpy scanner
-(string-aware brace depth — no per-character Python loop), parses them,
-and yields canonical Arrow feature blocks.  Both whole
+file in chunks and splits feature spans with a numpy scanner over the
+POSITIONS of the quotes, backslashes and braces (escape parity, string
+parity and brace depth computed on those few positions, never an array
+per byte and never a per-character Python loop).  Each batch of spans
+is then parsed and tabled with the cyclic garbage collector paused, and
+yielded as a canonical Arrow feature block.  Both whole
 FeatureCollection files and line-delimited files work — the scanner
 only looks at top-level object spans, so framing commas/newlines are
 irrelevant.
@@ -20,6 +23,7 @@ one-file output (``ConvertGeobuf``, convert_geojson.go:169-193).
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import uuid
@@ -36,41 +40,38 @@ _CHUNK = 8 << 20
 def feature_spans(buf: np.ndarray, start_depth: int = 0) -> tuple[np.ndarray, np.ndarray, int]:
     """Top-level ``{...}`` spans in a byte chunk, string-aware.
 
-    Returns ``(starts, ends, end_depth)`` where ends are exclusive and
-    ``end_depth`` is the brace depth at the chunk's end (for carrying
-    state across chunk boundaries; callers instead carry the unfinished
-    tail bytes, so ``start_depth`` is always 0 in practice).
+    Works on the positions of the four bytes that matter (``"``, ``\\``,
+    ``{``, ``}``), never on an array per byte of the chunk: a quote is
+    escaped when the backslash run just before it has odd length, a
+    brace is inside a string when an odd number of unescaped quotes
+    precede it, and the depth is a running sum over the braces alone.
+
+    Returns ``(starts, ends, end_depth)``: int64 starts, exclusive int64
+    ends, and the brace depth at the chunk's end (for carrying state
+    across chunk boundaries; callers instead carry the unfinished tail
+    bytes, so ``start_depth`` is always 0 in practice).
     """
-    if len(buf) == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64), start_depth
-    # escaped positions: a char is escaped iff preceded by an odd run of backslashes
-    is_bs = buf == 0x5C
-    run = np.zeros(len(buf), np.int64)
-    if is_bs.any():
-        # run[i] = length of backslash run ending at i
-        idx = np.arange(len(buf))
-        start_of_run = is_bs & ~np.concatenate(([False], is_bs[:-1]))
-        run_id = np.cumsum(start_of_run)
-        first_idx = np.zeros(int(run_id[-1]) + 1, np.int64)
-        first_idx[run_id[start_of_run]] = idx[start_of_run]
-        run = np.where(is_bs, idx - first_idx[run_id] + 1, 0)
-    escaped = np.zeros(len(buf), bool)
-    escaped[1:] = (run[:-1] % 2) == 1
-
-    quotes = (buf == 0x22) & ~escaped
-    cs = np.cumsum(quotes)
-    # parity BEFORE each position: odd -> inside a string
-    in_str = np.zeros(len(buf), bool)
-    in_str[1:] = (cs[:-1] % 2) == 1
-
-    opens = (buf == 0x7B) & ~in_str
-    closes = (buf == 0x7D) & ~in_str
-    delta = opens.astype(np.int64) - closes.astype(np.int64)
-    depth = np.cumsum(delta) + start_depth
-    starts = np.flatnonzero(opens & (depth == 1))
-    ends = np.flatnonzero(closes & (depth == 0)) + 1
+    quotes = np.flatnonzero(buf == 0x22)
+    bs = np.flatnonzero(buf == 0x5C)
+    if len(bs) and len(quotes):
+        # bs[i] - i is constant along a run of adjacent backslashes, so
+        # the run ending at bs[k - 1] starts at the first index with
+        # that key
+        key = bs - np.arange(len(bs))
+        k = np.searchsorted(bs, quotes)  # backslashes before each quote
+        last = np.maximum(k - 1, 0)
+        run = np.where((k > 0) & (bs[last] == quotes - 1),
+                       k - np.searchsorted(key, key[last]), 0)
+        quotes = quotes[run % 2 == 0]
+    braces = np.flatnonzero((buf == 0x7B) | (buf == 0x7D))
+    braces = braces[np.searchsorted(quotes, braces) % 2 == 0]
+    opens = buf[braces] == 0x7B
+    depth = np.cumsum(np.where(opens, 1, -1)) + start_depth
+    starts = braces[opens & (depth == 1)]
+    ends = braces[~opens & (depth == 0)] + 1
     m = min(len(starts), len(ends))
-    return starts[:m], ends[:m], int(depth[-1])
+    end_depth = int(depth[-1]) if len(depth) else start_depth
+    return starts[:m], ends[:m], end_depth
 
 
 def iter_feature_json(stream, chunk_size: int = _CHUNK) -> Iterator[list[str]]:
@@ -142,8 +143,27 @@ def iter_feature_json(stream, chunk_size: int = _CHUNK) -> Iterator[list[str]]:
 
 
 def parse_features_batch(json_strs: list[str]) -> pa.Table:
-    feats = [json.loads(s) for s in json_strs]
-    return gj.features_to_table(feats)
+    """Canonical feature table from a list of feature JSON strings.
+
+    The cyclic garbage collector is paused while the batch is parsed and
+    tabled: the parse allocates a few hundred thousand dicts and lists,
+    enough to start full collections that walk the whole (Ray worker)
+    heap.  Parsed JSON holds no reference cycles, so refcounting frees
+    every dict once ``feats`` is dropped, before the collector resumes.
+    The collector is re-enabled only if it was enabled on entry, so a
+    caller's own pause survives, and calls overlapping in two threads
+    still leave an enabled collector enabled.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        feats = [json.loads(s) for s in json_strs]
+        table = gj.features_to_table(feats)
+        del feats
+        return table
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 try:

@@ -1,19 +1,15 @@
 """Distributed GeoJSON source/sink + conversion pipelines (S12/K5)."""
 
+import gc
 import json
-import os
 
 import numpy as np
-import pyarrow as pa
 import pytest
 
+import feature_corpus
+from geobuf_ray.codec.schema import GEOM_TYPE_CODES, geometry_from_nested
 from geobuf_ray.io import geojson as gj
 from geobuf_ray.io import geojson_io as gio
-
-REF = "/root/reference/test_data"
-needs_ref = pytest.mark.skipif(
-    not os.path.exists(f"{REF}/county.geojson"), reason="reference corpus absent"
-)
 
 
 def spans_of(s: str):
@@ -57,49 +53,195 @@ def test_iter_feature_json_line_delimited(tmp_path):
     assert got == feats
 
 
-@needs_ref
-def test_read_geojson_county(ray_session):
-    ds = gio.read_geojson(f"{REF}/county.geojson")
-    rows = ds.take_all()
-    ref = gj.load_feature_collection(f"{REF}/county.geojson")
-    assert len(rows) == len(ref) == 3304
+def _spans_reference(s: bytes, start_depth: int):
+    """Per-character state machine with ``feature_spans``' contract: a
+    quote after an odd backslash run is escaped, braces inside strings
+    do not count, starts and ends pair up in order."""
+    starts, ends = [], []
+    depth, in_str, run = start_depth, False, 0
+    for i, c in enumerate(s):
+        if c == 0x5C:
+            run += 1
+            continue
+        if c == 0x22 and run % 2 == 0:
+            in_str = not in_str
+        elif c == 0x7B and not in_str:
+            depth += 1
+            if depth == 1:
+                starts.append(i)
+        elif c == 0x7D and not in_str:
+            depth -= 1
+            if depth == 0:
+                ends.append(i + 1)
+        run = 0
+    m = min(len(starts), len(ends))
+    return starts[:m], ends[:m], depth
+
+
+def test_feature_spans_matches_reference_scanner():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    tokens = st.sampled_from(["{", "}", '"', "\\", "a", ",", ":", "[", "]",
+                              " ", '\\"', "\\\\", "\\\\\\", '\\\\\\"'])
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(tokens, max_size=60), st.sampled_from([0, 1]))
+    def check(parts, start_depth):
+        s = "".join(parts).encode()
+        starts, ends, depth = gio.feature_spans(np.frombuffer(s, np.uint8),
+                                                start_depth)
+        assert starts.dtype == ends.dtype == np.int64
+        assert (starts.tolist(), ends.tolist(), depth) == \
+            _spans_reference(s, start_depth)
+
+    check()
+
+
+def test_iter_feature_json_same_at_every_chunk_size(tmp_path):
+    """Line-delimited features past the 1 MiB head, some with quotes,
+    backslashes and braces in their strings, split the same at every
+    chunk size."""
+    base = feature_corpus.features()
+    feats = []
+    for i in range(3100):
+        f = json.loads(json.dumps(base[i % len(base)]))
+        f["id"] = i
+        if i % 7 == 0:
+            f["properties"]["name"] = f'a "q{i}" {{x}} \\ \\"}} end'
+        feats.append(f)
+    p = tmp_path / "flow.ndjson"
+    p.write_text("".join(json.dumps(f, separators=(",", ":")) + "\n"
+                         for f in feats))
+    assert p.stat().st_size > (1 << 20) + 8192
+    for chunk_size in (7, 64, 4096):
+        with open(p, "rb") as f:
+            got = [json.loads(s) for batch in
+                   gio.iter_feature_json(f, chunk_size=chunk_size)
+                   for s in batch]
+        assert got == feats, chunk_size
+
+
+@pytest.mark.parametrize("geometry", [
+    {"type": "LineString", "coordinates": [[1, 2, 3], [4, 5]]},
+    {"type": "Point", "coordinates": [1]},
+    {"type": "Polygon", "coordinates": [[[0, 0], [1], [0, 0]]]},
+    {"type": "Circle", "coordinates": [0, 0]},
+], ids=["short_later_position", "one_value_point", "one_value_ring_vertex",
+        "unknown_type"])
+def test_malformed_geometry_raises_value_error_at_parse(geometry):
+    feat = {"type": "Feature", "properties": {}, "geometry": geometry}
+    with pytest.raises(ValueError):
+        gio.parse_features_batch([json.dumps(feat)])
+    with pytest.raises(ValueError):
+        geometry_from_nested(geometry["type"], geometry["coordinates"])
+
+
+def test_longer_positions_truncate_to_first_dim():
+    g = geometry_from_nested("LineString", [[1, 2], [3, 4, 5]])
+    assert (g["dim"], g["coords"]) == (2, [1, 2, 3, 4])
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_features_batch_restores_gc_state(enabled):
+    """The collector pause ends with the batch, whether it parses or
+    raises, and a collector disabled by the caller stays disabled."""
+    good = [json.dumps(f) for f in feature_corpus.features(12)]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert gio.parse_features_batch(good).num_rows == 12
+        assert gc.isenabled() is enabled
+        with pytest.raises(json.JSONDecodeError):
+            gio.parse_features_batch(good[:3] + ['{"type": "Feature", '])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def _rings(kind: str, coordinates) -> list:
+    """The rings of a GeoJSON geometry, in the flat layout's order."""
+    if kind == "Point":
+        return [[coordinates]]
+    if kind in ("LineString", "MultiPoint"):
+        return [coordinates]
+    if kind in ("Polygon", "MultiLineString"):
+        return coordinates
+    return [ring for poly in coordinates for ring in poly]
+
+
+def _check_row(row: dict, f: dict) -> None:
+    """A canonical feature row carries exactly ``f``'s id, geometry and
+    properties (JSON numbers as doubles)."""
+    geom = f["geometry"]
+    rings = _rings(geom["type"], geom["coordinates"])
+    assert row["id"] == f["id"]
+    assert row["geom_type"] == GEOM_TYPE_CODES[geom["type"]]
+    assert row["dim"] == len(rings[0][0])
+    assert row["ring_sizes"] == [len(r) for r in rings]
+    assert row["coords"] == [v for r in rings for pt in r for v in pt]
+    props = f["properties"]
+    assert row["name"] == props["name"]
+    assert row["count"] == float(props["count"])
+    assert row["score"] == props["score"]
+    assert row["flag"] is props["flag"]
+
+
+def test_read_geojson_county(ray_session, tmp_path):
+    """``read_geojson`` through Ray yields every feature of a
+    FeatureCollection file, 3-D and empty-ring features included."""
+    path = str(tmp_path / "corpus.geojson")
+    n = feature_corpus.write_geojson(path)
+    rows = gio.read_geojson(path).take_all()
+    assert len(rows) == n
     by_id = {r["id"]: r for r in rows}
-    for f in ref[:20]:
-        row = by_id[f["id"]]
-        flat = [v for ring in f["geometry"]["coordinates"] for pt in ring for v in pt]
-        assert np.allclose(row["coords"], flat)
-        assert row["AREA"] == f["properties"]["AREA"]
+    feats = feature_corpus.features()
+    assert sorted(by_id) == [f["id"] for f in feats]
+    for f in feats:
+        _check_row(by_id[f["id"]], f)
+    assert {r["dim"] for r in rows} == {2, 3}
+    assert any(r["ring_sizes"][-1] == 0 for r in rows)
 
 
-@needs_ref
 def test_geojson_geobuf_roundtrip_pipelines(ray_session, tmp_path):
+    """GeoJSON -> geobuf -> one FeatureCollection file keeps every
+    feature's id, geometry (to the codec's 1e-7 grid) and properties."""
     from geobuf_ray.pipelines import convert
 
+    src = str(tmp_path / "corpus.geojson")
+    n = feature_corpus.write_geojson(src)
     gb_dir = str(tmp_path / "gb")
-    m1 = convert.geojson_to_geobuf(f"{REF}/county.geojson", gb_dir)
-    assert sum(m1["num_features"].to_pylist()) == 3304
+    m1 = convert.geojson_to_geobuf(src, gb_dir)
+    assert sum(m1["num_features"].to_pylist()) == n
 
     gj_dir = str(tmp_path / "gj")
-    single = str(tmp_path / "county_rt.geojson")
+    single = str(tmp_path / "corpus_rt.geojson")
     m2 = convert.geobuf_to_geojson(
         [p for p in m1["path"].to_pylist()], gj_dir, single_file=single)
-    assert sum(m2["num_features"].to_pylist()) == 3304
+    assert sum(m2["num_features"].to_pylist()) == n
 
     back = gj.load_feature_collection(single)
-    ref = gj.load_feature_collection(f"{REF}/county.geojson")
     by_id = {f["id"]: f for f in back}
-    assert len(by_id) == 3304
-    for f in ref[:30]:
+    feats = feature_corpus.features()
+    assert sorted(by_id) == [f["id"] for f in feats]
+    for f in feats:
         b = by_id[f["id"]]
-        ra = np.array([v for ring in f["geometry"]["coordinates"]
-                       for pt in ring for v in pt])
-        ba = np.array([v for ring in b["geometry"]["coordinates"]
-                       for pt in ring for v in pt])
-        assert len(ra) == len(ba)
+        kind = f["geometry"]["type"]
+        assert b["geometry"]["type"] == kind
+        want = _rings(kind, f["geometry"]["coordinates"])
+        if kind == "Point":
+            # the wire format keeps a Point's x and y only
+            want = [[want[0][0][:2]]]
+        got = _rings(kind, b["geometry"]["coordinates"])
+        assert [len(r) for r in got] == [len(r) for r in want]
+        assert [len(pt) for r in got for pt in r] == \
+            [len(pt) for r in want for pt in r]
+        ra = np.array([v for r in want for pt in r for v in pt])
+        ba = np.array([v for r in got for pt in r for v in pt])
         assert np.abs(ra - ba).max() <= 1.0000001e-7
-        assert b["properties"]["AREA"] == f["properties"]["AREA"]
-        # number->double rule: index survives as float
-        assert float(b["properties"]["index"]) == float(f["properties"]["index"])
+        # number -> double rule: integer properties come back as floats
+        assert b["properties"] == {**f["properties"],
+                                   "count": float(f["properties"]["count"])}
 
 
 def test_geobuf_to_geojson_empty_input_single_file(ray_session, tmp_path):

@@ -11,6 +11,7 @@ distributed stages multiply.
 Usage: python tools/codec_vs_json.py [N] [V]
        python tools/codec_vs_json.py --concurrent [P] [N] [V]
        python tools/codec_vs_json.py --batch-sizes 10,80,8000 [N] [V]
+       python tools/codec_vs_json.py --geojson-read [N] [V]
 Prints one JSON line with sizes, seconds, and speedups.
 
 ``--batch-sizes`` measures ``encode_batch``'s fixed cost per call: the
@@ -18,6 +19,14 @@ same N features (default 8,000 LineStrings of 8 vertices) are encoded
 in consecutive slices of each batch size, and the line reports the
 best-of-3 encode microseconds per feature at every size.  A small
 batch pays the per-call cost over few features.
+
+``--geojson-read`` measures the GeoJSON read kernel that feeds the
+encoder: N features (default 20,000 LineStrings of 32 vertices) are
+written as line-delimited GeoJSON to a temporary file, then split by
+``iter_feature_json`` and tabled by ``parse_features_batch``.  The line
+reports the best-of-3 microseconds per feature and the number of full
+(generation-2) garbage collections over the three runs, from
+``gc.get_stats()``.
 
 ``--concurrent`` mirrors the reference's 18x READ protocol
 (README.md:6 + geobuf_concurrent.go:23-33: goroutine-parallel feature
@@ -40,7 +49,10 @@ import numpy as np
 sys.path.insert(0, ".")
 
 from geobuf_ray.codec import decode, feature  # noqa: E402
-from geobuf_ray.io.geojson_io import parse_features_batch  # noqa: E402
+from geobuf_ray.io.geojson_io import (  # noqa: E402
+    iter_feature_json,
+    parse_features_batch,
+)
 
 GEOM_COLS = {"id", "gtype", "geom_type", "dim", "coords",
              "ring_sizes", "poly_sizes"}
@@ -136,7 +148,45 @@ def run_batch_sizes(sizes: list[int], n: int, v: int) -> None:
                       "encode_us_per_feature": per_feature}))
 
 
+def run_geojson_read(n: int, v: int) -> None:
+    """Microseconds per feature to split and table N NDJSON features."""
+    import gc
+    import os
+    import tempfile
+
+    fd, path = tempfile.mkstemp(suffix=".ndjson")
+    try:
+        with os.fdopen(fd, "w") as f:
+            for feat in build_features(n, v):
+                f.write(json.dumps(feat, separators=(",", ":")) + "\n")
+
+        def read() -> int:
+            rows = 0
+            with open(path, "rb") as f:
+                for strs in iter_feature_json(f):
+                    rows += parse_features_batch(strs).num_rows
+            return rows
+
+        full_before = gc.get_stats()[2]["collections"]
+        best, rows = best_of(3, read)
+        full = gc.get_stats()[2]["collections"] - full_before
+        size = os.path.getsize(path)
+    finally:
+        os.remove(path)
+    assert rows == n, rows
+    print(json.dumps({"mode": "geojson_read", "n": n, "vertices": v,
+                      "geojson_mb": round(size / 1e6, 2),
+                      "read_s": round(best, 3),
+                      "read_us_per_feature": round(best / n * 1e6, 2),
+                      "gen2_collections": full}))
+
+
 def main() -> None:
+    if len(sys.argv) > 1 and sys.argv[1] == "--geojson-read":
+        n = int(sys.argv[2]) if len(sys.argv) > 2 else 20_000
+        v = int(sys.argv[3]) if len(sys.argv) > 3 else 32
+        run_geojson_read(n, v)
+        return
     if len(sys.argv) > 1 and sys.argv[1] == "--batch-sizes":
         sizes = [int(x) for x in sys.argv[2].split(",")]
         n = int(sys.argv[3]) if len(sys.argv) > 3 else 8_000
