@@ -449,9 +449,21 @@ def _decode_geometries(data, scan, n):
     ring_gtype = np.repeat(gtype, rec_nrings)
     ring_vals = np.where(ring_gtype == POINT, np.minimum(ring_vals, 2 * ring_sizes_flat), ring_vals)
     ring_val_starts = np.concatenate(([0], np.cumsum(ring_vals)[:-1])) if len(ring_vals) else np.empty(0, np.int64)
-    assert int(ring_vals.sum()) == len(deltas), (
-        f"geometry value count mismatch: {ring_vals.sum()} != {len(deltas)}"
-    )
+    if int(ring_vals.sum()) != len(deltas):
+        # corrupt input (a ring prefix or a varint that runs past its
+        # record): name the first record whose rings claim a different
+        # value count than its bytes hold
+        want = np.bincount(np.repeat(np.arange(n), rec_nrings),
+                           weights=ring_vals, minlength=n)
+        nprefix = np.where(has_prefix & (nvals_per_rec > 0), rec_nrings
+                           + np.where(gtype == MULTIPOLYGON, rec_npolys, 0),
+                           0)
+        have = nvals_per_rec - nprefix
+        bad = np.flatnonzero(want != have)[0]
+        raise ValueError(
+            f"geometry value count mismatch in record {bad}: its rings "
+            f"claim {int(want[bad])} values, its geometry holds "
+            f"{int(have[bad])}")
     # cumsum resets at ring starts, per dimension: values are interleaved
     # point-major, so accumulate per dim via strided masks
     q = np.empty(len(deltas), np.int64)

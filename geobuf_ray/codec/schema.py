@@ -47,18 +47,6 @@ GEOM_TYPE_NAMES = {
 GEOM_TYPE_CODES = {v: k for k, v in GEOM_TYPE_NAMES.items()}
 
 
-def feature_schema(prop_fields: list[pa.Field] | None = None) -> pa.Schema:
-    fields = [
-        pa.field("id", pa.int64()),
-        pa.field("geom_type", pa.int8()),
-        pa.field("dim", pa.int8()),
-        pa.field("coords", pa.list_(pa.float64())),
-        pa.field("ring_sizes", pa.list_(pa.int32())),
-        pa.field("poly_sizes", pa.list_(pa.int32())),
-    ]
-    return pa.schema(fields + list(prop_fields or []))
-
-
 def property_columns(table: pa.Table) -> list[str]:
     """Columns of ``table`` that are feature properties."""
     return [c for c in table.column_names if c not in RESERVED_COLUMNS]

@@ -18,9 +18,6 @@ import numpy as np
 _U64 = np.uint64
 _MAX_VARINT_BYTES = 10
 
-# byte-length thresholds: a uint64 v needs k+1 bytes iff v >= 2**(7k)
-_THRESHOLDS = np.array([1 << (7 * k) for k in range(1, 10)], dtype=np.uint64)
-
 
 def zigzag_encode(values: np.ndarray) -> np.ndarray:
     """int64 -> uint64 zigzag, matching ``paramEnc`` (geom.go:182-184).
@@ -49,22 +46,6 @@ def zigzag_decode(values: np.ndarray) -> np.ndarray:
     u = np.ascontiguousarray(values, dtype=_U64)
     return ((u >> _U64(1)).view(np.int64)
             ^ -((u & _U64(1)).view(np.int64)))
-
-
-def varint_byte_lengths(values: np.ndarray) -> np.ndarray:
-    """Number of varint bytes (1..10) for each uint64/uint32 value
-    (uint32 input compares at half width — no upcast pass)."""
-    v = values if values.dtype == np.uint32 else values.astype(
-        _U64, copy=False)
-    nb = np.ones(len(v), dtype=np.int64)
-    if len(v) == 0:
-        return nb
-    vmax = v.max()
-    for t in _THRESHOLDS:
-        if vmax < t:  # geo deltas are mostly <= 4 bytes: skip the rest
-            break
-        nb += v >= v.dtype.type(t)
-    return nb
 
 
 def varint_encode(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -68,7 +68,7 @@ class BruteForceTopK:
 
 def topk_reduce(partials: pa.Table, k: int) -> pa.Table:
     """Final top-k per query from per-batch partials (small driver-side
-    reduce; at scale this is a groupby(query_id).map_groups)."""
+    reduce; at scale this is a ``grouped_exchange`` on query_id)."""
     df = partials.to_pandas()
     df = df.sort_values(["query_id", "cosine", "vec_id"],
                         ascending=[True, False, True], kind="stable")

@@ -2,9 +2,9 @@
 
 Five flavors (all keyed shuffles or broadcast stages, SURVEY.md §7):
 
-- exact: hash(key columns) -> groupby(hash) -> keep first by order col.
-- MinHash+LSH: word shingles -> k minhashes -> b bands -> groupby band
-  bucket -> verified candidate pairs -> connected components -> keep
+- exact: hash(key columns) -> hash exchange -> keep first by order col.
+- MinHash+LSH: word shingles -> k minhashes -> b bands -> exchange on
+  band bucket -> verified candidate pairs -> connected components -> keep
   cluster representative.
 - SimHash: 64-bit weighted token hash; Hamming-ball buckets by bit
   blocks (pigeonhole: dist<=3 pairs share >=1 of 4 16-bit blocks).
@@ -292,7 +292,7 @@ def connected_components(pairs: list[tuple[int, int]]) -> dict[int, int]:
 
     Driver-side: |pairs| is O(number of duplicates), tiny relative to
     the corpus.  At extreme scale replace with iterative min-label
-    propagation: groupby(node).min(label) repeated until fixpoint.
+    propagation: a min(label) exchange on node, repeated until fixpoint.
     """
     parent: dict[int, int] = {}
 
@@ -524,7 +524,7 @@ def minhash_candidate_pairs(ds, *, text_col="text", id_col="doc_id",
 
     Returns a pyarrow Table (id_a, id_b, est_jaccard, truncated) —
     estimated from signature agreement, deduplicated across bands.
-    Sub-quadratic: the only shuffle is groupby(bucket).  Buckets wider
+    Sub-quadratic: the only shuffle is the bucket exchange.  Buckets wider
     than ``bucket_cap`` (degenerate boilerplate) skip pairwise verify:
     a distributed star-link emits ``truncated=True`` membership pairs
     (``est_jaccard`` null) instead — bounded driver memory and
@@ -685,12 +685,6 @@ def simhash64(col) -> np.ndarray:
     packed = np.packbits((score > 0), axis=1, bitorder="little")
     out[nz] = packed.copy().view(np.uint64).reshape(-1)
     return out
-
-
-def simhash_batch(batch: pa.Table, text_col="text") -> pa.Table:
-    h = simhash64(batch[text_col])
-    out = batch.select([c for c in batch.column_names if c != text_col])
-    return out.append_column("simhash", pa.array(h, pa.uint64()))
 
 
 def hamming_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:

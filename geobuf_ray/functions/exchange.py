@@ -47,7 +47,7 @@ keep an explicit ``nbuckets``.  Past ~10^7 fragments, pass
 bucket id) — same primitive, composed.
 
 Skew: the bucket key is a HASH of the join key, so hot single keys are
-the only irreducible skew; salt at the caller (as `knn_cell_join` and
+the only irreducible skew; salt at the caller (as `knn_s2_join` and
 the LSH dedups do) by extending the key with a salt column.
 
 Fault tolerance / resume: all fragments are plain Ray objects — a lost

@@ -3,20 +3,22 @@
 The reference has no relational join at all; the broadcast-lookup path
 (queries.py `_broadcast_lookup_aggregate`) covers small dimension
 tables.  This operator is the missing fact x fact path: BOTH sides are
-hash-partitioned on the join key through ONE Ray Data shuffle each and
-co-grouped per bucket, where a vectorized sort + searchsorted kernel
-expands the matches — no per-row Python, no driver materialization of
-either side.
+hash-partitioned on the join key through the engine's one shuffle
+(``functions/exchange.py``) and co-grouped per bucket, where a
+vectorized sort + searchsorted kernel expands the matches — no per-row
+Python, no driver materialization of either side.
 
 Shape (the only one that survives 100 TB):
 
-    left  -> stamp (__bucket = hash(key) % nbuckets, __side=0)
-    right -> stamp (__bucket, __side=1)          [columns null-padded
-    union -> groupby(__bucket).map_groups(local vectorized hash join)
+    left, right -> split each by hash(key) % nbuckets
+    hash_cogroup -> per bucket: local vectorized hash join
 
-``nbuckets`` bounds the per-group working set: pick it so the largest
-bucket (both sides) fits a worker's heap; skewed keys can be salted by
-raising nbuckets since the bucket key is a HASH, not the raw key.
+Each side ships only its own columns.  ``nbuckets`` bounds the
+per-bucket working set: pick it so the largest bucket (both sides)
+fits a worker's heap; hot keys are salted (``hot_keys=``) since the
+bucket key is a HASH, not the raw key.  The binned joins
+(:func:`range_join`, :func:`interval_overlap_join`) co-locate their
+bins through ``grouped_exchange`` on the same exchange.
 """
 
 from __future__ import annotations
@@ -434,8 +436,13 @@ def range_join(points, intervals, *, value: str, lo: str, hi: str,
     the point's bin — no dedup pass.  Pick ``bin_width`` near the
     median interval length: too wide co-locates unrelated rows, too
     narrow amplifies the interval fan-out (the same trade-off as the
-    tile zoom in the spatial joins).
+    tile zoom in the spatial joins).  The bins co-locate through
+    :func:`~geobuf_ray.functions.exchange.grouped_exchange`, which
+    sizes its bucket count from the input's bytes.
     """
+    from ..codec.varint import ramp
+    from .exchange import grouped_exchange
+
     p_schema = points_schema if points_schema is not None else points.schema()
     i_schema = (intervals_schema if intervals_schema is not None
                 else intervals.schema())
@@ -465,8 +472,6 @@ def range_join(points, intervals, *, value: str, lo: str, hi: str,
         b1 = np.maximum(b1, b0)
         cnt = b1 - b0 + 1
         rows = np.repeat(np.arange(batch.num_rows), cnt)
-        from ..codec.varint import ramp
-
         bins = np.repeat(b0, cnt) + ramp(cnt)
         taken = batch.take(pa.array(rows, pa.int64()))
         cols = {}
@@ -487,16 +492,16 @@ def range_join(points, intervals, *, value: str, lo: str, hi: str,
 
     lo_out = lo + rsuffix if lo in p_names else lo
     hi_out = hi + rsuffix if hi in p_names else hi
+    out_schema = pa.schema(
+        [(n, p_types[n]) for n in p_names]
+        + [(on_, i_types[n]) for n, on_ in zip(i_names, out_i_names)])
 
     def join_bin(group: pa.Table) -> pa.Table:
         side = group["__side"].to_numpy(zero_copy_only=False)
         pi = np.flatnonzero(side == 0)
         ii = np.flatnonzero(side == 1)
-        empty = {n: pa.array([], type=p_types[n]) for n in p_names}
-        for n, on_ in zip(i_names, out_i_names):
-            empty[on_] = pa.array([], type=i_types[n])
         if len(pi) == 0 or len(ii) == 0:
-            return pa.table(empty)
+            return out_schema.empty_table()
         v = group[value].to_numpy(zero_copy_only=False)[pi].astype(np.float64)
         lov = group[lo_out].to_numpy(zero_copy_only=False)[ii].astype(np.float64)
         hiv = group[hi_out].to_numpy(zero_copy_only=False)[ii].astype(np.float64)
@@ -506,8 +511,6 @@ def range_join(points, intervals, *, value: str, lo: str, hi: str,
         # bin overlaps it, so false candidates are bounded by intervals
         # ENDING inside the bin below v — output-proportional work
         cnt = np.searchsorted(lov_s, v, side="right")
-        from ..codec.varint import ramp
-
         p_exp = np.repeat(np.arange(len(pi)), cnt)
         i_exp = order[ramp(cnt)]
         keep = hiv[i_exp] > v[p_exp]
@@ -519,8 +522,7 @@ def range_join(points, intervals, *, value: str, lo: str, hi: str,
             cols[on_] = itab[on_]
         return pa.table(cols)
 
-    return tagged.groupby("__bin").map_groups(
-        join_bin, batch_format="pyarrow")
+    return grouped_exchange(tagged, "__bin", join_bin, schema=out_schema)
 
 
 def asof_join(left, right, on, *, left_time: str, right_time: str,

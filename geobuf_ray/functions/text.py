@@ -177,36 +177,6 @@ def fingerprint_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     return out.append_column("fingerprint", pa.array(h, pa.uint64()))
 
 
-def rolling_fingerprints(col, window: int = 64, stride: int = 32) -> list[np.ndarray]:
-    """Per-row set of rolling-window hashes (document shingling for
-    near-dup detection).  Returns one uint64 array per row."""
-    data, offs = _string_parts(col)
-    out = []
-    base = _FP_BASE
-    powers = None
-    for i in range(len(offs) - 1):
-        s, e = offs[i], offs[i + 1]
-        b = data[s:e].astype(np.uint64)
-        if len(b) < window:
-            h = np.full(1, _FP_OFFSET, np.uint64)
-            for x in b:
-                h = (h ^ x) * base
-            out.append(h)
-            continue
-        if powers is None:
-            # wrapping uint64 powers, built once per call via a
-            # vectorized cumprod (scalar multiplies warned on overflow)
-            with np.errstate(over="ignore"):
-                powers = np.concatenate((
-                    [np.uint64(1)],
-                    np.cumprod(np.full(window - 1, base, np.uint64)))).astype(np.uint64)
-        starts = np.arange(0, len(b) - window + 1, stride)
-        idx = starts[:, None] + np.arange(window)[None, :]
-        h = (b[idx] * powers[::-1][None, :]).sum(axis=1, dtype=np.uint64)
-        out.append(h)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # corpus vocabulary (document frequency / term frequency)
 # ---------------------------------------------------------------------------
@@ -250,7 +220,7 @@ def top_terms(ds, k: int = 50, *, text_col: str = "text",
     lexically smaller term).
 
     Shape at scale: block partials shrink the stream to (term, tf, df)
-    rows; a hash-bucket ``groupby(bucket).map_groups`` sums each term's
+    rows; a hash exchange on the term bucket sums each term's
     partials AND emits only that bucket's local top-k, so the driver
     merges a bounded k x nbuckets candidate set — the unbounded
     web-scale vocabulary never centralizes (same partial-top-k shape as

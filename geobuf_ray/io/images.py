@@ -634,7 +634,7 @@ def mosaic_tiles(ds, *, zoom: int = 4, cell: int = 32, max_images: int = 16,
 
     Group key and member order are deterministic (image_id ascending),
     so the mosaic bytes are reproducible regardless of chunking.  The
-    pixel work runs inside ``groupby(tile).map_groups`` — one shuffle
+    pixel work runs inside ``grouped_exchange`` on ``tile`` — one shuffle
     of (small) image payloads keyed by tile, bounded per-group memory
     (``max_images`` x cell^2 x 3).
     """

@@ -2925,12 +2925,14 @@ def events_user_freq_cms(sf_dir: str, width: int = 4096, depth: int = 4):
             "user_id": t["user_id"],
             "one": pa.array(np.ones(t.num_rows, np.int64))})
 
-    exact_tbl = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id"]) \
+    exact_tbl = _final_combine(
+        ray.data.read_parquet(f"{sf_dir}/events.parquet",
+                              columns=["user_id"])
         .map_batches(probe_counts, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("user_id").sum("one").to_pandas()
-    exact_map = dict(zip(exact_tbl["user_id"], exact_tbl["sum(one)"]))
+                     zero_copy_batch=True),
+        ["user_id"], ["one"])
+    exact_map = dict(zip(exact_tbl["user_id"].to_pylist(),
+                         exact_tbl["one"].to_pylist()))
     exact = np.array([int(exact_map.get(int(u), 0)) for u in probe],
                      np.int64)
     bound = int(np.ceil(np.e / width * total))
@@ -3035,53 +3037,52 @@ def min_price_lineitems(sf_dir: str):
     key, keeping the rows that realize their group minimum.
 
     The aggregate side is built scale-safely: per-batch partial mins
-    (one lexsort + minimum.reduceat) -> skinny 3-column shuffle on a
-    hash bucket -> per-bucket final min.  Neither side materializes on
+    (one lexsort + minimum.reduceat) -> skinny 3-column hash exchange
+    on the key -> per-bucket final min.  Neither side materializes on
     the driver."""
     import ray
 
+    from ..functions.exchange import hash_exchange
     from ..functions.join import hash_join
 
     li = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice"])
 
-    def _group_min(p, s, v):
-        order = np.lexsort((s, p))
-        ps, ss, vs = p[order], s[order], v[order]
-        new = np.concatenate(([True], (ps[1:] != ps[:-1]) | (ss[1:] != ss[:-1])))
-        starts = np.flatnonzero(new)
-        return ps[starts], ss[starts], np.minimum.reduceat(vs, starts)
+    mins_schema = pa.schema([("l_partkey", pa.int64()),
+                             ("l_suppkey", pa.int64()),
+                             ("mp", pa.float64())])
 
-    def partial_min(batch: pa.Table) -> pa.Table:
-        p = batch["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        s = batch["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = batch["l_extendedprice"].to_numpy(zero_copy_only=False)
-        pk, sk, mn = _group_min(p, s, v)
-        bucket = ((pk * np.int64(1000003) + sk) % 128).astype(np.int32)
-        return pa.table({"l_partkey": pa.array(pk), "l_suppkey": pa.array(sk),
-                         "mp": pa.array(mn), "__b": pa.array(bucket)})
+    def min_per_key(price_col: str):
+        """Per-(part, supp) minimum of ``price_col``: the block partial
+        over ``l_extendedprice``, then the bucket final over ``mp``."""
+        def fn(tbl: pa.Table) -> pa.Table:
+            if tbl.num_rows == 0:  # an exchange bucket can be empty
+                return mins_schema.empty_table()
+            p = tbl["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
+            s = tbl["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
+            v = tbl[price_col].to_numpy(zero_copy_only=False)
+            order = np.lexsort((s, p))
+            ps, ss, vs = p[order], s[order], v[order]
+            new = np.concatenate(([True], (ps[1:] != ps[:-1]) | (ss[1:] != ss[:-1])))
+            starts = np.flatnonzero(new)
+            return pa.table({"l_partkey": pa.array(ps[starts]),
+                             "l_suppkey": pa.array(ss[starts]),
+                             "mp": pa.array(np.minimum.reduceat(vs, starts))})
+        return fn
 
-    def final_min(group: pa.Table) -> pa.Table:
-        p = group["l_partkey"].to_numpy(zero_copy_only=False)
-        s = group["l_suppkey"].to_numpy(zero_copy_only=False)
-        v = group["mp"].to_numpy(zero_copy_only=False)
-        pk, sk, mn = _group_min(p, s, v)
-        return pa.table({"l_partkey": pa.array(pk), "l_suppkey": pa.array(sk),
-                         "mp": pa.array(mn)})
-
-    mins = (li.map_batches(partial_min, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby("__b").map_groups(final_min, batch_format="pyarrow"))
+    mins = hash_exchange(
+        li.map_batches(min_per_key("l_extendedprice"),
+                       batch_format="pyarrow", zero_copy_batch=True),
+        on=["l_partkey", "l_suppkey"], reduce_fn=min_per_key("mp"),
+        schema=mins_schema)
     joined = hash_join(
         li, mins, on=["l_partkey", "l_suppkey"], nbuckets=32,
         left_schema=pa.schema([("l_orderkey", pa.int64()),
                                ("l_partkey", pa.int64()),
                                ("l_suppkey", pa.int64()),
                                ("l_extendedprice", pa.float64())]),
-        right_schema=pa.schema([("l_partkey", pa.int64()),
-                                ("l_suppkey", pa.int64()),
-                                ("mp", pa.float64())]))
+        right_schema=mins_schema)
 
     def keep_min(batch: pa.Table) -> pa.Table:
         price = batch["l_extendedprice"].to_numpy(zero_copy_only=False)

@@ -543,13 +543,6 @@ def split_combine_keys(
                         write_bbox, combine_path)
 
 
-def tile_counts(ds, zoom: int, bounds=None, **map_kwargs):
-    """Per-tile feature counts — the manifest aggregate
-    (groupby(tile).count(), SURVEY.md §2.6 A3)."""
-    tiled = assign_tiles(ds, zoom, bounds, **map_kwargs)
-    return tiled.groupby("tile_str").count()
-
-
 def adaptive_tile_assign(points, *, lon_col: str = "lon",
                          lat_col: str = "lat", zmin: int, zmax: int,
                          cap: int, id_col: str | None = None):
@@ -708,8 +701,9 @@ def _rollup_level(manifest: pa.Table, out_dir: str,
     Exact for DISJOINT assignments (points, or ``clip=True`` pieces);
     a bbox-fanout feature covering several child tiles would appear
     once per child in the parent — use the clipped pipeline for
-    area features.  Distributed: one ``map_groups`` over the (small)
-    manifest, each parent task streams only its own children."""
+    area features.  Distributed: one ``grouped_exchange`` on
+    ``parent`` over the (small) manifest, each parent group streams
+    only its own children."""
     import os
     import time
     import uuid
@@ -718,6 +712,7 @@ def _rollup_level(manifest: pa.Table, out_dir: str,
     import ray
 
     from ..collect import collect_table
+    from ..functions.exchange import grouped_exchange
     from ..io.geobuf_file import _MANIFEST_SCHEMA, _write_atomic
     from ..state import checkpoint as ck
 
@@ -773,8 +768,8 @@ def _rollup_level(manifest: pa.Table, out_dir: str,
     fresh = _MANIFEST_SCHEMA.empty_table()
     if mt.num_rows:
         fresh = collect_table(
-            ray.data.from_arrow(mt).groupby("parent").map_groups(
-                write_parent, batch_format="pyarrow"),
+            grouped_exchange(ray.data.from_arrow(mt), "parent",
+                             write_parent, schema=_MANIFEST_SCHEMA),
             _MANIFEST_SCHEMA)
     pm = pa.concat_tables([fresh, done_rows])
     pq.write_table(pm, os.path.join(out_dir, "_manifest.parquet"))

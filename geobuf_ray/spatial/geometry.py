@@ -1,5 +1,4 @@
-"""Vectorized geometry kernels: bbox, intersection, point-in-polygon,
-haversine.
+"""Vectorized geometry kernels: bbox, point-in-polygon, haversine.
 
 The reference's only geometric predicates are 1-D interval overlap
 (``Intersect`` / ``Overlapping_1D``, splitcombine/split_combine.go:
@@ -51,15 +50,6 @@ def feature_bbox(coords: np.ndarray, feat_offsets: np.ndarray, dim: np.ndarray):
     return out
 
 
-def bbox_intersects(b1: np.ndarray, b2_w, b2_s, b2_e, b2_n) -> np.ndarray:
-    """Row-wise bbox-vs-bbox overlap — ``Intersect`` (split_combine.go:
-    314-331): two 1-D interval overlaps."""
-    return (
-        (b1[:, 0] <= b2_e) & (b1[:, 2] >= b2_w)
-        & (b1[:, 1] <= b2_n) & (b1[:, 3] >= b2_s)
-    )
-
-
 def point_in_rings(
     px: np.ndarray,
     py: np.ndarray,
@@ -106,26 +96,3 @@ def haversine_m(lon1, lat1, lon2, lat2) -> np.ndarray:
     dlat = lat2 - lat1
     h = np.sin(dlat / 2.0) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
-
-
-def polygon_centroids(coords, feat_offsets, dim):
-    """Per-feature vertex-mean centroid (lon, lat) — cheap anchor for
-    cell assignment; exact area centroid is unnecessary for keying."""
-    n = len(feat_offsets) - 1
-    counts = np.diff(feat_offsets)
-    d = np.maximum(dim, 1)
-    local = np.arange(len(coords)) - np.repeat(feat_offsets[:-1], counts)
-    dd = np.repeat(d, counts)
-    is_x = (local % dd) == 0
-    is_y = (local % dd) == 1
-    npts = counts // d
-    cx = np.full(n, np.nan)
-    cy = np.full(n, np.nan)
-    nz = npts > 0
-    if nz.any():
-        fi = np.repeat(np.arange(n), counts)
-        sx = np.bincount(fi[is_x], weights=coords[is_x], minlength=n)
-        sy = np.bincount(fi[is_y], weights=coords[is_y], minlength=n)
-        cx[nz] = sx[nz] / npts[nz]
-        cy[nz] = sy[nz] / npts[nz]
-    return cx, cy

@@ -112,24 +112,6 @@ def hex_k_ring(k: int):
     return qs[keep].astype(np.int64), rs[keep].astype(np.int64)
 
 
-def hex_assign(ds, *, lon_col: str = "lon", lat_col: str = "lat",
-               size: float = 1.0, q_col: str = "hex_q",
-               r_col: str = "hex_r"):
-    """Stamp every row with its axial hex cell — the partitioning key
-    for hex co-group stages (use ``hash_exchange(on=[q_col, r_col])``
-    downstream)."""
-
-    def stamp(batch: pa.Table) -> pa.Table:
-        lon = batch[lon_col].to_numpy(zero_copy_only=False)
-        lat = batch[lat_col].to_numpy(zero_copy_only=False)
-        q, r = hex_axial(lon, lat, size)
-        return batch.append_column(q_col, pa.array(q)) \
-                    .append_column(r_col, pa.array(r))
-
-    return ds.map_batches(stamp, batch_format="pyarrow",
-                          zero_copy_batch=True)
-
-
 def _pack_cells(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Collision-free int64 packing of axial cells (|q|,|r| < 2^31)."""
     return q * np.int64(1) << np.int64(32) | (r & np.int64(0xFFFFFFFF))

@@ -11,12 +11,13 @@ construct is the feature→tile flat-map.  This module generalizes it:
   operator; points stream through ``map_batches`` tasks that prune by
   cell then refine with exact ray-casting PIP — broadcast hash join,
   no shuffle.
-- **large-polygon variant**: when the polygon side is too big to
-  broadcast, both sides shuffle on cell (`groupby(cell).map_groups`)
-  — a co-partitioned equi-join on cell with PIP refinement.
-- **kNN**: candidate generation via k-ring of the query point's cell
-  (boundary shuffle) + exact haversine top-k refinement; falls back to
-  widening rings so results are exact, matching a brute-force oracle.
+- **S2 shuffle joins** (``pip_s2_join``, ``knn_s2_join``): when
+  neither side fits a broadcast, both sides key on S2 cells and
+  co-group on the hash exchange (``functions/exchange.py``), with
+  exact refinement per cell.
+- **kNN**: exact broadcast top-k (``knn_join``), or the S2 shuffle,
+  where refs fan out to every cell within a radius and rows the
+  radius cannot certify come back ``truncated``.
 """
 
 from __future__ import annotations
@@ -185,8 +186,8 @@ class _KNNFn:
     against a broadcast reference point set (haversine).
 
     Exact (no pruning) — the oracle-matching baseline.  For large
-    reference sets use :func:`knn_cell_join` which prunes by k-ring
-    cells first.
+    reference sets use :func:`knn_s2_join`, which prunes by S2 cell
+    first.
     """
 
     def __init__(self, ref_points, k: int, lon_col: str, lat_col: str):
@@ -257,272 +258,6 @@ def knn_join(
         zero_copy_batch=True,
         **map_kwargs,
     )
-
-
-def add_cell_column(ds, zoom: int, lon_col: str = "lon", lat_col: str = "lat",
-                    out_col: str = "cell", **map_kwargs):
-    """Stamp the packed cell key of each row's point — the ONE
-    partitioning key reused across stages (SURVEY.md §7)."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        lon = batch[lon_col].combine_chunks().to_numpy(zero_copy_only=False).astype(np.float64)
-        lat = batch[lat_col].combine_chunks().to_numpy(zero_copy_only=False).astype(np.float64)
-        x, y = tiles.lonlat_to_tile(lon, lat, zoom)
-        keys = tiles.pack(np.full(len(x), zoom, np.int64), x, y)
-        return batch.append_column(out_col, pa.array(keys, pa.uint64()))
-
-    return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True, **map_kwargs)
-
-
-# ---------------------------------------------------------------------------
-# shuffle kNN (groupby-on-cell + boundary-ring)
-# ---------------------------------------------------------------------------
-
-
-def knn_cell_join(
-    points_ds,
-    ref_table: pa.Table,
-    k: int = 5,
-    *,
-    zoom: int = 6,
-    ring: int = 1,
-    lon_col: str = "lon",
-    lat_col: str = "lat",
-    id_col: str = "custkey",
-    ref_lon_col: str = "lon",
-    ref_lat_col: str = "lat",
-    ref_id_col: str = "id",
-):
-    """Shuffle kNN: co-partition points and boundary-duplicated refs by
-    cell; exact local top-k per cell (north_rule's "kNN via
-    groupby-on-cell plus boundary-ring shuffle").
-
-    Each reference point is flat-mapped to every cell within ``ring``
-    of its own (the k-ring boundary shuffle, tiles.k_ring), so a cell's
-    group holds every candidate within ``ring`` cells of it; ONE
-    all-to-all shuffle co-locates them with the points.
-
-    PARTITIONING ASSUMPTION (documented per the brief): a point's true
-    k nearest neighbors lie within ``ring`` cells of its cell at
-    ``zoom``.  Rows where that cannot be certified — the kth candidate
-    distance exceeds the guaranteed covered radius (>= ``ring`` full
-    cell extents from anywhere in the cell), or fewer than k candidates
-    landed in the group — are flagged ``truncated=True`` so callers can
-    re-run just those with a larger ring / coarser zoom.  The broadcast
-    :func:`knn_join` is the small-ref-side exact path.
-    """
-    import ray
-
-    rlon = ref_table[ref_lon_col].combine_chunks().to_numpy(zero_copy_only=False).astype(np.float64)
-    rlat = ref_table[ref_lat_col].combine_chunks().to_numpy(zero_copy_only=False).astype(np.float64)
-    rid = ref_table[ref_id_col].combine_chunks().to_numpy(zero_copy_only=False).astype(np.int64)
-    rx, ry = tiles.lonlat_to_tile(rlon, rlat, zoom)
-    rkey = tiles.pack(np.full(len(rx), zoom, np.int64), rx, ry)
-    # boundary duplication: one ref row per k-ring member cell
-    # (vectorized; edge clipping can repeat a cell -> dedupe per pair)
-    row_idx, nkeys = tiles.k_ring(rkey, ring)
-    order = np.lexsort((nkeys, row_idx))
-    ri_, nk_ = row_idx[order], nkeys[order]
-    keep = np.concatenate(([True],
-                           (ri_[1:] != ri_[:-1]) | (nk_[1:] != nk_[:-1])))
-    ri_, nk_ = ri_[keep], nk_[keep]
-    ref_rows = pa.table({
-        "cell": pa.array(nk_, pa.uint64()),
-        "lon": pa.array(rlon[ri_]),
-        "lat": pa.array(rlat[ri_]),
-        "pid": pa.array(rid[ri_]),
-        "is_ref": pa.array(np.ones(len(ri_), bool)),
-    })
-
-    def to_common(batch: pa.Table) -> pa.Table:
-        lon = batch[lon_col].combine_chunks().to_numpy(zero_copy_only=False).astype(np.float64)
-        lat = batch[lat_col].combine_chunks().to_numpy(zero_copy_only=False).astype(np.float64)
-        pid = batch[id_col].combine_chunks().to_numpy(zero_copy_only=False).astype(np.int64)
-        x, y = tiles.lonlat_to_tile(lon, lat, zoom)
-        key = tiles.pack(np.full(len(x), zoom, np.int64), x, y)
-        return pa.table({
-            "cell": pa.array(key, pa.uint64()),
-            "lon": pa.array(lon), "lat": pa.array(lat),
-            "pid": pa.array(pid),
-            "is_ref": pa.array(np.zeros(len(x), bool)),
-        })
-
-    pts = points_ds.map_batches(to_common, batch_format="pyarrow",
-                                zero_copy_batch=True)
-    both = pts.union(ray.data.from_arrow(ref_rows))
-
-    # guaranteed covered radius from anywhere inside a cell at this zoom
-    # (conservative: uses the most poleward latitude of the covered block)
-    earth_c = 40075016.686
-
-    def local_knn(group: pa.Table) -> pa.Table:
-        is_ref = group["is_ref"].to_numpy(zero_copy_only=False)
-        if is_ref.all():
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "rank": pa.array([], pa.int32()),
-                             "neighbor_id": pa.array([], pa.int64()),
-                             "distance_m": pa.array([], pa.float64()),
-                             "truncated": pa.array([], pa.bool_())})
-        lon = group["lon"].to_numpy(zero_copy_only=False)
-        lat = group["lat"].to_numpy(zero_copy_only=False)
-        pid = group["pid"].to_numpy(zero_copy_only=False)
-        qm = ~is_ref
-        qlon, qlat, qid = lon[qm], lat[qm], pid[qm]
-        if not is_ref.any():
-            # zero candidates in the k-ring: the contract promises a
-            # truncated flag, not a silently missing point
-            return pa.table({
-                id_col: pa.array(qid.astype(np.int64)),
-                "rank": pa.array(np.zeros(len(qid), np.int32)),
-                "neighbor_id": pa.array(np.full(len(qid), -1, np.int64)),
-                "distance_m": pa.array(np.full(len(qid), np.inf)),
-                "truncated": pa.array(np.ones(len(qid), bool)),
-            })
-        # refs deduplicated (a ref lands once per group by construction)
-        rl, rt, ri = lon[is_ref], lat[is_ref], pid[is_ref]
-        kk = min(k, len(ri))
-        # block the (queries x refs) matrix like _KNNFn — a dense cell
-        # with many queries times many fanned-in refs must not allocate
-        # the full product at once
-        blk = max(1, (1 << 22) // max(len(ri), 1))
-        nbr_parts, dist_parts = [], []
-        for s_ in range(0, len(qid), blk):
-            e_ = min(len(qid), s_ + blk)
-            d = haversine_m(qlon[s_:e_, None], qlat[s_:e_, None],
-                            rl[None, :], rt[None, :])
-            part = np.argpartition(d, kth=kk - 1, axis=1)[:, :kk]
-            dd = np.take_along_axis(d, part, axis=1)
-            # deterministic tie-break: (distance, neighbor id), matching
-            # the SQL ORDER BY dist, id oracle regardless of group order
-            order = np.lexsort((ri[part], dd), axis=1)
-            nbr_parts.append(np.take_along_axis(part, order, axis=1))
-            dist_parts.append(np.take_along_axis(dd, order, axis=1))
-        nbrs = np.concatenate(nbr_parts)
-        dists = np.concatenate(dist_parts)
-        # certified radius: anywhere in this cell is >= ring ground cell
-        # extents from the nearest uncovered cell; Web Mercator ground
-        # extent ~ C*cos(lat)/2^z, minimized at the block's most
-        # poleward row (computed from the block's real bounds)
-        cell = int(group["cell"][0].as_py())
-        z, cx, cy = (int(v[0]) for v in tiles.unpack(
-            np.asarray([cell], np.uint64)))
-        y_top = max(cy - ring, 0)
-        y_bot = min(cy + ring, (1 << z) - 1)
-        _, _, _, n_top = tiles.tile_bounds(
-            np.asarray([cx]), np.asarray([y_top]), z)
-        _, s_bot, _, _ = tiles.tile_bounds(
-            np.asarray([cx]), np.asarray([y_bot]), z)
-        lat_extreme = max(abs(float(np.asarray(n_top).reshape(-1)[0])),
-                          abs(float(np.asarray(s_bot).reshape(-1)[0])))
-        radius = ring * earth_c * np.cos(np.radians(lat_extreme)) / (1 << z)
-        truncated = (dists[:, kk - 1] > radius) | (len(ri) < k)
-        return pa.table({
-            id_col: pa.array(np.repeat(qid, kk)),
-            "rank": pa.array(np.tile(np.arange(1, kk + 1, dtype=np.int32),
-                                     len(qid))),
-            "neighbor_id": pa.array(ri[nbrs].reshape(-1)),
-            "distance_m": pa.array(dists.reshape(-1)),
-            "truncated": pa.array(np.repeat(truncated, kk)),
-        })
-
-    return both.groupby("cell").map_groups(local_knn, batch_format="pyarrow")
-
-
-# ---------------------------------------------------------------------------
-# shuffle PIP (co-partitioned on cell — the large-polygon-side variant)
-# ---------------------------------------------------------------------------
-
-
-def pip_cell_join(
-    points_ds,
-    polygons_ds,
-    *,
-    zoom: int = 9,
-    lon_col: str = "lon",
-    lat_col: str = "lat",
-    point_id_col: str = "custkey",
-    poly_id_col: str = "id",
-):
-    """Point-in-polygon join with BOTH sides distributed: polygons
-    flat-map to the cells their bbox covers, points key on their cell,
-    ONE shuffle co-locates them, and each cell group refines with exact
-    ray-casting PIP (a local :class:`PolygonIndex`).
-
-    Use when the polygon side is too large to broadcast (the
-    :func:`point_in_polygon_join` small-side path).  Candidate sets per
-    point are identical to the broadcast path, so results match it
-    exactly.  Skewed cells: polygons fan out by bbox cover, so a dense
-    cell's group holds only the polygons overlapping it — salt the
-    POINT side upstream if one cell's point count dominates.
-    """
-    import ray
-
-    from ..codec.schema import list_column_parts
-    from .geometry import feature_bbox
-
-    def polys_to_cells(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        coords, offs = list_column_parts(batch["coords"], np.float64)
-        dim = (batch["dim"].combine_chunks().to_numpy(zero_copy_only=False).astype(np.int64)
-               if "dim" in batch.column_names else np.full(n, 2, np.int64))
-        bb = feature_bbox(coords, offs, dim)
-        rows, keys = tiles.bbox_cover_rows(bb, zoom)
-        taken = batch.take(pa.array(rows, pa.int64()))
-        return pa.table({
-            "cell": pa.array(keys, pa.uint64()),
-            "is_poly": pa.array(np.ones(len(rows), bool)),
-            "pid": taken[poly_id_col].cast(pa.int64()),
-            "lon": pa.array(np.zeros(len(rows))),
-            "lat": pa.array(np.zeros(len(rows))),
-            "coords": taken["coords"],
-            "ring_sizes": taken["ring_sizes"],
-            "dim": (taken["dim"].cast(pa.int8()) if "dim" in taken.column_names
-                    else pa.array(np.full(len(rows), 2, np.int8))),
-        })
-
-    empty_list_f = pa.array([None], pa.list_(pa.float64()))
-    empty_list_i = pa.array([None], pa.list_(pa.int32()))
-
-    def points_to_cells(batch: pa.Table) -> pa.Table:
-        lon = batch[lon_col].combine_chunks().to_numpy(zero_copy_only=False).astype(np.float64)
-        lat = batch[lat_col].combine_chunks().to_numpy(zero_copy_only=False).astype(np.float64)
-        x, y = tiles.lonlat_to_tile(lon, lat, zoom)
-        keys = tiles.pack(np.full(len(x), zoom, np.int64), x, y)
-        n = len(lon)
-        return pa.table({
-            "cell": pa.array(keys, pa.uint64()),
-            "is_poly": pa.array(np.zeros(n, bool)),
-            "pid": batch[point_id_col].cast(pa.int64()),
-            "lon": pa.array(lon),
-            "lat": pa.array(lat),
-            "coords": empty_list_f.take(pa.array(np.zeros(n, np.int64))),
-            "ring_sizes": empty_list_i.take(pa.array(np.zeros(n, np.int64))),
-            "dim": pa.array(np.full(n, 2, np.int8)),
-        })
-
-    pts = points_ds.map_batches(points_to_cells, batch_format="pyarrow",
-                                zero_copy_batch=True)
-    pls = polygons_ds.map_batches(polys_to_cells, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-    both = pts.union(pls)
-
-    def local_pip(group: pa.Table) -> pa.Table:
-        is_poly = group["is_poly"].to_numpy(zero_copy_only=False)
-        if is_poly.all() or not is_poly.any():
-            return pa.table({point_id_col: pa.array([], pa.int64()),
-                             "polygon_id": pa.array([], pa.int64())})
-        polys = group.filter(pa.array(is_poly)).select(
-            ["pid", "coords", "ring_sizes", "dim"])
-        pts_g = group.filter(pa.array(~is_poly))
-        index = PolygonIndex(polys, zoom=zoom, id_column="pid")
-        lon = pts_g["lon"].to_numpy(zero_copy_only=False)
-        lat = pts_g["lat"].to_numpy(zero_copy_only=False)
-        pt_idx, poly_id = index.contains(lon, lat)
-        pid = pts_g["pid"].to_numpy(zero_copy_only=False)
-        return pa.table({point_id_col: pa.array(pid[pt_idx], pa.int64()),
-                         "polygon_id": pa.array(poly_id, pa.int64())})
-
-    return both.groupby("cell").map_groups(local_pip, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -938,8 +673,7 @@ def knn_s2_join(
     Local exact haversine top-k follows; a row whose kth distance is
     within ``radius_m`` is therefore exact, anything else is flagged
     ``truncated=True`` for a re-run with a larger radius / coarser
-    level — the same contract as :func:`knn_cell_join`, with the ring
-    count replaced by an explicit metric radius (S2 cells are
+    level.  The radius is an explicit metric distance (S2 cells are
     near-equal-area, so one radius serves every latitude).
 
     ``salt_bits`` handles skewed dense cells (north_rule "salted

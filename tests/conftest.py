@@ -20,3 +20,17 @@ def ray_session():
         )
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def no_ray_groupby(monkeypatch):
+    """Keyed groupings run on ``functions/exchange.py``: fail the test
+    if the code under it calls Ray Data's sort-based
+    ``Dataset.groupby``."""
+    import ray.data
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a keyed grouping called Dataset.groupby "
+                             "instead of the hash exchange")
+
+    monkeypatch.setattr(ray.data.Dataset, "groupby", refuse)

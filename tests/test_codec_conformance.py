@@ -292,6 +292,25 @@ def test_3d_point_decodes_with_consistent_dim():
     assert dec2["coords"].to_pylist() == [[1.5, 2.5]]
 
 
+def test_3d_geojson_roundtrip_drops_z_only_from_points():
+    """The wire rule for 3-D input: a Point is written as x and y only
+    (geom.go:200), so it decodes with dim 2, while every other type
+    keeps its z."""
+    feats = [
+        {"type": "Feature", "id": 1, "properties": {},
+         "geometry": {"type": "Point", "coordinates": [1.5, 2.5, 9.0]}},
+        {"type": "Feature", "id": 2, "properties": {},
+         "geometry": {"type": "LineString",
+                      "coordinates": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]}},
+    ]
+    dec = dc.decode_batch(fc.encode_batch(gj.features_to_table(feats)))
+    assert dec["dim"].to_pylist() == [2, 3]
+    back = gj.table_to_features(dec)
+    assert back[0]["geometry"]["coordinates"] == [1.5, 2.5]
+    assert back[1]["geometry"]["coordinates"] == [[1.0, 2.0, 3.0],
+                                                  [4.0, 5.0, 6.0]]
+
+
 def test_mixed_bbox_presence_alignment():
     """Records with and without bbox sections in one batch must decode
     each bbox against ITS OWN feature (review find: compact/scatter
@@ -395,6 +414,22 @@ def test_frame_boundaries_overflowing_length_varint_raises():
     # partial mode: the corrupt frame is left unconsumed, zero frames
     starts, lens, consumed = frame_boundaries(data, partial=True)
     assert len(starts) == 0 and consumed == 0
+
+
+def test_ring_prefix_past_record_end_raises_value_error():
+    """A corrupt ring prefix claims more values than the record holds
+    (one flipped bit in a Polygon's prefix): the decoder raises
+    ValueError naming the record, in a batch and on its own."""
+    from feature_corpus import stream
+
+    recs = fc.scan_frames(stream()).to_pylist()
+    bad = bytearray(recs[20])
+    bad[153] ^= 0x80
+    batch = recs[:20] + [bytes(bad)] + recs[21:]
+    with pytest.raises(ValueError, match="record 20"):
+        dc.decode_batch(pa.array(batch, pa.binary()))
+    with pytest.raises(ValueError, match="record 0"):
+        dc.decode_batch(pa.array([bytes(bad)], pa.binary()))
 
 
 @needs_ref

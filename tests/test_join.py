@@ -124,7 +124,7 @@ def test_asof_join_equal_time_matches(ray_session):
     assert out.take_all()[0]["rv"] == 55  # equal time IS a match
 
 
-def test_range_join_matches_duckdb(ray_session):
+def test_range_join_matches_duckdb(ray_session, no_ray_groupby):
     import duckdb
 
     from geobuf_ray.functions.join import range_join
@@ -533,7 +533,8 @@ def test_interval_overlap_join_touching_endpoints(ray_session):
     assert got == [(1, 1), (2, 1)]
 
 
-def test_broadcast_range_join_vs_shuffle_range_join(ray_session):
+def test_broadcast_range_join_vs_shuffle_range_join(ray_session,
+                                                    no_ray_groupby):
     """The two range-join regimes agree pair-for-pair on random
     overlapping intervals, and both match brute force."""
     import numpy as np

@@ -1008,3 +1008,42 @@ def test_int_sums_exact_past_2_53(ray_session, tmp_path):
         ["s", "n"])
     got = {r["label"]: (r["s"], r["n"]) for r in out.to_pylist()}
     assert got == {"a": (big + 1, 2), "b": (big + 3, 2)}
+
+
+def test_min_price_lineitems_matches_oracle(ray_session, no_ray_groupby):
+    """The per-(part, supp) min-price aggregate routes its partials
+    through the hash exchange, and the join keeps exactly the rows the
+    SQL oracle keeps."""
+    import duckdb
+
+    import __ray_entry__ as e
+    from geobuf_ray.collect import collect_table
+    from geobuf_ray.pipelines import queries as q
+
+    cols = ["l_orderkey", "l_partkey", "l_suppkey", "price_cents"]
+    got = collect_table(q.min_price_lineitems(SF)).to_pandas()[cols]
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW lineitem AS SELECT * FROM '{SF}/lineitem.parquet'")
+    want = con.execute(e.oracle_sql()["min_price_lineitems"]).fetchdf()[cols]
+    assert len(want) > 0
+    assert sorted(map(tuple, got.to_numpy().tolist())) \
+        == sorted(map(tuple, want.to_numpy().tolist()))
+
+
+def test_events_user_freq_cms_exact_counts_match_sql(ray_session,
+                                                     no_ray_groupby):
+    """The exact side of the Count-Min query sums its probe counts with
+    the driver combine, and matches SQL counts for user ids 0..9; the
+    sketch never under-counts and stays within its bound."""
+    import duckdb
+
+    from geobuf_ray.pipelines import queries as q
+
+    out = q.events_user_freq_cms(SF)
+    want = dict(duckdb.connect().execute(
+        f"SELECT user_id, COUNT(*) FROM '{SF}/events.parquet' "
+        "WHERE user_id BETWEEN 0 AND 9 GROUP BY user_id").fetchall())
+    assert out["user_id"].to_pylist() == list(range(10))
+    assert out["exact"].to_pylist() == [want.get(u, 0) for u in range(10)]
+    assert sum(want.values()) > 0
+    assert all(out["within_bound"].to_pylist())

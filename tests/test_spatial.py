@@ -183,68 +183,6 @@ def test_split_combine_tiling(ray_session, tmp_path):
     assert dec.count() == row["num_features"]
 
 
-def test_knn_cell_join_matches_brute_force(ray_session):
-    """Shuffle kNN (groupby-on-cell + boundary ring): non-truncated
-    rows must match the exact broadcast kNN; truncation flags the
-    partitioning-assumption violations instead of returning wrong
-    neighbors."""
-    import ray
-
-    from geobuf_ray.spatial.join import knn_cell_join, knn_join
-
-    rng = np.random.default_rng(21)
-    n_pts, n_ref = 300, 400
-    pts = pa.table({
-        "custkey": pa.array(np.arange(n_pts), pa.int64()),
-        "lon": pa.array(rng.uniform(-60, 60, n_pts)),
-        "lat": pa.array(rng.uniform(-50, 50, n_pts)),
-    })
-    refs = pa.table({
-        "id": pa.array(np.arange(1000, 1000 + n_ref), pa.int64()),
-        "lon": pa.array(rng.uniform(-60, 60, n_ref)),
-        "lat": pa.array(rng.uniform(-50, 50, n_ref)),
-    })
-    ds = ray.data.from_arrow(pts).repartition(3)
-    exact = {}
-    for r in knn_join(ds, refs, k=3).take_all():
-        exact[(r["custkey"], r["rank"])] = r["neighbor_id"]
-    got = knn_cell_join(ray.data.from_arrow(pts).repartition(3), refs,
-                        k=3, zoom=3, ring=1).take_all()
-    by_pt = {}
-    for r in got:
-        by_pt.setdefault(r["custkey"], []).append(r)
-    assert len(by_pt) == n_pts
-    n_trunc = 0
-    for ck, rows in by_pt.items():
-        if any(r["truncated"] for r in rows):
-            n_trunc += 1
-            continue
-        for r in rows:
-            assert exact[(ck, r["rank"])] == r["neighbor_id"], (ck, r)
-    # at zoom 3 with dense refs, truncation should be the exception
-    assert n_trunc < n_pts * 0.5, f"{n_trunc}/{n_pts} truncated"
-
-
-def test_pip_cell_join_matches_broadcast(ray_session):
-    """Shuffle PIP (both sides distributed, co-partitioned on cell)
-    must produce exactly the broadcast-index join's pairs."""
-    import ray
-
-    from geobuf_ray.pipelines import queries as q
-    from geobuf_ray.spatial.join import pip_cell_join, point_in_polygon_join
-
-    sf = "/root/testdata/sf0.001"
-    pts = q.customer_points(sf)
-    polys = q.supplier_rects(sf)
-    want = {(r["custkey"], r["polygon_id"]) for r in
-            point_in_polygon_join(q.customer_points(sf), polys,
-                                  zoom=5).take_all()}
-    got_rows = pip_cell_join(pts, ray.data.from_arrow(polys), zoom=5).take_all()
-    got = {(r["custkey"], r["polygon_id"]) for r in got_rows}
-    assert len(got_rows) == len(got)  # no duplicate pairs
-    assert got == want and len(want) > 0
-
-
 def _morton_ref(qx: int, qy: int, bits: int) -> int:
     """Per-bit reference interleave (x at even positions)."""
     out = 0

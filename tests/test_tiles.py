@@ -200,7 +200,7 @@ def test_zorder_index_pruned_lookup(ray_session, tmp_path):
     assert out2["pid"].tolist() == [0]
 
 
-def test_tile_pyramid_layout_and_rollup(ray_session, tmp_path):
+def test_tile_pyramid_layout_and_rollup(ray_session, tmp_path, no_ray_groupby):
     """tile_pyramid writes the Combine layout at every level: per-tile
     files + gob-indexed combined file; a parent tile's subfile decodes
     to exactly the union of its children's features (byte-concat
