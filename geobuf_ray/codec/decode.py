@@ -384,9 +384,17 @@ def _prefix_walk_vec(values, rec_val_starts, rec_val_ends, gtype, dim, n):
             poly_sizes_flat, rec_npolys)
 
 
-def _decode_geometries(data, scan, n):
+def _decode_geometries(data, offs, scan):
     """Vectorized geometry decode from the structure scan."""
+    n = len(offs) - 1
     geom_lens = scan["geom_end"] - scan["geom_start"]
+    # a corrupt length varint can point the geometry past its record:
+    # gathering it would read the next record's bytes, or past the data
+    bad = (geom_lens < 0) | ((geom_lens > 0) & (scan["geom_end"] > offs[1:]))
+    if bad.any():
+        raise ValueError(
+            f"geometry of record {int(np.flatnonzero(bad)[0])} runs past "
+            f"the end of the record")
     gflat = vi.gather_spans(data, scan["geom_start"], geom_lens)
     # geometry deltas are almost always < 2^28 (<= 4 varint bytes):
     # decode + zigzag stay uint32/int32 — half the memory traffic on
@@ -625,7 +633,7 @@ def decode_batch(records, include_bbox: bool = False) -> pa.Table:
     data, offs = _binary_parts(records)
     n = len(offs) - 1
     scan = _structure_scan(data, offs)
-    geo = _decode_geometries(data, scan, n)
+    geo = _decode_geometries(data, offs, scan)
 
     cols: dict[str, pa.Array] = {}
     id_np = np.where(scan["has_id"], scan["ids"], 0)

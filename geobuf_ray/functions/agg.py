@@ -41,8 +41,7 @@ def _group_sum(tbl: pa.Table, keys: list[str], vals: list[str],
 
 
 def _finest_level(ds, key_list: list[str], sums: dict[str, str],
-                  count_col: str | None, nbuckets: int,
-                  schema: pa.Schema | None):
+                  count_col: str | None, schema: pa.Schema | None):
     """Per-block partials at the finest grouping, then one skinny
     exchange: returns (finest Dataset, out_schema, types, vals)."""
     from .exchange import hash_exchange
@@ -83,7 +82,7 @@ def _finest_level(ds, key_list: list[str], sums: dict[str, str],
                               zero_copy_batch=True)
     vals = out_vals + ([count_col] if count_col else [])
     finest = hash_exchange(
-        partials, nbuckets=nbuckets, on=key_list,
+        partials, on=key_list,
         reduce_fn=lambda t: _group_sum(t, key_list, vals, out_schema),
         schema=out_schema)
     return finest, out_schema, types, vals
@@ -105,7 +104,7 @@ def _null_pad(key_list: list[str], level_keys: list[str], vals: list[str],
 
 
 def rollup_agg(ds, keys: list[str], sums: dict[str, str], *,
-               count_col: str | None = "n_rows", nbuckets: int = 16,
+               count_col: str | None = "n_rows",
                schema: pa.Schema | None = None):
     """SQL ``GROUP BY ROLLUP(keys...)``: sum aggregates at every key
     prefix level plus the grand total, rolled-up key columns NULL.
@@ -123,7 +122,7 @@ def rollup_agg(ds, keys: list[str], sums: dict[str, str], *,
 
     key_list = list(keys)
     finest, out_schema, types, vals = _finest_level(
-        ds, key_list, sums, count_col, nbuckets, schema)
+        ds, key_list, sums, count_col, schema)
 
     def with_nulls(level_keys: list[str]):
         return _null_pad(key_list, level_keys, vals, types, out_schema)
@@ -132,9 +131,10 @@ def rollup_agg(ds, keys: list[str], sums: dict[str, str], *,
     prev = finest
     for i in range(len(key_list) - 1, -1, -1):
         lk = key_list[:i]
+        # a keyed level sizes its exchange from its own, smaller input;
+        # the grand total has no key to hash: one bucket
         lvl = hash_exchange(
-            prev, nbuckets=max(1, nbuckets // 4) if lk else 1,
-            on=lk or key_list[:1],
+            prev, nbuckets=None if lk else 1, on=lk or None,
             reduce_fn=lambda t, lk=lk: _group_sum(t, lk, vals, out_schema),
             schema=None)
         # each coarser level re-aggregates the previous one (cheap:
@@ -151,7 +151,7 @@ def rollup_agg(ds, keys: list[str], sums: dict[str, str], *,
 
 
 def grouping_sets_agg(ds, sets: list[list[str]], sums: dict[str, str], *,
-                      count_col: str | None = "n_rows", nbuckets: int = 16,
+                      count_col: str | None = "n_rows",
                       schema: pa.Schema | None = None):
     """SQL ``GROUP BY GROUPING SETS(sets...)``: one aggregate row set
     per requested key combination, absent key columns NULL.
@@ -177,7 +177,7 @@ def grouping_sets_agg(ds, sets: list[list[str]], sums: dict[str, str], *,
             raise ValueError(f"duplicate column in grouping set {s}")
 
     finest, out_schema, types, vals = _finest_level(
-        ds, key_list, sums, count_col, nbuckets, schema)
+        ds, key_list, sums, count_col, schema)
 
     pieces = []
     for s in set_lists:
@@ -186,8 +186,7 @@ def grouping_sets_agg(ds, sets: list[list[str]], sums: dict[str, str], *,
             pieces.append(finest)
             continue
         lvl = hash_exchange(
-            finest, nbuckets=max(1, nbuckets // 4) if s else 1,
-            on=s or key_list[:1],
+            finest, nbuckets=None if s else 1, on=s or None,
             reduce_fn=lambda t, s=s: _group_sum(t, s, vals, out_schema),
             schema=None)
         pieces.append(lvl.map_batches(
@@ -202,7 +201,7 @@ def grouping_sets_agg(ds, sets: list[list[str]], sums: dict[str, str], *,
 
 def pivot_agg(ds, *, index: str, pivot: str, value: str,
               values: list, prefix: str = "", count_suffix: str | None = None,
-              nbuckets: int = 16, schema: pa.Schema | None = None):
+              schema: pa.Schema | None = None):
     """SQL ``PIVOT`` (crosstab): one output row per ``index`` value,
     one SUM column per entry of ``values`` (the static pivot-column
     domain, as SQL PIVOT requires), named ``f"{prefix}{v}"``.  Missing
@@ -283,12 +282,12 @@ def pivot_agg(ds, *, index: str, pivot: str, value: str,
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    return hash_exchange(partials, nbuckets=nbuckets, on="__idx",
+    return hash_exchange(partials, on="__idx",
                          reduce_fn=widen, schema=out_schema)
 
 
 def moments_agg(ds, keys: list[str], value: str, *,
-                nbuckets: int = 16, schema: pa.Schema | None = None,
+                schema: pa.Schema | None = None,
                 exact_only: bool = False):
     """Distributed second-moment aggregate: per group emits ``n``,
     ``sum_v``, ``sumsq_v``, ``min_v``, ``max_v`` and the EXACT integer
@@ -385,7 +384,7 @@ def moments_agg(ds, keys: list[str], value: str, *,
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    merged = hash_exchange(partials, nbuckets=nbuckets, on=key_list,
+    merged = hash_exchange(partials, on=key_list,
                            reduce_fn=merge, schema=part_schema)
     return merged.map_batches(finish, batch_format="pyarrow",
                               zero_copy_batch=True)
@@ -435,7 +434,7 @@ def unpivot(ds, *, id_cols: list[str], value_cols: list[str],
 
 
 def mode_agg(ds, keys: list[str], value: str, *,
-             nbuckets: int = 16, schema: pa.Schema | None = None):
+             schema: pa.Schema | None = None):
     """Exact distributed per-group mode: the most frequent ``value``
     per group, ties broken by the smallest value (deterministic, same
     as ``ORDER BY cnt DESC, value ASC LIMIT 1`` per group).  Emits
@@ -510,13 +509,13 @@ def mode_agg(ds, keys: list[str], value: str, *,
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
     # no keys: one global group in one bucket
-    return hash_exchange(partials, nbuckets=nbuckets if key_list else 1,
+    return hash_exchange(partials, nbuckets=None if key_list else 1,
                          on=key_list or None, reduce_fn=pick,
                          schema=out_schema)
 
 
 def distinct_agg(ds, keys: list[str], value: str, *,
-                 nbuckets: int = 16, schema: pa.Schema | None = None,
+                 schema: pa.Schema | None = None,
                  out_col: str = "n_distinct"):
     """Exact ``COUNT(DISTINCT value)`` per group.  Emits
     ``(keys..., out_col)``.
@@ -567,13 +566,13 @@ def distinct_agg(ds, keys: list[str], value: str, *,
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
     # no keys: one global group in one bucket
-    return hash_exchange(partials, nbuckets=nbuckets if key_list else 1,
+    return hash_exchange(partials, nbuckets=None if key_list else 1,
                          on=key_list or None, reduce_fn=count,
                          schema=out_schema)
 
 
 def corr_agg(ds, keys: list[str], x: str, y: str, *,
-             nbuckets: int = 16, schema: pa.Schema | None = None,
+             schema: pa.Schema | None = None,
              corr_col: str = "corr", slope_col: str | None = None):
     """Exact-moment per-group Pearson correlation (and optionally the
     least-squares slope, SQL ``regr_slope``).  ``x`` and ``y`` MUST be
@@ -653,14 +652,14 @@ def corr_agg(ds, keys: list[str], x: str, y: str, *,
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
     # no keys: one global group in one bucket
-    return hash_exchange(partials, nbuckets=nbuckets if key_list else 1,
+    return hash_exchange(partials, nbuckets=None if key_list else 1,
                          on=key_list or None, reduce_fn=finish,
                          schema=out_schema)
 
 
 def group_quantile(ds, keys: list[str], value: str,
                    quantiles: dict[str, float], *,
-                   nbuckets: int = 16, schema: pa.Schema | None = None,
+                   schema: pa.Schema | None = None,
                    interpolate: bool = False):
     """Exact per-group ``PERCENTILE_DISC`` (SQL's / DuckDB
     ``quantile_disc`` rank rule: the value at 1-based rank
@@ -775,13 +774,13 @@ def group_quantile(ds, keys: list[str], value: str,
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
     # no keys: one global group in one bucket
-    return hash_exchange(partials, nbuckets=nbuckets if key_list else 1,
+    return hash_exchange(partials, nbuckets=None if key_list else 1,
                          on=key_list or None, reduce_fn=pick,
                          schema=out_schema)
 
 
 def cube_agg(ds, keys: list[str], sums: dict[str, str], *,
-             count_col: str | None = "n_rows", nbuckets: int = 16,
+             count_col: str | None = "n_rows",
              schema: pa.Schema | None = None):
     """SQL ``GROUP BY CUBE(keys...)``: all 2^len(keys) grouping sets
     (finest computed once from the input; every other set
@@ -792,7 +791,7 @@ def cube_agg(ds, keys: list[str], sums: dict[str, str], *,
     sets = [list(c) for r in range(len(key_list), -1, -1)
             for c in combinations(key_list, r)]
     return grouping_sets_agg(ds, sets, sums, count_col=count_col,
-                             nbuckets=nbuckets, schema=schema)
+                             schema=schema)
 
 
 def zscore_outliers(ds, value: str, *, z_num: int = 3, z_den: int = 1,
@@ -865,8 +864,7 @@ def zscore_outliers(ds, value: str, *, z_num: int = 3, z_den: int = 1,
 
 
 
-def mad_outliers(ds, value: str, *, k_num: int = 3, k_den: int = 1,
-                 nbuckets: int = 16):
+def mad_outliers(ds, value: str, *, k_num: int = 3, k_den: int = 1):
     """EXACT median-absolute-deviation outlier filter over an integer
     column: keep rows with ``|x - med| > (k_num/k_den) * MAD`` where
     ``med`` is the PERCENTILE_DISC 0.5 of ``x`` and ``MAD`` the
@@ -899,7 +897,6 @@ def mad_outliers(ds, value: str, *, k_num: int = 3, k_den: int = 1,
         flat = ds.map_batches(stamp, batch_format="pyarrow",
                               zero_copy_batch=True)
         qt = group_quantile(flat, ["g"], "v", {"m": 0.5},
-                            nbuckets=nbuckets,
                             schema=pa.schema([("g", pa.int64()),
                                               ("v", pa.int64())]))
         from ..collect import collect_table
@@ -924,7 +921,7 @@ def mad_outliers(ds, value: str, *, k_num: int = 3, k_den: int = 1,
 
 
 def arg_max_agg(ds, keys: list[str], order: str, payload: list[str], *,
-                tiebreak: str | None = None, nbuckets: int = 16,
+                tiebreak: str | None = None,
                 schema: pa.Schema | None = None):
     """Per-group ARGMAX: the ``payload`` columns of the row with the
     maximum ``(order, tiebreak)`` per key group — SQL's
@@ -972,14 +969,13 @@ def arg_max_agg(ds, keys: list[str], order: str, payload: list[str], *,
 
     partials = ds.select_columns(cols).map_batches(
         kernel, batch_format="pyarrow", zero_copy_batch=True)
-    return hash_exchange(partials, nbuckets=nbuckets, on=key_list,
+    return hash_exchange(partials, on=key_list,
                          reduce_fn=kernel, schema=schema)
 
 
 
 def group_mad_outliers(ds, keys: list[str], value: str, *,
-                       k_num: int = 3, k_den: int = 1,
-                       nbuckets: int = 16):
+                       k_num: int = 3, k_den: int = 1):
     """Per-GROUP median-absolute-deviation outlier filter: keep rows
     with ``|x - med_g| > (k_num/k_den) * MAD_g`` where med_g / MAD_g
     are the row's group's exact PERCENTILE_DISC medians — the grouped
@@ -1008,7 +1004,7 @@ def group_mad_outliers(ds, keys: list[str], value: str, *,
         return {t: i for i, t in enumerate(zip(*cols))}
 
     med_t = collect_table(group_quantile(
-        ds, key_list, value, {"m": 0.5}, nbuckets=nbuckets))
+        ds, key_list, value, {"m": 0.5}))
     med_map = _lookup(med_t)
     med_v = med_t["m"].to_numpy(zero_copy_only=False).astype(np.int64)
     mref = ray.put((med_map, med_v))
@@ -1033,7 +1029,7 @@ def group_mad_outliers(ds, keys: list[str], value: str, *,
     devs = ds.map_batches(dev_stamp, batch_format="pyarrow",
                           zero_copy_batch=True)
     mad_t = collect_table(group_quantile(
-        devs, key_list, "__dev", {"m": 0.5}, nbuckets=nbuckets))
+        devs, key_list, "__dev", {"m": 0.5}))
     mad_map = _lookup(mad_t)
     mad_v = mad_t["m"].to_numpy(zero_copy_only=False).astype(np.int64)
     tref = ray.put((med_map, med_v, mad_map, mad_v))
@@ -1091,7 +1087,7 @@ def histogram(ds, value: str, *, lo: int, hi: int, nbins: int):
                      "n_rows": total})
 
 
-def table_digest(ds, keys: list[str], value: str, *, nbuckets: int = 16):
+def table_digest(ds, keys: list[str], value: str):
     """Order-invariant grouped table checksum — the validation
     primitive a 100 TB CDC merge / replication pipeline needs: two
     tables agree per group iff (row count, wrapping hash sum, hash
@@ -1167,12 +1163,12 @@ def table_digest(ds, keys: list[str], value: str, *, nbuckets: int = 16):
                  .view(np.int64)),
              "digest_xor": pa.array(np.bitwise_xor.reduceat(x, starts))})
 
-    return hash_exchange(partials, nbuckets=nbuckets, on=keys,
+    return hash_exchange(partials, on=keys,
                          reduce_fn=merge, schema=None)
 
 
 def rank_sum_u2(ds, *, key: str = "key", value: str = "v",
-                side: str = "side", nbuckets: int = 16):
+                side: str = "side"):
     """Exact Mann-Whitney U between two samples per key — the
     distribution-comparison gate of an A/B pipeline, kept in integer
     arithmetic by reporting ``u2_a = 2*U_A`` (ties contribute the half
@@ -1273,12 +1269,11 @@ def rank_sum_u2(ds, *, key: str = "key", value: str = "v",
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True, batch_size=None)
-    return hash_exchange(partials, nbuckets=nbuckets, on=key,
+    return hash_exchange(partials, on=key,
                          reduce_fn=reduce_fn)
 
 
-def group_gini(ds, *, key: str = "key", value: str = "v",
-               nbuckets: int = 16):
+def group_gini(ds, *, key: str = "key", value: str = "v"):
     """Exact per-group Gini inequality ingredients: ``gini_num =
     2*sum(rank_i * x_(i)) - (n+1)*sum(x)`` and the consumer divides by
     ``gini_den = n*sum(x)`` — all int64, and TIE-ORDER INVARIANT
@@ -1369,7 +1364,7 @@ def group_gini(ds, *, key: str = "key", value: str = "v",
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True, batch_size=None)
-    return hash_exchange(partials, nbuckets=nbuckets, on=key,
+    return hash_exchange(partials, on=key,
                          reduce_fn=reduce_fn)
 
 
@@ -1437,7 +1432,7 @@ def group_power_sums(ds, keys: list[str], value: str, *,
 
 
 def ks_statistic(ds, *, key: str = "key", value: str = "v",
-                 side: str = "side", nbuckets: int = 16):
+                 side: str = "side"):
     """Exact two-sample Kolmogorov–Smirnov statistic per key, in the
     cross-multiplied integer form: ``D_num = max over values of
     |cum_a·n_b − cum_b·n_a|`` with ``D = D_num/(n_a·n_b)`` left to
@@ -1543,12 +1538,11 @@ def ks_statistic(ds, *, key: str = "key", value: str = "v",
 
     parts = ds.map_batches(partial, batch_format="pyarrow",
                            zero_copy_batch=True, batch_size=None)
-    return hash_exchange(parts, nbuckets=nbuckets, on=key,
+    return hash_exchange(parts, on=key,
                          reduce_fn=reduce_fn)
 
 
-def weighted_median(ds, keys: list[str], value: str, weight: str, *,
-                    nbuckets: int = 16):
+def weighted_median(ds, keys: list[str], value: str, weight: str):
     """Exact per-group WEIGHTED median of an integer column: the
     smallest value v with ``2·cumweight(v) >= total_weight`` (the
     lower weighted median — deterministic, division-free).  Same
@@ -1613,12 +1607,12 @@ def weighted_median(ds, keys: list[str], value: str, weight: str, *,
 
     parts = ds.map_batches(partial, batch_format="pyarrow",
                            zero_copy_batch=True, batch_size=None)
-    return hash_exchange(parts, nbuckets=nbuckets, on=key_list,
+    return hash_exchange(parts, on=key_list,
                          reduce_fn=reduce_fn)
 
 
 def mann_kendall(ds, keys: list[str], t: str, y: str, *,
-                 nbuckets: int = 8, schema: pa.Schema | None = None):
+                 schema: pa.Schema | None = None):
     """Exact per-group Mann–Kendall trend test ingredients: the S
     statistic ``sum over time pairs t_i < t_j of sign(y_j - y_i)`` and
     the tie-corrected variance NUMERATOR ``var18 = n(n-1)(2n+5) -
@@ -1687,12 +1681,11 @@ def mann_kendall(ds, keys: list[str], t: str, y: str, *,
         cols["n"] = pa.array([n], pa.int64())
         return pa.table(cols).cast(out_schema)
 
-    return grouped_exchange(ds, key_list, group_fn, nbuckets=nbuckets,
-                            schema=out_schema)
+    return grouped_exchange(ds, key_list, group_fn, schema=out_schema)
 
 
 def theil_sen(ds, keys: list[str], x: str, y: str, *,
-              nbuckets: int = 8, schema: pa.Schema | None = None):
+              schema: pa.Schema | None = None):
     """Per-group Theil–Sen robust slope: the LOWER MEDIAN of the
     pairwise slopes ``(y_j - y_i) / (x_j - x_i)`` over pairs with
     ``x_i < x_j`` — the estimator that pairs with [[mann_kendall]]
@@ -1758,5 +1751,4 @@ def theil_sen(ds, keys: list[str], x: str, y: str, *,
         cols["n_pairs"] = pa.array([m], pa.int64())
         return pa.table(cols).cast(out_schema)
 
-    return grouped_exchange(ds, key_list, group_fn, nbuckets=nbuckets,
-                            schema=out_schema)
+    return grouped_exchange(ds, key_list, group_fn, schema=out_schema)

@@ -40,9 +40,16 @@ called without ``nbuckets`` sizes itself: it sums the input blocks'
 a bucket carries enough bytes to cover its task's fixed cost.  It
 holds at most ``_MAX_BUCKETS x _BUCKET_BYTES`` of block refs before the
 first split (a block with no size counts as reaching the cap); past
-that the count is the cap.  Exchanges whose count both sides, or a
-persisted layout, depend on (:func:`hash_cogroup`, :func:`presplit`)
-keep an explicit ``nbuckets``.  Past ~10^7 fragments, pass
+that the count is the cap.  The keyed aggregate, window and sample
+operators take no count and always size themselves.  A count stays
+explicit only where bytes do not decide it: one bucket for a
+keyless aggregate (one group, nothing to hash); a custom
+``bucket_fn``; exchanges whose count both sides, or a persisted
+layout, depend on (:func:`hash_cogroup`, :func:`presplit`,
+:func:`cogroup_presplit`, and the joins and set operations on them);
+the iterative graph operators; and the S2 joins, image stitch and
+point builds, whose reduce cost follows pair counts, not bytes.
+Past ~10^7 fragments, pass
 ``rounds=2`` to :func:`hash_exchange` (bucket high bits, then the exact
 bucket id) — same primitive, composed.
 

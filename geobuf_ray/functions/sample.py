@@ -43,8 +43,7 @@ def sample_hash32(v: np.ndarray) -> np.ndarray:
     return h
 
 
-def stratified_sample(ds, *, key: str, id_col: str, n_per_key: int,
-                      nbuckets: int = 64):
+def stratified_sample(ds, *, key: str, id_col: str, n_per_key: int):
     """Keep the ``n_per_key`` rows of each ``key`` group that rank
     first by ``(sample_hash32(id), id)`` — a deterministic, seedless,
     chunking-independent per-group sample.  ``id_col`` must be a
@@ -75,7 +74,7 @@ def stratified_sample(ds, *, key: str, id_col: str, n_per_key: int,
         keep[sel[keep_sorted]] = True
         return tbl.filter(pa.array(keep))
 
-    return hash_exchange(ds, nbuckets=nbuckets, on=key,
+    return hash_exchange(ds, on=key,
                          reduce_fn=kernel, schema=None)
 
 
@@ -137,7 +136,7 @@ def weighted_sample(ds, *, weight: str, k: int, id_col: str,
 
 
 def stratified_split(ds, *, group: str, hash_col: str, frac: float,
-                     nbuckets: int = 16, out_col: str = "is_val",
+                     out_col: str = "is_val",
                      **map_kwargs):
     """EXACT-quota stratified split: within every group, flag the
     ``max(ceil(frac * n_g), 1)`` rows with the smallest ``hash_col``
@@ -160,7 +159,7 @@ def stratified_split(ds, *, group: str, hash_col: str, frac: float,
 
     thr_t = collect_table(group_quantile(
         ds.select_columns([group, hash_col]), [group], hash_col,
-        {"thr": frac}, nbuckets=nbuckets))
+        {"thr": frac}))
     gk = thr_t[group].to_numpy(zero_copy_only=False).astype(np.int64)
     tv = thr_t["thr"].to_numpy(zero_copy_only=False).astype(np.int64)
     order = np.argsort(gk)

@@ -14,8 +14,7 @@ import numpy as np
 import pyarrow as pa
 
 
-def lag_lead(ds, *, key: str, order: str, value: str,
-             nbuckets: int = 64, lead: bool = False,
+def lag_lead(ds, *, key: str, order: str, value: str, lead: bool = False,
              out_col: str | None = None):
     """Per-row previous (or next) ``value`` within ``key`` groups in
     ``order`` order — SQL's ``LAG(value) OVER (PARTITION BY key ORDER
@@ -58,7 +57,7 @@ def lag_lead(ds, *, key: str, order: str, value: str,
         take = pa.array(np.where(src < 0, None, src), pa.int64())
         return tbl.append_column(name, vals.take(take))
 
-    return hash_exchange(ds, nbuckets=nbuckets, on=key,
+    return hash_exchange(ds, on=key,
                          reduce_fn=kernel, schema=None)
 
 
@@ -83,7 +82,7 @@ def _key_codes(tbl: pa.Table, key: str) -> np.ndarray:
 
 
 def moving_agg(ds, *, key: str, order: str, value: str, window: int,
-               nbuckets: int = 64, prefix: str = "mv"):
+               prefix: str = "mv"):
     """Rows-frame moving aggregate — SQL ``SUM(value) OVER (PARTITION
     BY key ORDER BY order ROWS BETWEEN window-1 PRECEDING AND CURRENT
     ROW)`` — plus the frame's row count (``{prefix}_n``), from which
@@ -133,12 +132,12 @@ def moving_agg(ds, *, key: str, order: str, value: str, window: int,
         return (tbl.append_column(sum_name, pa.array(out_sum))
                 .append_column(n_name, pa.array(out_n)))
 
-    return hash_exchange(ds, nbuckets=nbuckets, on=key,
+    return hash_exchange(ds, on=key,
                          reduce_fn=kernel, schema=None)
 
 
 def range_moving_agg(ds, *, key: str, order: str, value: str, span: int,
-                     nbuckets: int = 64, prefix: str = "rv"):
+                     prefix: str = "rv"):
     """RANGE-frame moving aggregate — SQL ``SUM(value) OVER (PARTITION
     BY key ORDER BY order RANGE BETWEEN span PRECEDING AND CURRENT
     ROW)`` — plus the frame's row count (``{prefix}_n``).  The frame
@@ -224,11 +223,11 @@ def range_moving_agg(ds, *, key: str, order: str, value: str, span: int,
         return (tbl.append_column(sum_name, pa.array(out_sum))
                 .append_column(n_name, pa.array(out_n)))
 
-    return hash_exchange(ds, nbuckets=nbuckets, on=key,
+    return hash_exchange(ds, on=key,
                          reduce_fn=kernel, schema=None)
 
 
-def rank_window(ds, *, key: str, order: str, nbuckets: int = 64,
+def rank_window(ds, *, key: str, order: str,
                 rank_col: str = "rnk", dense_col: str = "drnk",
                 percent: bool = False):
     """SQL ``RANK()`` and ``DENSE_RANK() OVER (PARTITION BY key ORDER
@@ -292,12 +291,12 @@ def rank_window(ds, *, key: str, order: str, nbuckets: int = 64,
                    .append_column("cume_dist", pa.array(cume)))
         return out
 
-    return hash_exchange(ds, nbuckets=nbuckets, on=key,
+    return hash_exchange(ds, on=key,
                          reduce_fn=kernel, schema=None)
 
 
 def value_window(ds, *, key: str, order: str, value: str,
-                 ntile: int | None = None, nbuckets: int = 64):
+                 ntile: int | None = None):
     """``FIRST_VALUE(value)`` / ``LAST_VALUE(value) OVER (PARTITION BY
     key ORDER BY order ROWS BETWEEN UNBOUNDED PRECEDING AND UNBOUNDED
     FOLLOWING)`` — note the explicit full frame: SQL's *default* frame
@@ -365,12 +364,12 @@ def value_window(ds, *, key: str, order: str, value: str,
             out = out.append_column(tile_name, pa.array(tile))
         return out
 
-    return hash_exchange(ds, nbuckets=nbuckets, on=key,
+    return hash_exchange(ds, on=key,
                          reduce_fn=kernel, schema=None)
 
 
 def running_agg(ds, *, key: str, order: str, value: str,
-                nbuckets: int = 64, out_col: str | None = None):
+                out_col: str | None = None):
     """Per-row running sum of ``value`` within ``key`` groups in
     ``order`` order (SQL ``SUM(value) OVER (PARTITION BY key ORDER BY
     order ROWS UNBOUNDED PRECEDING)``) plus the 1-based row number.
@@ -428,12 +427,11 @@ def running_agg(ds, *, key: str, order: str, value: str,
         return (tbl.append_column(name, pa.array(run))
                 .append_column("row_num", pa.array(rn)))
 
-    return hash_exchange(ds, nbuckets=nbuckets, on=key,
+    return hash_exchange(ds, on=key,
                          reduce_fn=kernel, schema=None)
 
 
-def interval_coalesce(ds, *, key: str, start: str, end: str,
-                      nbuckets: int = 32):
+def interval_coalesce(ds, *, key: str, start: str, end: str):
     """Merge overlapping / touching intervals per key (gaps-and-
     islands): rows ``(key, start, end)`` collapse to the minimal set
     of disjoint ``[island_start, island_end]`` intervals, with the
@@ -490,12 +488,11 @@ def interval_coalesce(ds, *, key: str, start: str, end: str,
                              isl, minlength=nisl).astype(np.int64)})
 
     return hash_exchange(ds.select_columns([key, start, end]),
-                         nbuckets=nbuckets, on=key,
-                         reduce_fn=kernel, schema=out_schema)
+                         on=key, reduce_fn=kernel, schema=out_schema)
 
 
 def transition_counts(ds, *, key: str, order: str, state: str,
-                      tiebreak: str | None = None, nbuckets: int = 64):
+                      tiebreak: str | None = None):
     """Markov transition counts: per ``key``, order rows by
     (``order``, ``tiebreak``) and count every consecutive
     (state, next_state) pair — SQL's ``LEAD(state) OVER (PARTITION BY
@@ -553,13 +550,13 @@ def transition_counts(ds, *, key: str, order: str, state: str,
                          "n": pa.array(cnt[nz].astype(np.int64))})
 
     cols = [key, order, state] + ([tiebreak] if tiebreak else [])
-    return hash_exchange(ds.select_columns(cols), nbuckets=nbuckets,
-                         on=key, reduce_fn=kernel, schema=out_schema)
+    return hash_exchange(ds.select_columns(cols), on=key, reduce_fn=kernel,
+                         schema=out_schema)
 
 
 def gap_fill(ds, *, key: str, tick: str, start: int, stop: int,
              step: int = 1, zero_cols: tuple = (), ffill_cols: tuple = (),
-             interp_cols: tuple = (), nbuckets: int = 64):
+             interp_cols: tuple = ()):
     """Dense time-spine gap fill: for every key present in ``ds``, emit
     one row per tick in ``start..stop`` (inclusive, stride ``step``) —
     SQL's ``generate_series CROSS JOIN keys LEFT JOIN facts``.  Missing
@@ -666,11 +663,10 @@ def gap_fill(ds, *, key: str, tick: str, start: int, stop: int,
         return pa.table(cols)
 
     return hash_exchange(ds.select_columns([key, tick] + vcols),
-                         nbuckets=nbuckets, on=key, reduce_fn=kernel)
+                         on=key, reduce_fn=kernel)
 
 
-def scd2_intervals(ds, *, key: str, order: str, value: str,
-                   nbuckets: int = 64):
+def scd2_intervals(ds, *, key: str, order: str, value: str):
     """SCD-type-2 history reconstruction (gaps-and-islands): per
     ``key``, collapse consecutive runs of equal ``value`` (ordered by
     ``order``) into validity intervals — one row per run with
@@ -735,11 +731,11 @@ def scd2_intervals(ds, *, key: str, order: str, value: str,
         })
 
     return hash_exchange(ds.select_columns([key, order, value]),
-                         nbuckets=nbuckets, on=key, reduce_fn=kernel)
+                         on=key, reduce_fn=kernel)
 
 
 def cusum_alarms(ds, *, key: str, order: str, value: str, drift: int,
-                 threshold: int, nbuckets: int = 64):
+                 threshold: int):
     """One-sided CUSUM change detection per key — the streaming
     drift/data-quality monitor.  The classic recurrence
     ``C_i = max(0, C_{i-1} + x_i - drift)`` has the closed vectorized
@@ -796,12 +792,12 @@ def cusum_alarms(ds, *, key: str, order: str, value: str, drift: int,
         return (tbl.append_column("cusum", pa.array(out_c))
                 .append_column("alarm", pa.array(out_a)))
 
-    return hash_exchange(ds, nbuckets=nbuckets, on=key,
+    return hash_exchange(ds, on=key,
                          reduce_fn=kernel, schema=None)
 
 
 def ewma(ds, *, key: str, order: str, value: str, alpha: float,
-         nbuckets: int = 64, out_col: str = "ewma",
+         out_col: str = "ewma",
          chunk_len: int = 256):
     """Per-key exponentially weighted moving average (pandas
     ``ewm(alpha, adjust=False)`` semantics: ``y_0 = x_0``,
@@ -871,12 +867,11 @@ def ewma(ds, *, key: str, order: str, value: str, alpha: float,
         out[sel] = y
         return tbl.append_column(out_col, pa.array(out))
 
-    return hash_exchange(ds, nbuckets=nbuckets, on=key,
+    return hash_exchange(ds, on=key,
                          reduce_fn=kernel, schema=None)
 
 
-def autocorr_ingredients(ds, *, key: str, order, value: str, lag: int,
-                         nbuckets: int = 32):
+def autocorr_ingredients(ds, *, key: str, order, value: str, lag: int):
     """Per-key lag-``lag`` autocorrelation ingredients: the EXACT
     integer moments of the (x_t, x_{t+lag}) pair stream that Pearson's
     r at lag k is a ratio of — per key ``npairs, sum_x, sum_y, sum_xy,
@@ -940,7 +935,7 @@ def autocorr_ingredients(ds, *, key: str, order, value: str, lag: int,
                          "sum_xx": pa.array(seg(x * x)),
                          "sum_yy": pa.array(seg(y * y))})
 
-    return hash_exchange(ds, nbuckets=nbuckets, on=key,
+    return hash_exchange(ds, on=key,
                          reduce_fn=kernel, schema=out_schema)
 
 
@@ -1014,8 +1009,7 @@ def watermark_window_agg(ds, *, ts_col: str, wave_col: str,
                           zero_copy_batch=True, batch_size=None)
 
 
-def debounce(ds, key: str, time_col: str, cooldown: int, *,
-             nbuckets: int = 64, **map_kwargs):
+def debounce(ds, key: str, time_col: str, cooldown: int, **map_kwargs):
     """Event-stream DEBOUNCE / throttle: per key keep the first event,
     then the next event at ``t >= last_kept + cooldown``, and so on —
     the rate-limiting rule where the cooldown restarts from the last
@@ -1064,12 +1058,12 @@ def debounce(ds, key: str, time_col: str, cooldown: int, *,
         return pa.table({key: pa.array(k[pos]),
                          time_col: pa.array(t[pos])})
 
-    return hash_exchange(ds, nbuckets=nbuckets, on=key,
+    return hash_exchange(ds, on=key,
                          reduce_fn=kernel, schema=out_schema)
 
 
 def sliding_median(ds, key: str, order_cols: list[str], value: str,
-                   *, w: int = 5, nbuckets: int = 64, **map_kwargs):
+                   *, w: int = 5, **map_kwargs):
     """Exact sliding-window MEDIAN (ROWS w-1 PRECEDING .. CURRENT,
     complete windows only): the robust-smoothing window aggregate the
     prefix-sum family can't express.  Per bucket one lexsort, then the
@@ -1114,15 +1108,14 @@ def sliding_median(ds, key: str, order_cols: list[str], value: str,
         cols["median"] = pa.array(med[sel])
         return pa.table(cols)
 
-    return hash_exchange(ds, nbuckets=nbuckets, on=key,
+    return hash_exchange(ds, on=key,
                          reduce_fn=kernel, schema=out_schema,
                          **map_kwargs)
 
 
 def pattern_match_counts(ds, *, key: str, order: str, state: str,
                          patterns: list[str],
-                         tiebreak: str | None = None,
-                         nbuckets: int = 64):
+                         tiebreak: str | None = None):
     """MATCH_RECOGNIZE-lite: per ``key``, order rows by (``order``,
     ``tiebreak``), render each key's state sequence as a string of
     FIRST CHARACTERS of ``state``, and count the leftmost
@@ -1200,5 +1193,5 @@ def pattern_match_counts(ds, *, key: str, order: str, state: str,
             "n_matches": pa.array(nm), "n_users": pa.array(nu),
             "max_per_user": pa.array(mx)})
 
-    return hash_exchange(ds, nbuckets=nbuckets, on=key,
+    return hash_exchange(ds, on=key,
                          reduce_fn=kernel, schema=out_schema)

@@ -105,7 +105,7 @@ def _exchange_combine(partials_ds, key: str,
         return pa.table(cols)
 
     out = collect_table(hash_exchange(
-        partials_ds, nbuckets=32, on=key, reduce_fn=finish,
+        partials_ds, on=key, reduce_fn=finish,
         schema=out_schema))
     order = np.argsort(out[key].to_numpy(zero_copy_only=False))
     return out.take(pa.array(order))
@@ -431,8 +431,7 @@ def events_user_range_sum(sf_dir: str):
 
     ds = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
     out = range_moving_agg(ds, key="user_id", order="ts_us",
-                           value="cents", span=3_600_000_000,
-                           nbuckets=16)
+                           value="cents", span=3_600_000_000)
     return out.select_columns(["event_id", "rv_sum", "rv_n"])
 
 
@@ -578,8 +577,7 @@ def top_lineitems_per_supplier(sf_dir: str, k: int = 3):
     })
 
 
-def events_sessions(sf_dir: str, gap_minutes: int = 30,
-                    bucket_users: int | None = None):
+def events_sessions(sf_dir: str, gap_minutes: int = 30):
     """Sessionization: per-user maximal event runs with inter-event gap
     <= gap_minutes (the stateful streaming-window shape).
 
@@ -592,12 +590,6 @@ def events_sessions(sf_dir: str, gap_minutes: int = 30,
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["user_id", "event_id", "ts", "value"])
 
-    # group kernel is vectorized ACROSS users (lexsort with uid as the
-    # major key), so it serves both grouping modes: per-user groups
-    # (faster here — measured 1.0s vs 1.7s: the extra bucket-stamp
-    # stage costs more than ~5k group calls save) and user-bucket
-    # groups via ``bucket_users`` for extreme user cardinality, where
-    # one Python group call per user would dominate
     def sessionize_bucket(group: pa.Table) -> pa.Table:
         ts = group["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
         eid = group["event_id"].to_numpy(zero_copy_only=False)
@@ -621,9 +613,6 @@ def events_sessions(sf_dir: str, gap_minutes: int = 30,
     # major key), so it consumes a whole hash bucket of users in one
     # call — route through the hash exchange: no distributed range
     # sort (Ray's groupby) and no per-user Python group calls.
-    # ``bucket_users`` is retained for signature compatibility; both
-    # modes now take the same exchange path (the bucket count already
-    # bounds group calls).
     from ..functions.exchange import hash_exchange
 
     out_schema = pa.schema([("user_id", pa.int64()),
@@ -636,8 +625,7 @@ def events_sessions(sf_dir: str, gap_minutes: int = 30,
             return out_schema.empty_table()
         return sessionize_bucket(tbl)
 
-    nb = min(int(bucket_users), 64) if bucket_users else 32
-    return hash_exchange(ds, nbuckets=nb, on="user_id",
+    return hash_exchange(ds, on="user_id",
                          reduce_fn=kernel, schema=out_schema)
 
 
@@ -790,7 +778,7 @@ def events_window_funnel(sf_dir: str, window_hours: int = 72):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_type"])
     parts = collect_table(hash_exchange(
-        ds, nbuckets=32, on="user_id", reduce_fn=kernel,
+        ds, on="user_id", reduce_fn=kernel,
         schema=part_schema))
     agg = parts.group_by(["depth"]).aggregate([("n_users", "sum")])
     agg = agg.rename_columns(["depth", "n_users"]).sort_by(
@@ -1464,7 +1452,7 @@ def docs_char_trigrams_by_lang(sf_dir: str, k: int = 10):
     parts = collect_table(hash_exchange(
         ds.map_batches(extract, batch_format="pyarrow",
                        zero_copy_batch=True),
-        nbuckets=16, on="tri", reduce_fn=topk_kernel,
+        on="tri", reduce_fn=topk_kernel,
         schema=part_schema))
     lang = np.asarray(parts["lang"].to_pylist(), object)
     tri = np.asarray(parts["tri"].to_pylist(), object)
@@ -1605,7 +1593,7 @@ def docs_source_vocab_jaccard(sf_dir: str):
     parts = collect_table(hash_exchange(
         ds.map_batches(tokenize, batch_format="pyarrow",
                        zero_copy_batch=True),
-        nbuckets=32, on="token", reduce_fn=kernel, schema=out_schema))
+        on="token", reduce_fn=kernel, schema=out_schema))
     agg = parts.group_by(["src_a", "src_b"]).aggregate(
         [("n_inter", "sum"), ("n_a", "sum"), ("n_b", "sum")])
     agg = agg.rename_columns(["src_a", "src_b", "n_inter", "n_a",
@@ -2281,7 +2269,7 @@ def events_top_users_mg(sf_dir: str, k: int = 10):
     cand = collect_table(hash_exchange(
         ds.map_batches(partial, batch_format="pyarrow",
                        zero_copy_batch=True),
-        nbuckets=32, on="user_id", reduce_fn=bucket_topk,
+        on="user_id", reduce_fn=bucket_topk,
         schema=out_schema))
     u = cand["user_id"].to_numpy(zero_copy_only=False)
     c = cand["n_events"].to_numpy(zero_copy_only=False)
@@ -2883,7 +2871,7 @@ def parts_pagerank_top(sf_dir: str, k: int = 20):
     E = hash_exchange(
         ds.map_batches(edges, batch_format="pyarrow",
                        zero_copy_batch=True),
-        nbuckets=16, on="src", reduce_fn=dedup, schema=edge_schema)
+        on="src", reduce_fn=dedup, schema=edge_schema)
     # 16 buckets: 10 rounds of chained cogroups are task-latency
     # bound at this edge count (measured 3.7s vs 8.5s at 32 buckets,
     # 5.3s at 8); raise with graph size on a real cluster
@@ -5125,8 +5113,7 @@ def orders_digest_by_priority(sf_dir: str):
 
     ds = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
                                columns=["o_orderpriority", "o_orderkey"])
-    return table_digest(ds, ["o_orderpriority"], "o_orderkey",
-                        nbuckets=8)
+    return table_digest(ds, ["o_orderpriority"], "o_orderkey")
 
 
 def docs_bm25_topk(sf_dir: str, k: int = 10):
@@ -5543,8 +5530,7 @@ def events_transitions(sf_dir: str):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_id", "event_type"])
     parts = transition_counts(ds, key="user_id", order="ts",
-                              state="event_type", tiebreak="event_id",
-                              nbuckets=32)
+                              state="event_type", tiebreak="event_id")
     tbl = _final_combine(parts, ["state", "next_state"], ["n"])
     return tbl.rename_columns(["event_type", "next_type", "n_transitions"])
 
@@ -5586,7 +5572,7 @@ def events_hourly_gapfill(sf_dir: str):
     filled = gap_fill(ray.data.from_arrow(hourly), key="event_type",
                       tick="hour", start=int(hours.min()),
                       stop=int(hours.max()), zero_cols=("n_events",),
-                      ffill_cols=("cents",), nbuckets=4)
+                      ffill_cols=("cents",))
     out = collect_table(filled)
     return out.rename_columns(["event_type", "hour", "n_events",
                                "cents_ffill"])
@@ -5766,7 +5752,7 @@ def orders_status_history(sf_dir: str):
                  "o_orderstatus"]).map_batches(
         axis, batch_format="pyarrow", zero_copy_batch=True)
     out = scd2_intervals(ds, key="o_custkey", order="t",
-                         value="o_orderstatus", nbuckets=32)
+                         value="o_orderstatus")
     from ..collect import collect_table
 
     return collect_table(out)
@@ -5799,8 +5785,7 @@ def orders_latest_order(sf_dir: str):
                  "o_totalprice"]).map_batches(
         cents, batch_format="pyarrow", zero_copy_batch=True)
     out = arg_max_agg(ds, ["o_custkey"], "o_orderdate",
-                      ["price_cents"], tiebreak="o_orderkey",
-                      nbuckets=16)
+                      ["price_cents"], tiebreak="o_orderkey")
     return collect_table(out).select(
         ["o_custkey", "o_orderkey", "price_cents"])
 
@@ -6113,7 +6098,7 @@ def events_value_twap(sf_dir: str):
             "dur_us": pa.array(dsum),
         })
 
-    out = hash_exchange(ds, nbuckets=32, on="user_id",
+    out = hash_exchange(ds, on="user_id",
                         reduce_fn=kernel, schema=out_schema)
     from ..collect import collect_table
 
@@ -6160,7 +6145,7 @@ def events_cusum_alarms(sf_dir: str, drift: int = 5500,
 
     ds = ds.map_batches(axis, batch_format="pyarrow", zero_copy_batch=True)
     out = cusum_alarms(ds, key="user_id", order="o", value="v",
-                       drift=drift, threshold=threshold, nbuckets=32)
+                       drift=drift, threshold=threshold)
 
     def partial(b: pa.Table) -> pa.Table:
         t = pa.table({
@@ -6212,9 +6197,8 @@ def events_value_ewma(sf_dir: str, alpha: float = 0.1):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_id", "value"]).map_batches(
         axis, batch_format="pyarrow", zero_copy_batch=True)
-    sm = ewma(ds, key="user_id", order="o", value="v", alpha=alpha,
-              nbuckets=32)
-    last = arg_max_agg(sm, ["user_id"], "o", ["ewma"], nbuckets=16)
+    sm = ewma(ds, key="user_id", order="o", value="v", alpha=alpha)
+    last = arg_max_agg(sm, ["user_id"], "o", ["ewma"])
     out = collect_table(last).select(["user_id", "ewma"])
     r6 = np.round(out["ewma"].to_numpy(zero_copy_only=False), 6)
     return pa.table({"user_id": out["user_id"],
@@ -6327,8 +6311,7 @@ def events_hourly_interp(sf_dir: str):
     hours = hourly["hour"].to_numpy()
     filled = gap_fill(ray.data.from_arrow(hourly), key="event_type",
                       tick="hour", start=int(hours.min()),
-                      stop=int(hours.max()), interp_cols=("cents",),
-                      nbuckets=4)
+                      stop=int(hours.max()), interp_cols=("cents",))
     out = collect_table(filled)
     return out.rename_columns(["event_type", "hour", "cents_interp"])
 
@@ -6667,7 +6650,7 @@ def docs_stratified_split(sf_dir: str):
     prepped = ds.map_batches(prep, batch_format="pyarrow",
                              zero_copy_batch=True)
     out = stratified_split(prepped, group="src", hash_col="hv",
-                           frac=0.125, nbuckets=8)
+                           frac=0.125)
     return out.select_columns(["doc_id", "src", "is_val"])
 
 
@@ -6888,7 +6871,7 @@ def tpch_q13(sf_dir: str):
                          "custdist": pa.array(nc.astype(np.int64))})
 
     hist = collect_table(hash_exchange(
-        parts, nbuckets=32, on="o_custkey", reduce_fn=hist_reduce,
+        parts, on="o_custkey", reduce_fn=hist_reduce,
         schema=pa.schema([("c_count", pa.int64()),
                           ("custdist", pa.int64())])))
     agg = hist.group_by(["c_count"]).aggregate([("custdist", "sum")])
@@ -6944,7 +6927,7 @@ def tpch_q18(sf_dir: str):
     big = collect_table(hash_exchange(
         items.map_batches(partial, batch_format="pyarrow",
                           zero_copy_batch=True),
-        nbuckets=32, on="l_orderkey", reduce_fn=having,
+        on="l_orderkey", reduce_fn=having,
         schema=pa.schema([("o_orderkey", pa.int64()),
                           ("sum_qty", pa.int64())])))
     qty = dict(zip(big["o_orderkey"].to_pylist(),
@@ -7691,7 +7674,7 @@ def suppliers_line_interpolate(sf_dir: str):
             "px": pa.array(rows["px"], pa.float64()),
             "py": pa.array(rows["py"], pa.float64())})
 
-    t = collect_table(hash_exchange(ds, nbuckets=8, on="s_nationkey",
+    t = collect_table(hash_exchange(ds, on="s_nationkey",
                                     reduce_fn=kernel,
                                     schema=out_schema))
     nk = t["nationkey"].to_numpy().astype(np.int64)
@@ -7934,7 +7917,7 @@ def events_ohlc_hourly(sf_dir: str):
             "n_events": pa.array(
                 (ends - starts + 1).astype(np.int64))})
 
-    t = collect_table(hash_exchange(ds, nbuckets=32, on="user_id",
+    t = collect_table(hash_exchange(ds, on="user_id",
                                     reduce_fn=kernel,
                                     schema=out_schema))
     uid = t["user_id"].to_numpy().astype(np.int64)
@@ -7990,7 +7973,7 @@ def _copurchase_pairs(sf_dir: str):
             "p2": pa.array(uc & ((np.int64(1) << 32) - 1)),
             "n_orders": pa.array(cnt.astype(np.int64))})
 
-    return hash_exchange(ds, nbuckets=32, on="l_orderkey",
+    return hash_exchange(ds, on="l_orderkey",
                          reduce_fn=pair_kernel, schema=_PAIR_SCHEMA)
 
 
@@ -8019,8 +8002,7 @@ def parts_copurchase_top(sf_dir: str, k: int = 50):
                          "p2": pa.array(p2[sel]),
                          "n_orders": pa.array(n[sel])})
 
-    t = collect_table(hash_exchange(pairs, nbuckets=16,
-                                    on=["p1", "p2"],
+    t = collect_table(hash_exchange(pairs, on=["p1", "p2"],
                                     reduce_fn=topk_kernel,
                                     schema=_PAIR_SCHEMA))
     p1 = t["p1"].to_numpy().astype(np.int64)
@@ -8076,7 +8058,7 @@ def parts_frequent_triples(sf_dir: str, min_support: int = 2,
                          "n": pa.array(cnt.astype(np.int64))})
 
     supp = _exchange_combine(
-        hash_exchange(ds, nbuckets=32, on="l_orderkey",
+        hash_exchange(ds, on="l_orderkey",
                       reduce_fn=supp_kernel, schema=supp_schema),
         "p", [("n", "sum")])
     freq = np.sort(supp["p"].to_numpy(zero_copy_only=False)[
@@ -8132,7 +8114,7 @@ def parts_frequent_triples(sf_dir: str, min_support: int = 2,
             "p3": pa.array(uc & ((np.int64(1) << 21) - 1)),
             "n_orders": pa.array(cnt.astype(np.int64))})
 
-    partials = hash_exchange(ds, nbuckets=32, on="l_orderkey",
+    partials = hash_exchange(ds, on="l_orderkey",
                              reduce_fn=triple_kernel,
                              schema=_TRIPLE_SCHEMA)
 
@@ -8152,8 +8134,7 @@ def parts_frequent_triples(sf_dir: str, min_support: int = 2,
                          "p3": pa.array(p3[sel]),
                          "n_orders": pa.array(nn[sel])})
 
-    t = collect_table(hash_exchange(partials, nbuckets=16,
-                                    on=["p1", "p2", "p3"],
+    t = collect_table(hash_exchange(partials, on=["p1", "p2", "p3"],
                                     reduce_fn=topk_kernel,
                                     schema=_TRIPLE_SCHEMA))
     p1 = t["p1"].to_numpy(zero_copy_only=False)
@@ -8416,7 +8397,7 @@ def events_interarrival_moments(sf_dir: str):
         f"{sf_dir}/events.parquet",
         columns=["event_type", "ts", "event_id"])
     parts = collect_table(hash_exchange(
-        ds, nbuckets=8, on="event_type", reduce_fn=kernel,
+        ds, on="event_type", reduce_fn=kernel,
         schema=out_schema))
     acc: dict[str, list] = {}
     for r in parts.to_pylist():
@@ -8470,7 +8451,7 @@ def events_cumulative_distinct(sf_dir: str):
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["user_id", "ts"])
     parts = collect_table(hash_exchange(
-        ds, nbuckets=32, on="user_id", reduce_fn=kernel,
+        ds, on="user_id", reduce_fn=kernel,
         schema=part_schema))
     hrs = parts["hour"].to_numpy(zero_copy_only=False)
     nf = parts["n_first"].to_numpy(zero_copy_only=False)
@@ -8588,7 +8569,7 @@ def parts_assoc_rules(sf_dir: str, min_support: int = 2, k: int = 20):
     ds = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
                                columns=["l_orderkey", "l_partkey"])
     supp = _exchange_combine(
-        hash_exchange(ds, nbuckets=32, on="l_orderkey",
+        hash_exchange(ds, on="l_orderkey",
                       reduce_fn=supp_kernel, schema=supp_schema),
         "p", [("n", "sum")])
     sp = supp["p"].to_numpy(zero_copy_only=False)
@@ -8634,8 +8615,7 @@ def parts_assoc_rules(sf_dir: str, min_support: int = 2, k: int = 20):
             "confidence": pa.array(conf[sel])})
 
     pairs = _copurchase_pairs(sf_dir)
-    t = collect_table(hash_exchange(pairs, nbuckets=16,
-                                    on=["p1", "p2"],
+    t = collect_table(hash_exchange(pairs, on=["p1", "p2"],
                                     reduce_fn=topk_rules,
                                     schema=rule_schema))
     conf = t["confidence"].to_numpy(zero_copy_only=False)
@@ -8663,8 +8643,7 @@ def events_markov_stationary(sf_dir: str, iters: int = 12):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_id", "event_type"])
     parts = transition_counts(ds, key="user_id", order="ts",
-                              state="event_type", tiebreak="event_id",
-                              nbuckets=32)
+                              state="event_type", tiebreak="event_id")
     tbl = _final_combine(parts, ["state", "next_state"], ["n"])
     # the type universe includes types that only ever appear as a
     # user's LAST event (no outgoing row)
@@ -8787,7 +8766,7 @@ def parts_copurchase_lift(sf_dir: str, k: int = 50):
     marg = collect_table(hash_exchange(
         ds.map_batches(project, batch_format="pyarrow",
                        zero_copy_batch=True),
-        nbuckets=16, on="l_partkey", reduce_fn=count_kernel,
+        on="l_partkey", reduce_fn=count_kernel,
         schema=cnt_schema))
     mk = marg["l_partkey"].to_numpy().astype(np.int64)
     mc = marg["n_orders"].to_numpy().astype(np.int64)
@@ -9071,7 +9050,7 @@ def events_stay_points(sf_dir: str, min_points: int = 3):
             "o_end": pa.array(oo[ends][keep]),
             "n_points": pa.array(n[keep])})
 
-    t = collect_table(hash_exchange(ds, nbuckets=32, on="user_id",
+    t = collect_table(hash_exchange(ds, on="user_id",
                                     reduce_fn=kernel,
                                     schema=out_schema))
     uid = t["user_id"].to_numpy().astype(np.int64)
@@ -9936,7 +9915,7 @@ def tpch_q16(sf_dir: str):
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_suppkey"]).map_batches(
         prep, batch_format="pyarrow", zero_copy_batch=True)
-    out = hash_exchange(ds, nbuckets=32, on="trip",
+    out = hash_exchange(ds, on="trip",
                         reduce_fn=dedup_count)
     agg = _final_combine(out, ["code"], ["supplier_cnt"])
     code = agg["code"].to_numpy().astype(np.int64)
@@ -10019,7 +9998,7 @@ def tpch_q20(sf_dir: str):
         columns=["l_partkey", "l_suppkey", "l_quantity",
                  "l_shipdate"]).map_batches(
         prep, batch_format="pyarrow", zero_copy_batch=True)
-    out = collect_table(hash_exchange(ds, nbuckets=32, on="l_partkey",
+    out = collect_table(hash_exchange(ds, on="l_partkey",
                                       reduce_fn=qualify))
     win = np.unique(out["s_suppkey"].to_numpy().astype(np.int64))
 
@@ -10381,7 +10360,6 @@ def docs_token_drift(sf_dir: str, k: int = 20):
 
     from ..collect import collect_table
     from ..functions.exchange import hash_exchange
-    from ..functions.join import _key_hash
 
     def partial(batch: pa.Table) -> pa.Table:
         src = batch["source"].to_pylist()
@@ -10409,11 +10387,6 @@ def docs_token_drift(sf_dir: str, k: int = 20):
         return pa.table({"term": enc.dictionary,
                          "n_a": pa.array(n_a), "n_b": pa.array(n_b)})
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch["term"])
-        return batch.append_column(
-            "bucket", pa.array((h & np.uint64(63)).astype(np.int64)))
-
     def sum_terms(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return pa.table({"term": pa.array([], pa.string()),
@@ -10434,9 +10407,8 @@ def docs_token_drift(sf_dir: str, k: int = 20):
         f"{sf_dir}/documents.parquet",
         columns=["source", "text"]).map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=None).map_batches(
-        add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-    vocab = hash_exchange(parts, nbuckets=64, on="bucket",
+        batch_size=None)
+    vocab = hash_exchange(parts, on="term",
                           reduce_fn=sum_terms).materialize()
 
     def totals(t: pa.Table) -> pa.Table:
@@ -10734,7 +10706,6 @@ def docs_unigram_surprise(sf_dir: str, k: int = 20):
 
     from ..collect import collect_table
     from ..functions.exchange import hash_exchange
-    from ..functions.join import _key_hash
 
     N = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id"]).count()
@@ -10762,13 +10733,10 @@ def docs_unigram_surprise(sf_dir: str, k: int = 20):
         pid = dpos[1] * nterm + codes
         uu, inv = np.unique(pid, return_inverse=True)
         cnt = np.bincount(inv, minlength=len(uu)).astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "doc_id": pa.array(dpos[0][uu // nterm]),
             "term": enc.dictionary.take(pa.array(uu % nterm)),
             "cnt": pa.array(cnt)})
-        h = _key_hash(t["term"])
-        return t.append_column(
-            "bucket", pa.array((h & np.uint64(63)).astype(np.int64)))
 
     def bucket_score(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -10801,7 +10769,7 @@ def docs_unigram_surprise(sf_dir: str, k: int = 20):
             columns=["doc_id", "text"]).map_batches(
             pairs, batch_format="pyarrow", zero_copy_batch=True,
             batch_size=None),
-        nbuckets=64, on="bucket", reduce_fn=bucket_score)
+        on="term", reduce_fn=bucket_score)
 
     def doc_topk(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -10818,7 +10786,7 @@ def docs_unigram_surprise(sf_dir: str, k: int = 20):
                          "n_tokens": pa.array(ntok[order])})
 
     cand = collect_table(hash_exchange(
-        scored, nbuckets=16, on="doc_id", reduce_fn=doc_topk))
+        scored, on="doc_id", reduce_fn=doc_topk))
     did = cand["doc_id"].to_numpy().astype(np.int64)
     s = cand["surprise"].to_numpy().astype(np.int64)
     ntok = cand["n_tokens"].to_numpy().astype(np.int64)
@@ -10967,7 +10935,7 @@ def lineitem_constraints(sf_dir: str):
     pk = collect_table(hash_exchange(
         items.map_batches(pk_partial, batch_format="pyarrow",
                           zero_copy_batch=True),
-        nbuckets=32, on="k", reduce_fn=pk_reduce))
+        on="k", reduce_fn=pk_reduce))
     pk_checked = int(pk["n_checked"].to_numpy().sum())
     pk_viol = int(pk["n_violations"].to_numpy().sum())
 
@@ -11520,7 +11488,7 @@ def events_rate_limiter(sf_dir: str, capacity: int = 5,
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_id"])
     out = collect_table(hash_exchange(
-        ds, nbuckets=32, on="user_id", reduce_fn=kernel,
+        ds, on="user_id", reduce_fn=kernel,
         schema=out_schema))
     o = np.argsort(out["user_id"].to_numpy(zero_copy_only=False))
     return out.take(pa.array(o))
@@ -11635,7 +11603,7 @@ def events_rank_test(sf_dir: str):
     out = rank_sum_u2(
         ds.map_batches(prep, batch_format="pyarrow",
                        zero_copy_batch=True),
-        key="event_type", value="v", side="side", nbuckets=8)
+        key="event_type", value="v", side="side")
     from ..collect import collect_table
 
     tbl = collect_table(out)
@@ -12125,7 +12093,7 @@ def lineitem_gini_by_flag(sf_dir: str):
 
     out = group_gini(ds.map_batches(prep, batch_format="pyarrow",
                                     zero_copy_batch=True),
-                     key="l_returnflag", value="v", nbuckets=8)
+                     key="l_returnflag", value="v")
     from ..collect import collect_table
 
     tbl = collect_table(out)
@@ -12630,7 +12598,7 @@ def parts_soundex_blocks(sf_dir: str):
     out = collect_table(hash_exchange(
         ds.map_batches(partial, batch_format="pyarrow",
                        zero_copy_batch=True),
-        nbuckets=16, on="sdx", reduce_fn=finish, schema=out_schema))
+        on="sdx", reduce_fn=finish, schema=out_schema))
     order = np.argsort(np.asarray(out["sdx"].to_pylist(), object))
     return out.take(pa.array(order))
 
@@ -13099,7 +13067,6 @@ def docs_keywords(sf_dir: str, topk: int = 3, stride: int = 499):
 
     from ..collect import collect_table
     from ..functions.exchange import hash_exchange
-    from ..functions.join import _key_hash
 
     N = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id"]).count()
@@ -13126,13 +13093,10 @@ def docs_keywords(sf_dir: str, topk: int = 3, stride: int = 499):
         pid = dpos[1] * nterm + codes
         uu, inv = np.unique(pid, return_inverse=True)
         cnt = np.bincount(inv, minlength=len(uu)).astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "doc_id": pa.array(dpos[0][uu // nterm]),
             "term": enc.dictionary.take(pa.array(uu % nterm)),
             "tf": pa.array(cnt)})
-        h = _key_hash(t["term"])
-        return t.append_column(
-            "bucket", pa.array((h & np.uint64(63)).astype(np.int64)))
 
     def bucket_probe(t: pa.Table) -> pa.Table:
         empty = pa.table({"doc_id": pa.array([], pa.int64()),
@@ -13162,7 +13126,7 @@ def docs_keywords(sf_dir: str, topk: int = 3, stride: int = 499):
     pr = collect_table(hash_exchange(
         src.map_batches(pairs, batch_format="pyarrow",
                         zero_copy_batch=True),
-        nbuckets=64, on="bucket", reduce_fn=bucket_probe))
+        on="term", reduce_fn=bucket_probe))
     df_ = pr.to_pandas()
     bitlen = (N // df_["df"].to_numpy()).astype(np.int64)
     bitlen = np.frexp(bitlen.astype(np.float64))[1].astype(np.int64)
@@ -13241,7 +13205,7 @@ def events_debounce(sf_dir: str, cooldown: int = 21600):
 
     kept = debounce(ds.map_batches(prep, batch_format="pyarrow",
                                    zero_copy_batch=True),
-                    "user_id", "sec", cooldown, nbuckets=32)
+                    "user_id", "sec", cooldown)
 
     def partial(b: pa.Table) -> pa.Table:
         u = b["user_id"].to_numpy(zero_copy_only=False)
@@ -13883,7 +13847,7 @@ def lineitem_ship_delay_quantiles(sf_dir: str):
                            zero_copy_batch=True)
     out = collect_table(group_quantile(
         d, ["l_returnflag"], "delay_days",
-        {"p50": 0.5, "p90": 0.9, "p99": 0.99}, nbuckets=8,
+        {"p50": 0.5, "p90": 0.9, "p99": 0.99},
         schema=pa.schema([("l_returnflag", pa.string()),
                           ("delay_days", pa.int64())])))
     o = np.argsort(np.asarray(out["l_returnflag"].to_pylist(), object))
@@ -13942,7 +13906,7 @@ def events_local_peaks(sf_dir: str):
         f"{sf_dir}/events.parquet",
         columns=["event_type", "ts", "event_id", "value"])
     out = collect_table(hash_exchange(
-        ds, nbuckets=16, on="event_type", reduce_fn=kernel,
+        ds, on="event_type", reduce_fn=kernel,
         schema=out_schema))
     o = np.argsort(np.asarray(out["event_type"].to_pylist(), object))
     return out.take(pa.array(o))
@@ -14012,7 +13976,7 @@ def parts_price_dispersion(sf_dir: str):
         .map_batches(partial, batch_format="pyarrow",
                      zero_copy_batch=True)
     out = collect_table(hash_exchange(
-        partials, nbuckets=32, on="l_partkey", reduce_fn=finish,
+        partials, on="l_partkey", reduce_fn=finish,
         schema=out_schema))
     order = np.argsort(out["l_partkey"].to_numpy(zero_copy_only=False))
     return out.take(pa.array(order))
@@ -14079,7 +14043,7 @@ def events_rolling_active_users(sf_dir: str, window_days: int = 7):
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["user_id", "ts"])
     parts = collect_table(hash_exchange(
-        ds, nbuckets=32, on="user_id", reduce_fn=kernel,
+        ds, on="user_id", reduce_fn=kernel,
         schema=part_schema))
     df = parts.to_pandas().groupby("day", as_index=False)["delta"] \
         .sum().sort_values("day")
@@ -14142,7 +14106,7 @@ def events_gap_histogram(sf_dir: str, nbuckets_log: int = 24):
         f"{sf_dir}/events.parquet",
         columns=["event_type", "ts", "event_id"])
     parts = collect_table(hash_exchange(
-        ds, nbuckets=16, on="event_type", reduce_fn=kernel,
+        ds, on="event_type", reduce_fn=kernel,
         schema=out_schema))
     df = parts.to_pandas().groupby(
         ["event_type", "bucket"], as_index=False).sum()
@@ -14364,7 +14328,7 @@ def suppliers_scorecard(sf_dir: str, sla_days: int = 60):
     partials = joined.map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True)
     out = collect_table(hash_exchange(
-        partials, nbuckets=32, on="s_suppkey", reduce_fn=finish,
+        partials, on="s_suppkey", reduce_fn=finish,
         schema=out_schema))
     o = np.argsort(out["s_suppkey"].to_numpy(zero_copy_only=False))
     return out.take(pa.array(o))
@@ -14433,7 +14397,7 @@ def customers_order_cadence(sf_dir: str):
     ds = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
                                columns=["o_custkey", "o_orderdate"])
     out = collect_table(hash_exchange(
-        ds, nbuckets=32, on="o_custkey", reduce_fn=kernel,
+        ds, on="o_custkey", reduce_fn=kernel,
         schema=out_schema))
     o = np.argsort(out["o_custkey"].to_numpy(zero_copy_only=False))
     return out.take(pa.array(o))
@@ -14504,7 +14468,7 @@ def events_type_cooccurrence(sf_dir: str):
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["user_id", "event_type"])
     parts = collect_table(hash_exchange(
-        ds, nbuckets=32, on="user_id", reduce_fn=kernel,
+        ds, on="user_id", reduce_fn=kernel,
         schema=part_schema))
     df = parts.to_pandas().groupby(
         ["type_a", "type_b"], as_index=False)["cnt"].sum()
@@ -14795,7 +14759,7 @@ def events_value_streaks(sf_dir: str):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_id", "value"])
     out = collect_table(hash_exchange(
-        ds, nbuckets=32, on="user_id", reduce_fn=kernel,
+        ds, on="user_id", reduce_fn=kernel,
         schema=out_schema))
     o = np.argsort(out["user_id"].to_numpy(zero_copy_only=False))
     return out.take(pa.array(o))
@@ -14848,7 +14812,7 @@ def orders_cohort_ltv(sf_dir: str):
         f"{sf_dir}/orders.parquet",
         columns=["o_custkey", "o_orderdate", "o_totalprice"])
     parts = collect_table(hash_exchange(
-        ds, nbuckets=32, on="o_custkey", reduce_fn=kernel,
+        ds, on="o_custkey", reduce_fn=kernel,
         schema=out_schema))
     df = parts.to_pandas().groupby(
         ["cohort_month", "age_months"], as_index=False).sum()
@@ -14920,7 +14884,7 @@ def docs_vocab_growth(sf_dir: str, nbins: int = 10):
         .map_batches(partial, batch_format="pyarrow",
                      zero_copy_batch=True)
     toks = collect_table(hash_exchange(
-        ds, nbuckets=32, on="token", reduce_fn=kernel,
+        ds, on="token", reduce_fn=kernel,
         schema=part_schema))
     md = toks["min_doc"].to_numpy(zero_copy_only=False)
     binb = np.clip(md // width, 0, nbins - 1)
@@ -15030,7 +14994,7 @@ def orders_new_vs_returning(sf_dir: str):
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_orderdate"])
     parts = collect_table(hash_exchange(
-        ds, nbuckets=32, on="o_custkey", reduce_fn=kernel,
+        ds, on="o_custkey", reduce_fn=kernel,
         schema=out_schema))
     df = parts.to_pandas().groupby("epoch_month", as_index=False).sum()
     return pa.Table.from_pandas(
@@ -15116,7 +15080,7 @@ def orders_duplicate_payments(sf_dir: str, window_days: int = 30,
         columns=["o_orderkey", "o_custkey", "o_totalprice",
                  "o_orderdate"])
     out = collect_table(hash_exchange(
-        ds, nbuckets=32, on="o_custkey", reduce_fn=kernel,
+        ds, on="o_custkey", reduce_fn=kernel,
         schema=out_schema))
     o = np.lexsort((out["o_orderkey_b"].to_numpy(zero_copy_only=False),
                     out["o_orderkey_a"].to_numpy(zero_copy_only=False)))
@@ -15194,7 +15158,7 @@ def orders_gaps_islands(sf_dir: str, gap_days: int = 1):
     ds = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
                                columns=["o_custkey", "o_orderdate"])
     out = collect_table(hash_exchange(
-        ds, nbuckets=32, on="o_custkey", reduce_fn=kernel,
+        ds, on="o_custkey", reduce_fn=kernel,
         schema=out_schema))
     o = np.argsort(out["o_custkey"].to_numpy(zero_copy_only=False))
     return out.take(pa.array(o))
@@ -15356,7 +15320,7 @@ def orders_reconciliation(sf_dir: str):
     lsums = hash_exchange(
         li.map_batches(lpart, batch_format="pyarrow",
                        zero_copy_batch=True),
-        nbuckets=32, on="o_orderkey", reduce_fn=lsum_reduce)
+        on="o_orderkey", reduce_fn=lsum_reduce)
 
     def oprep(b: pa.Table) -> pa.Table:
         oc = np.round(b["o_totalprice"].to_numpy() * 100) \
@@ -15517,7 +15481,7 @@ def customers_survival(sf_dir: str, k: int = 40):
         g = tbl.group_by(["dur", "event"]).aggregate([("n", "sum")])
         return g.rename_columns(["dur", "event", "n"]).cast(out_schema)
 
-    parts = collect_table(hash_exchange(rows, nbuckets=32, on="c",
+    parts = collect_table(hash_exchange(rows, on="c",
                                         reduce_fn=kernel,
                                         schema=out_schema))
     df = parts.to_pandas().groupby(["dur", "event"],
@@ -15654,7 +15618,7 @@ def events_attribution(sf_dir: str, window_days: int = 7):
     # tie would make either attribution rule ambiguous
     from ..functions.exchange import hash_exchange
 
-    tcheck = hash_exchange(touches, nbuckets=32, on="user_id",
+    tcheck = hash_exchange(touches, on="user_id",
                            reduce_fn=uniq_check,
                            schema=t_schema).count()
     if tcheck == 0:
@@ -16689,7 +16653,7 @@ def lineitem_sequence_gaps(sf_dir: str):
                          "n_distinct": pa.array(n_dist),
                          "mx": pa.array(mx), "mn": pa.array(mn)})
 
-    per_order = hash_exchange(li, nbuckets=32, on="l_orderkey",
+    per_order = hash_exchange(li, on="l_orderkey",
                               reduce_fn=kernel, schema=schema)
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
@@ -16762,7 +16726,7 @@ def events_sliding_median(sf_dir: str, w: int = 5):
     med = sliding_median(
         ds.map_batches(prep, batch_format="pyarrow",
                        zero_copy_batch=True),
-        "user_id", ["t_us", "event_id"], "cents", w=w, nbuckets=32)
+        "user_id", ["t_us", "event_id"], "cents", w=w)
 
     def partial(b: pa.Table) -> pa.Table:
         u = b["user_id"].to_numpy(zero_copy_only=False)
@@ -16812,7 +16776,7 @@ def events_ks_test(sf_dir: str):
 
     out = collect_table(ks_statistic(
         ds.map_batches(prep, batch_format="pyarrow",
-                       zero_copy_batch=True), nbuckets=16))
+                       zero_copy_batch=True)))
     k = np.asarray(out["key"].to_pylist(), object).astype(str)
     sel = pa.array(np.argsort(k))
     t = out.take(sel)
@@ -16948,7 +16912,7 @@ def lineitem_weighted_median(sf_dir: str):
     out = collect_table(weighted_median(
         ds.map_batches(prep, batch_format="pyarrow",
                        zero_copy_batch=True),
-        ["l_returnflag"], "cents", "qty", nbuckets=8))
+        ["l_returnflag"], "cents", "qty"))
     f = np.asarray(out["l_returnflag"].to_pylist(), object).astype(str)
     return out.take(pa.array(np.argsort(f)))
 
@@ -16989,7 +16953,7 @@ def events_hourly_trend(sf_dir: str):
                        "y": hourly["n"]})
     out = collect_table(corr_agg(
         ray.data.from_arrow(series), ["event_type"], "x", "y",
-        nbuckets=4, slope_col="slope"))
+        slope_col="slope"))
     f = np.asarray(out["event_type"].to_pylist(), object).astype(str)
     out = out.take(pa.array(np.argsort(f)))
     keep = [c for c in out.column_names
@@ -17139,7 +17103,7 @@ def events_time_to_convert(sf_dir: str):
     per_user = hash_exchange(
         ds.map_batches(prefilter, batch_format="pyarrow",
                        zero_copy_batch=True),
-        nbuckets=32, on="user_id", reduce_fn=bucket_kernel,
+        on="user_id", reduce_fn=bucket_kernel,
         schema=gap_schema)
 
     out_schema = pa.schema([("q", pa.int64()),
@@ -17329,8 +17293,7 @@ def events_mann_kendall(sf_dir: str):
                        zero_copy_batch=True),
         ["event_type", "hour"], ["n"])
     out = collect_table(mann_kendall(
-        ray.data.from_arrow(hourly), ["event_type"], "hour", "n",
-        nbuckets=4))
+        ray.data.from_arrow(hourly), ["event_type"], "hour", "n"))
     f = np.asarray(out["event_type"].to_pylist(), object).astype(str)
     return out.take(pa.array(np.argsort(f)))
 
@@ -17365,8 +17328,7 @@ def events_theil_sen(sf_dir: str):
                        zero_copy_batch=True),
         ["event_type", "hour"], ["n"])
     out = collect_table(theil_sen(
-        ray.data.from_arrow(hourly), ["event_type"], "hour", "n",
-        nbuckets=4))
+        ray.data.from_arrow(hourly), ["event_type"], "hour", "n"))
     f = np.asarray(out["event_type"].to_pylist(), object).astype(str)
     return out.take(pa.array(np.argsort(f)))
 
@@ -17397,8 +17359,7 @@ def orders_fd_audit(sf_dir: str):
 
         ds = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
                                    columns=[a, b])
-        per_a = distinct_agg(ds, [a], b, nbuckets=8,
-                             out_col="nb")
+        per_a = distinct_agg(ds, [a], b, out_col="nb")
 
         def roll(t: pa.Table) -> pa.Table:
             nb = t["nb"].to_numpy(zero_copy_only=False)
@@ -18052,8 +18013,7 @@ def events_pattern_match(sf_dir: str):
         columns=["user_id", "ts", "event_id", "event_type"])
     parts = collect_table(pattern_match_counts(
         ds, key="user_id", order="ts", state="event_type",
-        patterns=["ee+", "sv", "v[cs]*p"], tiebreak="event_id",
-        nbuckets=32))
+        patterns=["ee+", "sv", "v[cs]*p"], tiebreak="event_id"))
     agg = parts.group_by(["pattern"]).aggregate(
         [("n_matches", "sum"), ("n_users", "sum"),
          ("max_per_user", "max")]).rename_columns(
@@ -18312,7 +18272,7 @@ def events_dtw_pairs(sf_dir: str, m: int = 5):
             "y": pa.array((es * 53) % 200)})
 
     pts = collect_table(hash_exchange(
-        ds, nbuckets=32, on="user_id", reduce_fn=kernel,
+        ds, on="user_id", reduce_fn=kernel,
         schema=out_schema))
     uid = pts["user_id"].to_numpy(zero_copy_only=False)
     ii = pts["i"].to_numpy(zero_copy_only=False)
@@ -18555,7 +18515,7 @@ def orders_allen_relations(sf_dir: str):
                          "n": pa.array(cnt[hit].astype(np.int64))})
 
     parts = collect_table(hash_exchange(
-        ds, nbuckets=32, on="o_custkey", reduce_fn=kernel,
+        ds, on="o_custkey", reduce_fn=kernel,
         schema=out_schema))
     agg = parts.group_by(["relation"]).aggregate([("n", "sum")]) \
         .rename_columns(["relation", "n"])
@@ -19153,7 +19113,7 @@ def events_runs_test(sf_dir: str):
             "n_runs": pa.array(nr, pa.int64())})
 
     out = collect_table(hash_exchange(
-        ds, nbuckets=8, on="event_type", reduce_fn=kernel,
+        ds, on="event_type", reduce_fn=kernel,
         schema=out_schema))
     o = np.argsort(np.asarray(out["event_type"]))
     return out.take(pa.array(o))

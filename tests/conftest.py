@@ -34,3 +34,24 @@ def no_ray_groupby(monkeypatch):
                              "instead of the hash exchange")
 
     monkeypatch.setattr(ray.data.Dataset, "groupby", refuse)
+
+
+@pytest.fixture
+def many_buckets(monkeypatch):
+    """``with many_buckets(nbytes):`` spreads a small test input over
+    many exchange buckets, empty ones included.  A self-sized exchange
+    gives each bucket ``_BUCKET_BYTES`` of input (1 MiB), so a test
+    table of a few KB lands in one bucket; inside the block each bucket
+    gets ``nbytes`` instead (``_size_buckets`` reads the constant on
+    the driver at call time), up to ``_MAX_BUCKETS``."""
+    import contextlib
+
+    from geobuf_ray.functions import exchange
+
+    @contextlib.contextmanager
+    def spread(nbytes: int = 256):
+        with monkeypatch.context() as m:
+            m.setattr(exchange, "_BUCKET_BYTES", nbytes)
+            yield
+
+    return spread

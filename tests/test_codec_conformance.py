@@ -432,6 +432,24 @@ def test_ring_prefix_past_record_end_raises_value_error():
         dc.decode_batch(pa.array([bytes(bad)], pa.binary()))
 
 
+@pytest.mark.parametrize("bit", [6, 7])
+def test_geometry_past_record_end_raises_value_error(bit):
+    """One flipped bit makes a record's geometry field run past the
+    record's end: the decoder raises ValueError naming the record, in a
+    batch and on its own, instead of gathering bytes that are not
+    the record's (on its own, an IndexError past the data)."""
+    from feature_corpus import stream
+
+    recs = fc.scan_frames(stream()).to_pylist()
+    bad = bytearray(recs[130])
+    bad[136] ^= 1 << bit
+    batch = recs[:130] + [bytes(bad)] + recs[131:]
+    with pytest.raises(ValueError, match="record 130"):
+        dc.decode_batch(pa.array(batch, pa.binary()))
+    with pytest.raises(ValueError, match="record 0"):
+        dc.decode_batch(pa.array([bytes(bad)], pa.binary()))
+
+
 @needs_ref
 def test_ld_corpus_roundtrip():
     """Roundtrip the reference's second real corpus

@@ -822,8 +822,8 @@ def test_arg_max_agg_vs_scalar_and_ties(ray_session):
     prev = None
     for nparts in (1, 7):
         ds = ray.data.from_arrow(tbl).repartition(nparts)
-        out = arg_max_agg(ds, ["g"], "o", ["p"], tiebreak="tb",
-                          nbuckets=8).to_pandas()
+        out = arg_max_agg(ds, ["g"], "o", ["p"],
+                          tiebreak="tb").to_pandas()
         got = {int(r.g): ((int(r.o), int(r.tb)), int(r.p))
                for r in out.itertuples(index=False)}
         assert got == want
@@ -1006,7 +1006,7 @@ def test_stratified_split_exact_quota(ray_session):
     for parts in (1, 8):
         out = collect_table(stratified_split(
             ray.data.from_arrow(T).repartition(parts), group="g",
-            hash_col="hv", frac=0.25, nbuckets=4)).to_pandas()
+            hash_col="hv", frac=0.25)).to_pandas()
         for gg in np.unique(g):
             sub = out[out["g"] == gg]
             quota = max(math.ceil(0.25 * len(sub)), 1)
@@ -1266,7 +1266,7 @@ def test_huffman_lengths_clrs_and_edges():
     assert L3.tolist() == [3] * 8
 
 
-def test_ks_statistic_scalar_and_invariance(ray_session):
+def test_ks_statistic_scalar_and_invariance(ray_session, many_buckets):
     import ray
 
     from geobuf_ray.collect import collect_table
@@ -1279,13 +1279,14 @@ def test_ks_statistic_scalar_and_invariance(ray_session):
         "v": pa.array(rng.integers(0, 30, n), pa.int64()),
         "side": pa.array(rng.integers(0, 2, n), pa.int64())})
 
-    def run(parts, nb):
+    def run(parts):
         out = collect_table(ks_statistic(
-            ray.data.from_arrow(tbl).repartition(parts), nbuckets=nb))
+            ray.data.from_arrow(tbl).repartition(parts)))
         return out.to_pandas().sort_values("key").reset_index(drop=True)
 
-    a = run(1, 2)
-    b = run(9, 8)
+    a = run(1)
+    with many_buckets():
+        b = run(9)
     assert a.equals(b)  # partition/bucket invariance
     df = tbl.to_pandas()
     for k, g in df.groupby("key"):
@@ -1312,8 +1313,8 @@ def test_weighted_median_scalar_reference(ray_session):
         "v": pa.array(rng.integers(-50, 50, n), pa.int64()),
         "w": pa.array(rng.integers(0, 9, n), pa.int64())})
     out = collect_table(weighted_median(
-        ray.data.from_arrow(tbl).repartition(7), ["k"], "v", "w",
-        nbuckets=4)).to_pandas().set_index("k")
+        ray.data.from_arrow(tbl).repartition(7), ["k"], "v",
+        "w")).to_pandas().set_index("k")
     df = tbl.to_pandas()
     for k, g in df.groupby("k"):
         g = g.sort_values("v")
@@ -1349,8 +1350,7 @@ def test_mann_kendall_scalar_reference(ray_session):
                     "t": pa.array(np.concatenate(ts)),
                     "y": pa.array(np.concatenate(ys))})
     out = collect_table(mann_kendall(
-        ray.data.from_arrow(tbl).repartition(5), ["key"], "t", "y",
-        nbuckets=3))
+        ray.data.from_arrow(tbl).repartition(5), ["key"], "t", "y"))
     got = {out["key"][i].as_py():
            (out["s"][i].as_py(), out["var18"][i].as_py(),
             out["n"][i].as_py()) for i in range(out.num_rows)}
@@ -1397,8 +1397,7 @@ def test_theil_sen_scalar_reference_and_rules(ray_session):
     tbl = pa.table({"key": pa.array(["g"] * n),
                     "x": pa.array(x), "y": pa.array(y)})
     out = collect_table(theil_sen(
-        ray.data.from_arrow(tbl).repartition(4), ["key"], "x", "y",
-        nbuckets=2))
+        ray.data.from_arrow(tbl).repartition(4), ["key"], "x", "y"))
     # scalar reference under the pinned (slope, dy, dx) lower-median
     pairs = []
     for i in range(n):
@@ -1666,6 +1665,57 @@ def test_self_sized_exchange_splits_contract(ray_session, monkeypatch):
     assert type(nbuckets) is int and nbuckets == want
     assert per_map == [want]
 
+
+def test_operators_size_their_exchange(ray_session, monkeypatch,
+                                       many_buckets):
+    """The keyed aggregates, windows and samples take no bucket count:
+    every keyed exchange they run (each rollup level included) splits
+    into ``ceil(bytes / _BUCKET_BYTES)`` buckets of the input it is
+    handed, and the keyless grand total into one."""
+    import ray
+
+    import geobuf_ray.functions.exchange as ex
+    from geobuf_ray.functions.agg import group_quantile, rollup_agg
+    from geobuf_ray.functions.sample import stratified_sample
+    from geobuf_ray.functions.window import rank_window
+
+    calls = []
+    real_drive = ex._drive_splits
+
+    def spy(bundles, bucket_fn, nbuckets):
+        bundles = list(bundles)
+        calls.append((nbuckets, sum(meta.size_bytes for b in bundles
+                                    for _, meta in b.blocks)))
+        return real_drive(iter(bundles), bucket_fn, nbuckets)
+
+    monkeypatch.setattr(ex, "_drive_splits", spy)
+    rng = np.random.default_rng(3)
+    n = 600
+    ds = ray.data.from_arrow(pa.table({
+        "a": pa.array(rng.integers(0, 40, n), pa.int64()),
+        "b": pa.array(rng.integers(0, 5, n), pa.int64()),
+        "v": pa.array(rng.integers(0, 1000, n), pa.int64())})) \
+        .repartition(3).materialize()
+
+    def splits(run):
+        calls.clear()
+        with many_buckets(512):
+            run()
+        return list(calls)
+
+    def self_sized(nb, size):
+        return 1 < nb == min(ex._MAX_BUCKETS, -(-size // 512))
+
+    *keyed, total = splits(lambda: rollup_agg(ds, ["a", "b"], {"sv": "v"}))
+    assert len(keyed) == 2 and all(self_sized(*c) for c in keyed), keyed
+    assert total[0] == 1
+    for run in (
+            lambda: group_quantile(ds, ["a"], "v", {"m": 0.5}),
+            lambda: rank_window(ds, key="a", order="v"),
+            lambda: stratified_sample(ds, key="a", id_col="v",
+                                      n_per_key=2)):
+        (call,) = splits(run)
+        assert self_sized(*call), call
 
 def test_two_round_exchange_matches_single_round(ray_session, monkeypatch):
     """hash_exchange(rounds=2) must produce bucket-identical reduce

@@ -195,7 +195,7 @@ def test_setops_all_vs_duckdb(ray_session):
     assert except_all(_ds(left), _ds(empty), nbuckets=4).count() == len(left)
 
 
-def test_range_moving_agg_vs_duckdb(ray_session):
+def test_range_moving_agg_vs_duckdb(ray_session, many_buckets):
     import duckdb
 
     from geobuf_ray.functions.window import range_moving_agg
@@ -210,8 +210,9 @@ def test_range_moving_agg_vs_duckdb(ray_session):
         "t": pa.array(rng.integers(0, 500, n), pa.int64()),
         "v": pa.array(rng.integers(-50, 100, n), pa.int64()),
     })
-    out = range_moving_agg(_ds(tbl, 6), key="k", order="t", value="v",
-                           span=25, nbuckets=4).to_pandas()
+    with many_buckets():
+        out = range_moving_agg(_ds(tbl, 6), key="k", order="t",
+                               value="v", span=25).to_pandas()
     con = duckdb.connect()
     con.register("t", tbl)
     exp = con.execute("""
@@ -241,7 +242,7 @@ def test_range_moving_agg_int64_extremes(ray_session):
         "v": pa.array(np.ones(6, np.int64)),
     })
     out = range_moving_agg(_ds(tbl, 2), key="k", order="t", value="v",
-                           span=5, nbuckets=2).to_pandas() \
+                           span=5).to_pandas() \
         .sort_values("rid")
     # frames: [lo]=1, [lo,lo+1]=2, [lo+10 alone]=1 (lo+1 is 9 away? no:
     # lo+10-5=lo+5 > lo+1 -> alone), [hi-1]=1, [hi-1,hi,hi]=3 twice
@@ -249,7 +250,7 @@ def test_range_moving_agg_int64_extremes(ray_session):
     assert out["rv_n"].tolist() == [1, 2, 1, 1, 3, 3]
     # span larger than the whole domain: every prior row is in-frame
     out2 = range_moving_agg(_ds(tbl, 2), key="k", order="t", value="v",
-                            span=hi, nbuckets=2).to_pandas() \
+                            span=hi).to_pandas() \
         .sort_values("rid")
     # t=lo+10: target saturates to INT64_MIN -> all three low rows
     assert out2["rv_n"].tolist()[2] == 3
@@ -283,7 +284,7 @@ def test_moving_agg_vs_duckdb(ray_session):
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
 
-def test_stratified_sample_deterministic(ray_session):
+def test_stratified_sample_deterministic(ray_session, many_buckets):
     import ray
 
     from geobuf_ray.functions.sample import stratified_sample
@@ -297,10 +298,11 @@ def test_stratified_sample_deterministic(ray_session):
     })
     ds = ray.data.from_arrow(tbl)
     a = stratified_sample(ds.repartition(4), key="g", id_col="id",
-                          n_per_key=5, nbuckets=8).to_pandas()
+                          n_per_key=5).to_pandas()
     # chunking-independent: different partitioning, same sample
-    b = stratified_sample(ds.repartition(9), key="g", id_col="id",
-                          n_per_key=5, nbuckets=3).to_pandas()
+    with many_buckets():
+        b = stratified_sample(ds.repartition(9), key="g", id_col="id",
+                              n_per_key=5).to_pandas()
     ka = a.sort_values(["g", "id"]).reset_index(drop=True)
     kb = b.sort_values(["g", "id"]).reset_index(drop=True)
     assert (ka[["g", "id"]].values == kb[["g", "id"]].values).all()
@@ -310,7 +312,7 @@ def test_stratified_sample_deterministic(ray_session):
     assert set(cnt.index) == set(full.index)
 
 
-def test_rollup_agg_vs_duckdb(ray_session):
+def test_rollup_agg_vs_duckdb(ray_session, many_buckets):
     import duckdb
     import ray
 
@@ -324,9 +326,10 @@ def test_rollup_agg_vs_duckdb(ray_session):
         "v": pa.array(pd.Series(rng.integers(0, 50, n)).mask(
             rng.random(n) < 0.08), pa.int64()),
     })
-    out = rollup_agg(ray.data.from_arrow(tbl).repartition(4),
-                     ["a", "b"], {"sv": "v"}, count_col="cnt",
-                     nbuckets=4).to_pandas()
+    with many_buckets():
+        out = rollup_agg(ray.data.from_arrow(tbl).repartition(4),
+                         ["a", "b"], {"sv": "v"},
+                         count_col="cnt").to_pandas()
     con = duckdb.connect()
     con.register("t", tbl)
     exp = con.execute(
@@ -341,7 +344,7 @@ def test_rollup_agg_vs_duckdb(ray_session):
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
 
-def test_grouping_sets_cube_vs_duckdb(ray_session):
+def test_grouping_sets_cube_vs_duckdb(ray_session, many_buckets):
     import duckdb
     import ray
 
@@ -364,8 +367,8 @@ def test_grouping_sets_cube_vs_duckdb(ray_session):
     ).sort_values(["a", "b", "sv", "cnt"]).reset_index(drop=True)[
         ["a", "b", "sv", "cnt"]]
 
-    out = cube_agg(ds, ["a", "b"], {"sv": "v"}, count_col="cnt",
-                   nbuckets=4).to_pandas()
+    out = cube_agg(ds, ["a", "b"], {"sv": "v"},
+                   count_col="cnt").to_pandas()
     exp = con.execute(
         "SELECT a, b, CAST(COALESCE(SUM(v), 0) AS BIGINT) AS sv, "
         "COUNT(*) AS cnt FROM t GROUP BY CUBE(a, b)").fetchdf()
@@ -374,9 +377,9 @@ def test_grouping_sets_cube_vs_duckdb(ray_session):
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
     # non-hierarchical sets (b-only is not a prefix) + duplicate set
-    out = grouping_sets_agg(ds, [["b"], ["a", "b"], ["b"]],
-                            {"sv": "v"}, count_col="cnt",
-                            nbuckets=4).to_pandas()
+    with many_buckets():
+        out = grouping_sets_agg(ds, [["b"], ["a", "b"], ["b"]],
+                                {"sv": "v"}, count_col="cnt").to_pandas()
     exp = con.execute(
         "SELECT a, b, CAST(COALESCE(SUM(v), 0) AS BIGINT) AS sv, "
         "COUNT(*) AS cnt FROM t "
@@ -403,8 +406,7 @@ def test_pivot_agg_vs_duckdb(ray_session):
     })
     out = pivot_agg(ray.data.from_arrow(tbl).repartition(5),
                     index="g", pivot="p", value="v", values=["x", "y"],
-                    prefix="v_", count_suffix="_n",
-                    nbuckets=4).to_pandas()
+                    prefix="v_", count_suffix="_n").to_pandas()
     con = duckdb.connect()
     con.register("t", tbl)
     exp = con.execute("""
@@ -435,7 +437,7 @@ def test_moments_agg_vs_duckdb(ray_session):
             rng.random(n) < 0.04), pa.int64()),
     })
     out = moments_agg(ray.data.from_arrow(tbl).repartition(6),
-                      ["g"], "v", nbuckets=4).to_pandas()
+                      ["g"], "v").to_pandas()
     con = duckdb.connect()
     con.register("t", tbl)
     exp = con.execute("""
@@ -501,7 +503,7 @@ def test_mode_agg_vs_duckdb(ray_session):
     con.register("t", tbl)
     for val in ["v", "s"]:
         out = mode_agg(ray.data.from_arrow(tbl).repartition(7),
-                       ["g"], val, nbuckets=4).to_pandas()
+                       ["g"], val).to_pandas()
         exp = con.execute(f"""
             SELECT g, mode, mode_n FROM (
                 SELECT g, {val} AS mode, COUNT(*) AS mode_n,
@@ -1154,7 +1156,8 @@ def test_global_rank_vs_numpy(ray_session):
     assert out["rank"].tolist() == [3, 2, 1]
 
 
-def test_table_digest_order_invariance_and_sensitivity(ray_session):
+def test_table_digest_order_invariance_and_sensitivity(ray_session,
+                                                        many_buckets):
     from geobuf_ray.functions.agg import table_digest
 
     rng = np.random.default_rng(12)
@@ -1165,14 +1168,15 @@ def test_table_digest_order_invariance_and_sensitivity(ray_session):
     })
 
     def run(t, parts):
-        out = table_digest(_ds(t, parts), ["g"], "v",
-                           nbuckets=4).to_pandas()
+        out = table_digest(_ds(t, parts), ["g"], "v").to_pandas()
         return out.sort_values("g").reset_index(drop=True)
 
     base = run(tbl, 4)
-    # permuted rows + different partitioning -> identical digests
+    # permuted rows + different partitioning + many buckets ->
+    # identical digests
     perm = tbl.take(pa.array(rng.permutation(n)))
-    assert run(perm, 9).equals(base)
+    with many_buckets():
+        assert run(perm, 9).equals(base)
     # one changed value flips its group's digest but no other group's
     v2 = tbl["v"].to_numpy().copy()
     v2[123] += 1
@@ -1193,7 +1197,7 @@ def test_table_digest_order_invariance_and_sensitivity(ray_session):
     bad = pa.table({"g": pa.array(["a"]), "v": pa.array([-1], pa.int64())})
     import pytest as _pt
     with _pt.raises(Exception):
-        table_digest(_ds(bad, 1), ["g"], "v", nbuckets=2).to_pandas()
+        table_digest(_ds(bad, 1), ["g"], "v").to_pandas()
 
 
 def _u2_oracle(rows):
@@ -1211,7 +1215,7 @@ def _u2_oracle(rows):
     return out
 
 
-def test_rank_sum_u2_brute_force(ray_session):
+def test_rank_sum_u2_brute_force(ray_session, many_buckets):
     import random
 
     import pyarrow as pa
@@ -1226,16 +1230,17 @@ def test_rank_sum_u2_brute_force(ray_session):
     tbl = pa.table({"key": pa.array([r[0] for r in rows], pa.string()),
                     "v": pa.array([r[1] for r in rows], pa.int64()),
                     "side": pa.array([r[2] for r in rows], pa.int64())})
-    got = pa.concat_tables(ray.get(rank_sum_u2(
-        ray.data.from_arrow(tbl).repartition(6),
-        nbuckets=4).to_arrow_refs()))
+    with many_buckets():
+        got = pa.concat_tables(ray.get(rank_sum_u2(
+            ray.data.from_arrow(tbl).repartition(6)).to_arrow_refs()))
     by = {k: (a, b, u) for k, a, b, u in
           zip(got["key"].to_pylist(), got["n_a"].to_pylist(),
               got["n_b"].to_pylist(), got["u2_a"].to_pylist())}
     assert by == _u2_oracle(rows)
 
 
-def test_rank_sum_u2_one_sided_and_invariance(ray_session):
+def test_rank_sum_u2_one_sided_and_invariance(ray_session,
+                                              many_buckets):
     import pyarrow as pa
     import ray
 
@@ -1247,18 +1252,18 @@ def test_rank_sum_u2_one_sided_and_invariance(ray_session):
                     "side": pa.array([0, 0, 0, 0, 0, 0, 0, 1, 1],
                                      pa.int64())})
 
-    def run(parts, nb):
+    def run(parts):
         t = pa.concat_tables(ray.get(rank_sum_u2(
-            ray.data.from_arrow(tbl).repartition(parts),
-            nbuckets=nb).to_arrow_refs()))
+            ray.data.from_arrow(tbl).repartition(parts)).to_arrow_refs()))
         return {k: (a, b, u) for k, a, b, u in
                 zip(t["key"].to_pylist(), t["n_a"].to_pylist(),
                     t["n_b"].to_pylist(), t["u2_a"].to_pylist())}
 
-    got = run(1, 2)
+    got = run(1)
     assert got["x"] == (5, 0, 0)
     assert got["y"] == (2, 2, 8)  # both 9s beat both 1s: 2 * 2 * 2
-    assert got == run(4, 8)
+    with many_buckets(16):
+        assert got == run(4)
 
 
 def test_watermark_window_scalar_reference(ray_session):
@@ -1326,7 +1331,7 @@ def test_watermark_window_wave0_never_late(ray_session):
     assert sum(out["n_ontime"].to_pylist()) == 3
 
 
-def test_group_gini_scalar_and_tie_invariance(ray_session):
+def test_group_gini_scalar_and_tie_invariance(ray_session, many_buckets):
     import random
 
     import pyarrow as pa
@@ -1353,9 +1358,9 @@ def test_group_gini_scalar_and_tie_invariance(ray_session):
 
     tbl = pa.table({"key": pa.array([r[0] for r in rows], pa.string()),
                     "v": pa.array([r[1] for r in rows], pa.int64())})
-    got = pa.concat_tables(ray.get(group_gini(
-        ray.data.from_arrow(tbl).repartition(7),
-        nbuckets=4).to_arrow_refs()))
+    with many_buckets(16):
+        got = pa.concat_tables(ray.get(group_gini(
+            ray.data.from_arrow(tbl).repartition(7)).to_arrow_refs()))
     by = {k: (n, s, g) for k, n, s, g in
           zip(got["key"].to_pylist(), got["n"].to_pylist(),
               got["sum_v"].to_pylist(), got["gini_num"].to_pylist())}
@@ -1364,7 +1369,7 @@ def test_group_gini_scalar_and_tie_invariance(ray_session):
     u = pa.table({"key": pa.array(["u"] * 50, pa.string()),
                   "v": pa.array([7] * 50, pa.int64())})
     g2 = pa.concat_tables(ray.get(group_gini(
-        ray.data.from_arrow(u), nbuckets=2).to_arrow_refs()))
+        ray.data.from_arrow(u)).to_arrow_refs()))
     assert g2["gini_num"].to_pylist() == [0]
 
 

@@ -138,7 +138,10 @@ def _transitions_scalar(u, t, s):
     return c
 
 
-def test_transition_counts_vs_scalar_and_partitions(ray_session):
+def test_transition_counts_vs_scalar_and_partitions(ray_session,
+                                                    many_buckets):
+    import contextlib
+
     import ray
 
     from geobuf_ray.functions.window import transition_counts
@@ -151,10 +154,11 @@ def test_transition_counts_vs_scalar_and_partitions(ray_session):
     want = _transitions_scalar(u, t, s)
     tbl = pa.table({"u": pa.array(u), "t": pa.array(t), "s": pa.array(s)})
     got_prev = None
-    for nparts in (1, 7):
+    for nparts, spread in ((1, contextlib.nullcontext), (7, many_buckets)):
         ds = ray.data.from_arrow(tbl).repartition(nparts)
-        out = transition_counts(ds, key="u", order="t", state="s",
-                                nbuckets=8).to_pandas()
+        with spread():
+            out = transition_counts(ds, key="u", order="t",
+                                    state="s").to_pandas()
         agg = out.groupby(["state", "next_state"])["n"].sum()
         got = {k: int(v) for k, v in agg.items()}
         assert got == dict(want)
@@ -174,7 +178,7 @@ def test_transition_counts_null_states(ray_session):
         "s": pa.array(["x", None, "x", None, None]),
     })
     out = transition_counts(ray.data.from_arrow(tbl), key="u",
-                            order="t", state="s", nbuckets=4).to_pandas()
+                            order="t", state="s").to_pandas()
     got = {(a if a == a and a is not None else None,
             b if b == b and b is not None else None): int(n)
            for a, b, n in out.itertuples(index=False)}
@@ -182,7 +186,9 @@ def test_transition_counts_null_states(ray_session):
     assert got == {("x", None): 1, (None, "x"): 1, (None, None): 1}
 
 
-def test_gap_fill_scalar_and_partitions(ray_session):
+def test_gap_fill_scalar_and_partitions(ray_session, many_buckets):
+    import contextlib
+
     import ray
 
     from geobuf_ray.functions.window import gap_fill
@@ -204,11 +210,12 @@ def test_gap_fill_scalar_and_partitions(ray_session):
         csum[(kk, tt)] += 1
         vsum[(kk, tt)] += vv
     got_prev = None
-    for nparts in (1, 6):
+    for nparts, spread in ((1, contextlib.nullcontext), (6, many_buckets)):
         ds = ray.data.from_arrow(tbl).repartition(nparts)
-        out = gap_fill(ds, key="k", tick="t", start=10, stop=505,
-                       step=5, zero_cols=("c",), ffill_cols=("v",),
-                       nbuckets=8).to_pandas()
+        with spread():
+            out = gap_fill(ds, key="k", tick="t", start=10, stop=505,
+                           step=5, zero_cols=("c",),
+                           ffill_cols=("v",)).to_pandas()
         out = out.sort_values(["k", "t"]).reset_index(drop=True)
         nticks = (505 - 10) // 5 + 1
         assert len(out) == len(np.unique(k)) * nticks
@@ -240,11 +247,12 @@ def test_gap_fill_off_grid_raises(ray_session):
                     "c": pa.array([1])})
     with pytest.raises(Exception):
         gap_fill(ray.data.from_arrow(tbl), key="k", tick="t", start=10,
-                 stop=20, step=5, zero_cols=("c",),
-                 nbuckets=2).to_pandas()
+                 stop=20, step=5, zero_cols=("c",)).to_pandas()
 
 
-def test_scd2_intervals_vs_scalar(ray_session):
+def test_scd2_intervals_vs_scalar(ray_session, many_buckets):
+    import contextlib
+
     import ray
 
     from geobuf_ray.functions.window import scd2_intervals
@@ -273,10 +281,11 @@ def test_scd2_intervals_vs_scalar(ray_session):
     tbl = pa.table({"k": pa.array(k), "t": pa.array(t),
                     "v": pa.array(v)})
     prev = None
-    for nparts in (1, 6):
+    for nparts, spread in ((1, contextlib.nullcontext), (6, many_buckets)):
         ds = ray.data.from_arrow(tbl).repartition(nparts)
-        out = scd2_intervals(ds, key="k", order="t", value="v",
-                             nbuckets=8).to_pandas()
+        with spread():
+            out = scd2_intervals(ds, key="k", order="t",
+                                 value="v").to_pandas()
         got = set((int(r.k), None if r.v is None else r.v,
                    int(r.valid_from),
                    None if r.valid_to != r.valid_to else int(r.valid_to))
@@ -304,7 +313,7 @@ def test_cusum_alarms_vs_scalar_and_duckdb(ray_session):
     drift, thresh = 10, 120
     out = cusum_alarms(ray.data.from_arrow(tbl).repartition(5),
                        key="u", order="t", value="v", drift=drift,
-                       threshold=thresh, nbuckets=8).to_pandas()
+                       threshold=thresh).to_pandas()
     # scalar recurrence reference
     df = tbl.to_pandas().sort_values(["u", "t"])
     want = []
@@ -332,18 +341,19 @@ def test_cusum_alarms_vs_scalar_and_duckdb(ray_session):
     assert (got["cusum"].to_numpy() == o["cusum"].to_numpy()).all()
 
 
-def test_gap_fill_float_cols_with_empty_buckets(ray_session):
+def test_gap_fill_float_cols_with_empty_buckets(ray_session, many_buckets):
     import ray
 
     from geobuf_ray.functions.window import gap_fill
 
-    # 2 keys, 16 buckets -> most buckets empty; float value column
+    # 2 keys over 9 buckets -> most buckets empty; float value column
     tbl = pa.table({"k": pa.array([1, 1, 2], pa.int64()),
                     "t": pa.array([0, 2, 1], pa.int64()),
                     "f": pa.array([1.5, 2.5, 3.5])})
-    out = gap_fill(ray.data.from_arrow(tbl), key="k", tick="t",
-                   start=0, stop=3, zero_cols=("f",),
-                   nbuckets=16).to_pandas().sort_values(["k", "t"])
+    with many_buckets(8):
+        out = gap_fill(ray.data.from_arrow(tbl), key="k", tick="t",
+                       start=0, stop=3, zero_cols=("f",)).to_pandas() \
+            .sort_values(["k", "t"])
     assert list(out[out.k == 1].f) == [1.5, 0.0, 2.5, 0.0]
     assert list(out[out.k == 2].f) == [0.0, 3.5, 0.0, 0.0]
 
@@ -363,7 +373,7 @@ def test_ewma_vs_pandas(ray_session):
     })
     for alpha in (0.3, 0.05, 1.0):
         out = ewma(ray.data.from_arrow(tbl).repartition(4), key="u",
-                   order="t", value="v", alpha=alpha, nbuckets=4,
+                   order="t", value="v", alpha=alpha,
                    chunk_len=64).to_pandas()
         got = out.sort_values(["u", "t"]).reset_index(drop=True)
         df = tbl.to_pandas().sort_values(["u", "t"]).reset_index(drop=True)
@@ -387,7 +397,7 @@ def test_gap_fill_interp_vs_scalar(ray_session):
                     "v": pa.array(v)})
     out = gap_fill(ray.data.from_arrow(tbl).repartition(3), key="k",
                    tick="t", start=0, stop=40, step=5,
-                   interp_cols=("v",), nbuckets=4).to_pandas()
+                   interp_cols=("v",)).to_pandas()
     out = out.sort_values(["k", "t"]).reset_index(drop=True)
     obs = {(int(kk), int(tt)): vv for kk, tt, vv in zip(k, t, v)}
     for r in out.itertuples(index=False):
@@ -461,7 +471,7 @@ def test_autocorr_ingredients_vs_scalar(ray_session):
         assert "integer-typed" in str(e)
 
 
-def test_debounce_scalar_reference(ray_session):
+def test_debounce_scalar_reference(ray_session, many_buckets):
     import ray
 
     from geobuf_ray.collect import collect_table
@@ -472,10 +482,12 @@ def test_debounce_scalar_reference(ray_session):
     tbl = pa.table({
         "k": pa.array(rng.integers(0, 40, n), pa.int64()),
         "t": pa.array(rng.integers(0, 5000, n), pa.int64())})
-    out = collect_table(debounce(
-        ray.data.from_arrow(tbl).repartition(6), "k", "t", 137,
-        nbuckets=8))
+    ds = ray.data.from_arrow(tbl).repartition(6)
+    out = collect_table(debounce(ds, "k", "t", 137))
     got = sorted(zip(out["k"].to_pylist(), out["t"].to_pylist()))
+    with many_buckets():
+        many = collect_table(debounce(ds, "k", "t", 137))
+    assert sorted(zip(many["k"].to_pylist(), many["t"].to_pylist())) == got
 
     exp = []
     df = tbl.to_pandas().sort_values(["k", "t"])
@@ -497,7 +509,7 @@ def test_debounce_same_time_burst_and_guard(ray_session):
     tbl = pa.table({"k": pa.array([1] * 5, pa.int64()),
                     "t": pa.array([7, 7, 7, 7, 200], pa.int64())})
     out = collect_table(debounce(ray.data.from_arrow(tbl), "k", "t",
-                                 100, nbuckets=2))
+                                 100))
     assert sorted(zip(out["k"].to_pylist(), out["t"].to_pylist())) == \
         [(1, 7), (1, 200)]
     import pytest as _pt
@@ -520,7 +532,7 @@ def test_sliding_median_scalar_and_boundaries(ray_session):
         "v": pa.array(rng.integers(-100, 100, n), pa.int64())})
     out = collect_table(sliding_median(
         ray.data.from_arrow(tbl).repartition(5), "k", ["t"], "v",
-        w=5, nbuckets=8)).to_pandas().sort_values(["k", "t"])
+        w=5)).to_pandas().sort_values(["k", "t"])
 
     df = tbl.to_pandas().sort_values(["k", "t"])
     exp = []
@@ -538,10 +550,11 @@ def test_sliding_median_scalar_and_boundaries(ray_session):
         sliding_median(ray.data.from_arrow(tbl), "k", ["t"], "v", w=4)
 
 
-def test_pattern_match_counts_brute_force(ray_session):
+def test_pattern_match_counts_brute_force(ray_session, many_buckets):
     """pattern_match_counts vs a per-user re.findall replay on random
     sequences — including bucket invariance, an empty-match pattern,
     and a user whose events interleave across input blocks."""
+    import contextlib
     import re
 
     import ray
@@ -569,11 +582,12 @@ def test_pattern_match_counts_brute_force(ray_session):
             want[p][1] += k > 0
             want[p][2] = max(want[p][2], k)
 
-    for nb in (1, 7):
+    for spread in (contextlib.nullcontext, many_buckets):
         ds = ray.data.from_arrow(tbl).repartition(6)
-        out = collect_table(pattern_match_counts(
-            ds, key="u", order="t", state="s", patterns=pats,
-            tiebreak="i", nbuckets=nb))
+        with spread():
+            out = collect_table(pattern_match_counts(
+                ds, key="u", order="t", state="s", patterns=pats,
+                tiebreak="i"))
         agg = out.group_by(["pattern"]).aggregate(
             [("n_matches", "sum"), ("n_users", "sum"),
              ("max_per_user", "max")])
@@ -581,7 +595,7 @@ def test_pattern_match_counts_brute_force(ray_session):
                               r["max_per_user_max"])
                for r in agg.to_pylist()}
         for p in pats:
-            assert got[p] == tuple(want[p]), (nb, p, got[p], want[p])
+            assert got[p] == tuple(want[p]), (spread, p, got[p], want[p])
         assert got["zz"] == (0, 0, 0)
 
 
@@ -639,7 +653,7 @@ def test_pattern_match_counts_non_latin1_state(ray_session):
     ds = ray.data.from_arrow(tbl).repartition(2)
     out = collect_table(pattern_match_counts(
         ds, key="u", order="t", state="s",
-        patterns=["ab", "a.b", "a"], nbuckets=3))
+        patterns=["ab", "a.b", "a"]))
     got = {}
     for r in out.to_pylist():   # sum bucket partials (the contract)
         m, u = got.get(r["pattern"], (0, 0))

@@ -105,7 +105,7 @@ def main():
         dt = time.time() - t0
         if name not in sqls:
             print(f"rows  {name}: {len(got)} rows, {len(got.columns)} cols "
-                  f"({dt:.1f}s) [rows-only]")
+                  f"hash={value_hash(got)} ({dt:.1f}s) [rows-only]")
             if len(got) == 0 and name not in ("docs_simhash_pairs",):
                 print(f"      WARNING: zero rows")
             continue
