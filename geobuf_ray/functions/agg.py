@@ -132,9 +132,9 @@ def rollup_agg(ds, keys: list[str], sums: dict[str, str], *,
     for i in range(len(key_list) - 1, -1, -1):
         lk = key_list[:i]
         # a keyed level sizes its exchange from its own, smaller input;
-        # the grand total has no key to hash: one bucket
+        # the grand total (no key) gets one bucket from the exchange
         lvl = hash_exchange(
-            prev, nbuckets=None if lk else 1, on=lk or None,
+            prev, on=lk,
             reduce_fn=lambda t, lk=lk: _group_sum(t, lk, vals, out_schema),
             schema=None)
         # each coarser level re-aggregates the previous one (cheap:
@@ -186,7 +186,7 @@ def grouping_sets_agg(ds, sets: list[list[str]], sums: dict[str, str], *,
             pieces.append(finest)
             continue
         lvl = hash_exchange(
-            finest, nbuckets=None if s else 1, on=s or None,
+            finest, on=s,
             reduce_fn=lambda t, s=s: _group_sum(t, s, vals, out_schema),
             schema=None)
         pieces.append(lvl.map_batches(
@@ -508,9 +508,8 @@ def mode_agg(ds, keys: list[str], value: str, *,
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    # no keys: one global group in one bucket
-    return hash_exchange(partials, nbuckets=None if key_list else 1,
-                         on=key_list or None, reduce_fn=pick,
+    # no keys: one global group; the exchange gives it one bucket
+    return hash_exchange(partials, on=key_list, reduce_fn=pick,
                          schema=out_schema)
 
 
@@ -565,9 +564,8 @@ def distinct_agg(ds, keys: list[str], value: str, *,
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    # no keys: one global group in one bucket
-    return hash_exchange(partials, nbuckets=None if key_list else 1,
-                         on=key_list or None, reduce_fn=count,
+    # no keys: one global group; the exchange gives it one bucket
+    return hash_exchange(partials, on=key_list, reduce_fn=count,
                          schema=out_schema)
 
 
@@ -651,9 +649,8 @@ def corr_agg(ds, keys: list[str], x: str, y: str, *,
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    # no keys: one global group in one bucket
-    return hash_exchange(partials, nbuckets=None if key_list else 1,
-                         on=key_list or None, reduce_fn=finish,
+    # no keys: one global group; the exchange gives it one bucket
+    return hash_exchange(partials, on=key_list, reduce_fn=finish,
                          schema=out_schema)
 
 
@@ -773,9 +770,8 @@ def group_quantile(ds, keys: list[str], value: str,
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    # no keys: one global group in one bucket
-    return hash_exchange(partials, nbuckets=None if key_list else 1,
-                         on=key_list or None, reduce_fn=pick,
+    # no keys: one global group; the exchange gives it one bucket
+    return hash_exchange(partials, on=key_list, reduce_fn=pick,
                          schema=out_schema)
 
 

@@ -41,9 +41,10 @@ a bucket carries enough bytes to cover its task's fixed cost.  It
 holds at most ``_MAX_BUCKETS x _BUCKET_BYTES`` of block refs before the
 first split (a block with no size counts as reaching the cap); past
 that the count is the cap.  The keyed aggregate, window and sample
-operators take no count and always size themselves.  A count stays
-explicit only where bytes do not decide it: one bucket for a
-keyless aggregate (one group, nothing to hash); a custom
+operators take no count and always size themselves; an empty key
+list (``on=[]``) is one group and gets one bucket.  A count stays
+explicit only where bytes do not decide it: ``nbuckets=1`` for a
+keyless query step with no key list to pass; a custom
 ``bucket_fn``; exchanges whose count both sides, or a persisted
 layout, depend on (:func:`hash_cogroup`, :func:`presplit`,
 :func:`cogroup_presplit`, and the joins and set operations on them);
@@ -248,7 +249,9 @@ def hash_exchange(ds, *, nbuckets: int | None = None, bucket_fn=None,
     fan-out / custom routing; with ``nbuckets=1`` both may be omitted.
     Without ``nbuckets`` a keyed (``on``) exchange sizes itself from
     the input's block metadata (``_BUCKET_BYTES`` per bucket, at most
-    ``_MAX_BUCKETS``); a custom ``bucket_fn`` needs an explicit count.
+    ``_MAX_BUCKETS``), and an empty key list (``on=[]``, a keyless
+    aggregate) takes one bucket; a custom ``bucket_fn`` needs an
+    explicit count.
     Returns a Ray ``Dataset`` of the reduce outputs, one block per
     bucket (``nbuckets`` blocks, or the self-sized count).
 
@@ -270,7 +273,9 @@ def hash_exchange(ds, *, nbuckets: int | None = None, bucket_fn=None,
                          "needs on=; a custom bucket_fn needs nbuckets")
     bundles = _bundles(ds)
     if nbuckets is None:
-        nbuckets, bundles = _size_buckets(bundles)
+        # an empty key list is one group: nothing to hash, one bucket
+        nbuckets, bundles = (_size_buckets(bundles) if len(on)
+                             else (1, bundles))
     bucket_fn = _resolve_bucket_fn(on, bucket_fn, nbuckets)
     if rounds > 1:
         n1 = max(1, int(np.ceil(np.sqrt(nbuckets))))

@@ -762,7 +762,9 @@ def test_kmv_distinct_and_intersection(ray_session):
     assert np.array_equal(sa, sa2)
 
 
-def test_mad_outliers_scalar_and_boundary(ray_session):
+def test_mad_outliers_scalar_and_boundary(ray_session, many_buckets):
+    import contextlib
+
     import numpy as np
     import pyarrow as pa
     import ray
@@ -789,17 +791,20 @@ def test_mad_outliers_scalar_and_boundary(ray_session):
     want = np.sort(x[k_den * np.abs(x - med) > k_num * mad])
     tbl = pa.table({"v": pa.array(x)})
     prev = None
-    for nparts in (1, 5):
+    for nparts, spread in ((1, contextlib.nullcontext), (5, many_buckets)):
         ds = ray.data.from_arrow(tbl).repartition(nparts)
-        got = np.sort(mad_outliers(ds, "v", k_num=k_num, k_den=k_den)
-                      .to_pandas()["v"].to_numpy())
+        with spread():
+            got = np.sort(mad_outliers(ds, "v", k_num=k_num, k_den=k_den)
+                          .to_pandas()["v"].to_numpy())
         assert np.array_equal(got, want)
         if prev is not None:
             assert np.array_equal(got, prev)
         prev = got
 
 
-def test_arg_max_agg_vs_scalar_and_ties(ray_session):
+def test_arg_max_agg_vs_scalar_and_ties(ray_session, many_buckets):
+    import contextlib
+
     import numpy as np
     import pyarrow as pa
     import ray
@@ -820,10 +825,11 @@ def test_arg_max_agg_vs_scalar_and_ties(ray_session):
     tbl = pa.table({"g": pa.array(g), "o": pa.array(o),
                     "tb": pa.array(tb), "p": pa.array(p)})
     prev = None
-    for nparts in (1, 7):
+    for nparts, spread in ((1, contextlib.nullcontext), (7, many_buckets)):
         ds = ray.data.from_arrow(tbl).repartition(nparts)
-        out = arg_max_agg(ds, ["g"], "o", ["p"],
-                          tiebreak="tb").to_pandas()
+        with spread():
+            out = arg_max_agg(ds, ["g"], "o", ["p"],
+                              tiebreak="tb").to_pandas()
         got = {int(r.g): ((int(r.o), int(r.tb)), int(r.p))
                for r in out.itertuples(index=False)}
         assert got == want
@@ -832,7 +838,9 @@ def test_arg_max_agg_vs_scalar_and_ties(ray_session):
         prev = got
 
 
-def test_group_mad_outliers_vs_scalar(ray_session):
+def test_group_mad_outliers_vs_scalar(ray_session, many_buckets):
+    import contextlib
+
     import numpy as np
     import pyarrow as pa
     import ray
@@ -871,10 +879,11 @@ def test_group_mad_outliers_vs_scalar(ray_session):
     tbl = pa.table({"i": pa.array(np.arange(n, dtype=np.int64)),
                     "g": pa.array(g), "v": pa.array(x)})
     prev = None
-    for nparts in (1, 5):
+    for nparts, spread in ((1, contextlib.nullcontext), (5, many_buckets)):
         ds = ray.data.from_arrow(tbl).repartition(nparts)
-        out = group_mad_outliers(ds, ["g"], "v", k_num=3,
-                                 k_den=1).to_pandas()
+        with spread():
+            out = group_mad_outliers(ds, ["g"], "v", k_num=3,
+                                     k_den=1).to_pandas()
         got = set(int(i) for i in out["i"])
         assert got == want
         if prev is not None:
@@ -989,7 +998,8 @@ def test_prune_frequent_tokens_scalar_and_partition_invariant(ray_session):
         assert list(out["n_removed"]) == [e[1] for e in exp], parts
 
 
-def test_stratified_split_exact_quota(ray_session):
+def test_stratified_split_exact_quota(ray_session, many_buckets):
+    import contextlib
     import math
 
     import ray
@@ -1003,10 +1013,11 @@ def test_stratified_split_exact_quota(ray_session):
     ids = np.arange(n, dtype=np.int64)
     hv = ((ids * 2654435761) % (2**61)).astype(np.int64)  # unique
     T = pa.table({"id": ids, "g": g, "hv": hv})
-    for parts in (1, 8):
-        out = collect_table(stratified_split(
-            ray.data.from_arrow(T).repartition(parts), group="g",
-            hash_col="hv", frac=0.25)).to_pandas()
+    for parts, spread in ((1, contextlib.nullcontext), (8, many_buckets)):
+        with spread():
+            out = collect_table(stratified_split(
+                ray.data.from_arrow(T).repartition(parts), group="g",
+                hash_col="hv", frac=0.25)).to_pandas()
         for gg in np.unique(g):
             sub = out[out["g"] == gg]
             quota = max(math.ceil(0.25 * len(sub)), 1)
@@ -1300,7 +1311,7 @@ def test_ks_statistic_scalar_and_invariance(ray_session, many_buckets):
         assert row.d_num == exp and row.n_a == len(xa)
 
 
-def test_weighted_median_scalar_reference(ray_session):
+def test_weighted_median_scalar_reference(ray_session, many_buckets):
     import ray
 
     from geobuf_ray.collect import collect_table
@@ -1312,9 +1323,10 @@ def test_weighted_median_scalar_reference(ray_session):
         "k": pa.array(rng.integers(0, 4, n), pa.int64()),
         "v": pa.array(rng.integers(-50, 50, n), pa.int64()),
         "w": pa.array(rng.integers(0, 9, n), pa.int64())})
-    out = collect_table(weighted_median(
-        ray.data.from_arrow(tbl).repartition(7), ["k"], "v",
-        "w")).to_pandas().set_index("k")
+    with many_buckets():
+        out = collect_table(weighted_median(
+            ray.data.from_arrow(tbl).repartition(7), ["k"], "v",
+            "w")).to_pandas().set_index("k")
     df = tbl.to_pandas()
     for k, g in df.groupby("k"):
         g = g.sort_values("v")
@@ -1326,12 +1338,13 @@ def test_weighted_median_scalar_reference(ray_session):
     bad = pa.table({"k": pa.array([0], pa.int64()),
                     "v": pa.array([1], pa.int64()),
                     "w": pa.array([-1], pa.int64())})
-    with pytest.raises(Exception, match="negative weight"):
+    with many_buckets(8), pytest.raises(Exception,
+                                        match="negative weight"):
         collect_table(weighted_median(ray.data.from_arrow(bad),
                                       ["k"], "v", "w"))
 
 
-def test_mann_kendall_scalar_reference(ray_session):
+def test_mann_kendall_scalar_reference(ray_session, many_buckets):
     import ray
 
     from geobuf_ray.collect import collect_table
@@ -1349,8 +1362,9 @@ def test_mann_kendall_scalar_reference(ray_session):
     tbl = pa.table({"key": pa.array(keys),
                     "t": pa.array(np.concatenate(ts)),
                     "y": pa.array(np.concatenate(ys))})
-    out = collect_table(mann_kendall(
-        ray.data.from_arrow(tbl).repartition(5), ["key"], "t", "y"))
+    with many_buckets():
+        out = collect_table(mann_kendall(
+            ray.data.from_arrow(tbl).repartition(5), ["key"], "t", "y"))
     got = {out["key"][i].as_py():
            (out["s"][i].as_py(), out["var18"][i].as_py(),
             out["n"][i].as_py()) for i in range(out.num_rows)}
@@ -1366,7 +1380,7 @@ def test_mann_kendall_scalar_reference(ray_session):
         assert got[k] == (s, var18, n)
 
 
-def test_mann_kendall_nulls_and_equal_times(ray_session):
+def test_mann_kendall_nulls_and_equal_times(ray_session, many_buckets):
     import ray
 
     from geobuf_ray.collect import collect_table
@@ -1376,15 +1390,16 @@ def test_mann_kendall_nulls_and_equal_times(ray_session):
     tbl = pa.table({"key": pa.array(["a"] * 5),
                     "t": pa.array([1, 1, 2, None, 3], pa.int64()),
                     "y": pa.array([10, 0, 5, 7, None], pa.int64())})
-    out = collect_table(mann_kendall(
-        ray.data.from_arrow(tbl), ["key"], "t", "y"))
+    with many_buckets(8):
+        out = collect_table(mann_kendall(
+            ray.data.from_arrow(tbl), ["key"], "t", "y"))
     assert out.num_rows == 1 and out["n"][0].as_py() == 3
     # valid rows: (1,10),(1,0),(2,5); pairs with t_i<t_j:
     # (1,10)->(2,5): -1 ; (1,0)->(2,5): +1  => S = 0
     assert out["s"][0].as_py() == 0
 
 
-def test_theil_sen_scalar_reference_and_rules(ray_session):
+def test_theil_sen_scalar_reference_and_rules(ray_session, many_buckets):
     import ray
 
     from geobuf_ray.collect import collect_table
@@ -1396,8 +1411,9 @@ def test_theil_sen_scalar_reference_and_rules(ray_session):
     y = (3 * x + rng.integers(-20, 21, size=n)).astype(np.int64)
     tbl = pa.table({"key": pa.array(["g"] * n),
                     "x": pa.array(x), "y": pa.array(y)})
-    out = collect_table(theil_sen(
-        ray.data.from_arrow(tbl).repartition(4), ["key"], "x", "y"))
+    with many_buckets(16):
+        out = collect_table(theil_sen(
+            ray.data.from_arrow(tbl).repartition(4), ["key"], "x", "y"))
     # scalar reference under the pinned (slope, dy, dx) lower-median
     pairs = []
     for i in range(n):
@@ -1417,12 +1433,13 @@ def test_theil_sen_scalar_reference_and_rules(ray_session):
     one = pa.table({"key": pa.array(["z"] * 3),
                     "x": pa.array([7, 7, 7], pa.int64()),
                     "y": pa.array([1, 2, 3], pa.int64())})
-    out2 = collect_table(theil_sen(ray.data.from_arrow(one),
-                                   ["key"], "x", "y"))
+    with many_buckets(8):
+        out2 = collect_table(theil_sen(ray.data.from_arrow(one),
+                                       ["key"], "x", "y"))
     assert out2.num_rows == 0
 
 
-def test_theil_sen_outlier_robust_vs_ols(ray_session):
+def test_theil_sen_outlier_robust_vs_ols(ray_session, many_buckets):
     import ray
 
     from geobuf_ray.collect import collect_table
@@ -1434,8 +1451,9 @@ def test_theil_sen_outlier_robust_vs_ols(ray_session):
     y[29] = 10_000
     tbl = pa.table({"key": pa.array(["g"] * 30),
                     "x": pa.array(x), "y": pa.array(y)})
-    out = collect_table(theil_sen(ray.data.from_arrow(tbl),
-                                  ["key"], "x", "y"))
+    with many_buckets(16):
+        out = collect_table(theil_sen(ray.data.from_arrow(tbl),
+                                      ["key"], "x", "y"))
     assert out["slope"][0].as_py() == 2.0
 
 
@@ -1636,7 +1654,7 @@ def test_self_sized_exchange_splits_contract(ray_session, monkeypatch):
     """A self-sized exchange hands ``_drive_splits`` the int bucket count
     the input's bytes give and gets back that many refs per split task
     (the contract the benchmark tracer reads); the output has one block
-    per bucket and every row."""
+    per bucket and every row.  ``on=[]`` takes one bucket."""
     import ray
 
     import geobuf_ray.functions.exchange as ex
@@ -1664,6 +1682,13 @@ def test_self_sized_exchange_splits_contract(ray_session, monkeypatch):
     ((nbuckets, per_map),) = calls
     assert type(nbuckets) is int and nbuckets == want
     assert per_map == [want]
+    # an empty key list (a keyless aggregate) is one group: one
+    # bucket, whatever the bytes, and no key hashed
+    calls.clear()
+    res = ex.hash_exchange(ds, on=[])
+    assert res.num_blocks() == 1
+    assert collect_table(res).num_rows == n
+    assert [nb for nb, _ in calls] == [1]
 
 
 def test_operators_size_their_exchange(ray_session, monkeypatch,
@@ -1716,6 +1741,7 @@ def test_operators_size_their_exchange(ray_session, monkeypatch,
                                       n_per_key=2)):
         (call,) = splits(run)
         assert self_sized(*call), call
+
 
 def test_two_round_exchange_matches_single_round(ray_session, monkeypatch):
     """hash_exchange(rounds=2) must produce bucket-identical reduce

@@ -4,7 +4,7 @@ import numpy as np
 import pyarrow as pa
 
 
-def test_lag_lead_vs_duckdb(ray_session):
+def test_lag_lead_vs_duckdb(ray_session, many_buckets):
     import duckdb
     import pandas as pd
     import ray
@@ -23,8 +23,9 @@ def test_lag_lead_vs_duckdb(ray_session):
     con.register("t", tbl.to_pandas())
     for lead, fn in [(False, "LAG"), (True, "LEAD")]:
         col = ("lead_" if lead else "lag_") + "v"
-        out = lag_lead(ds, key="u", order="t", value="v",
-                       lead=lead).to_pandas()
+        with many_buckets():
+            out = lag_lead(ds, key="u", order="t", value="v",
+                           lead=lead).to_pandas()
         o = con.execute(
             f"SELECT u, t, v, {fn}(v) OVER (PARTITION BY u ORDER BY t) "
             f"AS {col} FROM t").df()
@@ -34,7 +35,7 @@ def test_lag_lead_vs_duckdb(ray_session):
         pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
 
-def test_lag_timestamp_order(ray_session):
+def test_lag_timestamp_order(ray_session, many_buckets):
     import ray
 
     from geobuf_ray.functions.window import lag_lead
@@ -42,13 +43,14 @@ def test_lag_timestamp_order(ray_session):
     ts = pa.array(np.arange(10).astype("datetime64[us]"))
     tbl = pa.table({"u": pa.array([1] * 5 + [2] * 5),
                     "ts": ts, "v": pa.array(np.arange(10.0))})
-    out = lag_lead(ray.data.from_arrow(tbl), key="u", order="ts",
-                   value="v").to_pandas().sort_values(["u", "ts"])
+    with many_buckets(16):
+        out = lag_lead(ray.data.from_arrow(tbl), key="u", order="ts",
+                       value="v").to_pandas().sort_values(["u", "ts"])
     assert np.isnan(out.lag_v.iloc[0]) and np.isnan(out.lag_v.iloc[5])
     assert out.lag_v.iloc[1] == 0.0 and out.lag_v.iloc[6] == 5.0
 
 
-def test_running_agg_int_exact_vs_duckdb(ray_session):
+def test_running_agg_int_exact_vs_duckdb(ray_session, many_buckets):
     import duckdb
     import pandas as pd
     import ray
@@ -61,7 +63,8 @@ def test_running_agg_int_exact_vs_duckdb(ray_session):
                     "t": pa.array(rng.permutation(n).astype(np.int64)),
                     "v": pa.array(rng.integers(-1000, 1000, n))})
     ds = ray.data.from_arrow(tbl).repartition(4)
-    out = running_agg(ds, key="u", order="t", value="v").to_pandas()
+    with many_buckets():
+        out = running_agg(ds, key="u", order="t", value="v").to_pandas()
     con = duckdb.connect()
     con.register("t", tbl.to_pandas())
     o = con.execute(
@@ -75,7 +78,7 @@ def test_running_agg_int_exact_vs_duckdb(ray_session):
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
 
-def test_value_window_vs_duckdb(ray_session):
+def test_value_window_vs_duckdb(ray_session, many_buckets):
     import duckdb
     import pandas as pd
     import ray
@@ -90,8 +93,9 @@ def test_value_window_vs_duckdb(ray_session):
         "v": pa.array(rng.normal(0, 1, n)),
     })
     ds = ray.data.from_arrow(tbl).repartition(5)
-    out = value_window(ds, key="u", order="t", value="v",
-                       ntile=7).to_pandas()
+    with many_buckets():
+        out = value_window(ds, key="u", order="t", value="v",
+                           ntile=7).to_pandas()
     con = duckdb.connect()
     con.register("t", tbl.to_pandas())
     o = con.execute(
@@ -106,7 +110,7 @@ def test_value_window_vs_duckdb(ray_session):
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
 
-def test_value_window_ntile_tiny_partitions(ray_session):
+def test_value_window_ntile_tiny_partitions(ray_session, many_buckets):
     # fewer rows than tiles: each row lands in its own 1-row tile
     import ray
 
@@ -115,8 +119,9 @@ def test_value_window_ntile_tiny_partitions(ray_session):
     tbl = pa.table({"u": pa.array([1, 1, 2]),
                     "t": pa.array([10, 20, 5]),
                     "v": pa.array([1.0, 2.0, 3.0])})
-    out = value_window(ray.data.from_arrow(tbl), key="u", order="t",
-                       value="v", ntile=5).to_pandas()
+    with many_buckets(8):
+        out = value_window(ray.data.from_arrow(tbl), key="u", order="t",
+                           value="v", ntile=5).to_pandas()
     out = out.sort_values(["u", "t"]).reset_index(drop=True)
     assert list(out.ntile5) == [1, 2, 1]
     assert list(out.first_v) == [1.0, 1.0, 3.0]
@@ -167,7 +172,7 @@ def test_transition_counts_vs_scalar_and_partitions(ray_session,
         got_prev = got
 
 
-def test_transition_counts_null_states(ray_session):
+def test_transition_counts_null_states(ray_session, many_buckets):
     import ray
 
     from geobuf_ray.functions.window import transition_counts
@@ -177,8 +182,9 @@ def test_transition_counts_null_states(ray_session):
         "t": pa.array([0, 1, 2, 0, 1]),
         "s": pa.array(["x", None, "x", None, None]),
     })
-    out = transition_counts(ray.data.from_arrow(tbl), key="u",
-                            order="t", state="s").to_pandas()
+    with many_buckets(8):
+        out = transition_counts(ray.data.from_arrow(tbl), key="u",
+                                order="t", state="s").to_pandas()
     got = {(a if a == a and a is not None else None,
             b if b == b and b is not None else None): int(n)
            for a, b, n in out.itertuples(index=False)}
@@ -237,7 +243,7 @@ def test_gap_fill_scalar_and_partitions(ray_session, many_buckets):
         got_prev = out
 
 
-def test_gap_fill_off_grid_raises(ray_session):
+def test_gap_fill_off_grid_raises(ray_session, many_buckets):
     import pytest
     import ray
 
@@ -245,7 +251,7 @@ def test_gap_fill_off_grid_raises(ray_session):
 
     tbl = pa.table({"k": pa.array([1]), "t": pa.array([13]),
                     "c": pa.array([1])})
-    with pytest.raises(Exception):
+    with many_buckets(8), pytest.raises(Exception):
         gap_fill(ray.data.from_arrow(tbl), key="k", tick="t", start=10,
                  stop=20, step=5, zero_cols=("c",)).to_pandas()
 
@@ -296,7 +302,7 @@ def test_scd2_intervals_vs_scalar(ray_session, many_buckets):
         prev = got
 
 
-def test_cusum_alarms_vs_scalar_and_duckdb(ray_session):
+def test_cusum_alarms_vs_scalar_and_duckdb(ray_session, many_buckets):
     import duckdb
     import pandas as pd
     import ray
@@ -311,9 +317,10 @@ def test_cusum_alarms_vs_scalar_and_duckdb(ray_session):
         "v": pa.array(rng.integers(-50, 80, n)),
     })
     drift, thresh = 10, 120
-    out = cusum_alarms(ray.data.from_arrow(tbl).repartition(5),
-                       key="u", order="t", value="v", drift=drift,
-                       threshold=thresh).to_pandas()
+    with many_buckets():
+        out = cusum_alarms(ray.data.from_arrow(tbl).repartition(5),
+                           key="u", order="t", value="v", drift=drift,
+                           threshold=thresh).to_pandas()
     # scalar recurrence reference
     df = tbl.to_pandas().sort_values(["u", "t"])
     want = []
@@ -358,7 +365,7 @@ def test_gap_fill_float_cols_with_empty_buckets(ray_session, many_buckets):
     assert list(out[out.k == 2].f) == [0.0, 3.5, 0.0, 0.0]
 
 
-def test_ewma_vs_pandas(ray_session):
+def test_ewma_vs_pandas(ray_session, many_buckets):
     import pandas as pd
     import ray
 
@@ -372,9 +379,10 @@ def test_ewma_vs_pandas(ray_session):
         "v": pa.array(rng.normal(0, 10, n)),
     })
     for alpha in (0.3, 0.05, 1.0):
-        out = ewma(ray.data.from_arrow(tbl).repartition(4), key="u",
-                   order="t", value="v", alpha=alpha,
-                   chunk_len=64).to_pandas()
+        with many_buckets():
+            out = ewma(ray.data.from_arrow(tbl).repartition(4), key="u",
+                       order="t", value="v", alpha=alpha,
+                       chunk_len=64).to_pandas()
         got = out.sort_values(["u", "t"]).reset_index(drop=True)
         df = tbl.to_pandas().sort_values(["u", "t"]).reset_index(drop=True)
         want = df.groupby("u")["v"].transform(
@@ -383,7 +391,7 @@ def test_ewma_vs_pandas(ray_session):
                            rtol=1e-10, atol=1e-10), alpha
 
 
-def test_gap_fill_interp_vs_scalar(ray_session):
+def test_gap_fill_interp_vs_scalar(ray_session, many_buckets):
     import ray
 
     from geobuf_ray.functions.window import gap_fill
@@ -395,9 +403,10 @@ def test_gap_fill_interp_vs_scalar(ray_session):
     v = rng.uniform(-10, 10, len(k))
     tbl = pa.table({"k": pa.array(k), "t": pa.array(t),
                     "v": pa.array(v)})
-    out = gap_fill(ray.data.from_arrow(tbl).repartition(3), key="k",
-                   tick="t", start=0, stop=40, step=5,
-                   interp_cols=("v",)).to_pandas()
+    with many_buckets(16):
+        out = gap_fill(ray.data.from_arrow(tbl).repartition(3), key="k",
+                       tick="t", start=0, stop=40, step=5,
+                       interp_cols=("v",)).to_pandas()
     out = out.sort_values(["k", "t"]).reset_index(drop=True)
     obs = {(int(kk), int(tt)): vv for kk, tt, vv in zip(k, t, v)}
     for r in out.itertuples(index=False):
@@ -413,7 +422,9 @@ def test_gap_fill_interp_vs_scalar(ray_session):
         assert abs(r.v - want) < 1e-12, (r.k, r.t)
 
 
-def test_autocorr_ingredients_vs_scalar(ray_session):
+def test_autocorr_ingredients_vs_scalar(ray_session, many_buckets):
+    import contextlib
+
     import pandas as pd
     import ray
 
@@ -437,10 +448,11 @@ def test_autocorr_ingredients_vs_scalar(ray_session):
         ref[u] = (len(x), x.sum(), y.sum(), (x * y).sum(),
                   (x * x).sum(), (y * y).sum())
 
-    for nparts in (1, 7):
+    for nparts, spread in ((1, contextlib.nullcontext), (7, many_buckets)):
         ds = ray.data.from_arrow(tbl).repartition(nparts)
-        out = autocorr_ingredients(ds, key="u", order="t", value="v",
-                                   lag=lag).to_pandas()
+        with spread():
+            out = autocorr_ingredients(ds, key="u", order="t", value="v",
+                                       lag=lag).to_pandas()
         got = {r.u: (r.npairs, r.sum_x, r.sum_y, r.sum_xy,
                      r.sum_xx, r.sum_yy)
                for r in out.itertuples()}
@@ -452,9 +464,10 @@ def test_autocorr_ingredients_vs_scalar(ray_session):
                       "v": pa.array([5, 6, 7], pa.int64())})
     from geobuf_ray.collect import collect_table
 
-    out = collect_table(
-        autocorr_ingredients(ray.data.from_arrow(short), key="u",
-                             order="t", value="v", lag=5)).to_pandas()
+    with many_buckets(8):
+        out = collect_table(
+            autocorr_ingredients(ray.data.from_arrow(short), key="u",
+                                 order="t", value="v", lag=5)).to_pandas()
     assert len(out) == 0
     assert list(out.columns) == ["u", "npairs", "sum_x", "sum_y",
                                  "sum_xy", "sum_xx", "sum_yy"]
@@ -500,7 +513,7 @@ def test_debounce_scalar_reference(ray_session, many_buckets):
     assert got == sorted(exp)
 
 
-def test_debounce_same_time_burst_and_guard(ray_session):
+def test_debounce_same_time_burst_and_guard(ray_session, many_buckets):
     import ray
 
     from geobuf_ray.collect import collect_table
@@ -508,8 +521,9 @@ def test_debounce_same_time_burst_and_guard(ray_session):
 
     tbl = pa.table({"k": pa.array([1] * 5, pa.int64()),
                     "t": pa.array([7, 7, 7, 7, 200], pa.int64())})
-    out = collect_table(debounce(ray.data.from_arrow(tbl), "k", "t",
-                                 100))
+    with many_buckets(8):
+        out = collect_table(debounce(ray.data.from_arrow(tbl), "k", "t",
+                                     100))
     assert sorted(zip(out["k"].to_pylist(), out["t"].to_pylist())) == \
         [(1, 7), (1, 200)]
     import pytest as _pt
@@ -518,7 +532,7 @@ def test_debounce_same_time_burst_and_guard(ray_session):
         debounce(ray.data.from_arrow(tbl), "k", "t", 0)
 
 
-def test_sliding_median_scalar_and_boundaries(ray_session):
+def test_sliding_median_scalar_and_boundaries(ray_session, many_buckets):
     import ray
 
     from geobuf_ray.collect import collect_table
@@ -530,9 +544,10 @@ def test_sliding_median_scalar_and_boundaries(ray_session):
         "k": pa.array(rng.integers(0, 20, n), pa.int64()),
         "t": pa.array(rng.permutation(n), pa.int64()),
         "v": pa.array(rng.integers(-100, 100, n), pa.int64())})
-    out = collect_table(sliding_median(
-        ray.data.from_arrow(tbl).repartition(5), "k", ["t"], "v",
-        w=5)).to_pandas().sort_values(["k", "t"])
+    with many_buckets():
+        out = collect_table(sliding_median(
+            ray.data.from_arrow(tbl).repartition(5), "k", ["t"], "v",
+            w=5)).to_pandas().sort_values(["k", "t"])
 
     df = tbl.to_pandas().sort_values(["k", "t"])
     exp = []
@@ -636,7 +651,7 @@ def test_runs_test_scalar_replay(ray_session, tmp_path):
             out["const"]["n_runs"]) == (0, 6, 1)
 
 
-def test_pattern_match_counts_non_latin1_state(ray_session):
+def test_pattern_match_counts_non_latin1_state(ray_session, many_buckets):
     """State values whose first code point is above U+00FF render as
     \\x00 (documented contract) instead of raising
     UnicodeEncodeError, and never match printable patterns."""
@@ -651,9 +666,10 @@ def test_pattern_match_counts_non_latin1_state(ray_session):
         "s": pa.array(["alpha", "中文", "beta",
                        "āx", "alpha"])})
     ds = ray.data.from_arrow(tbl).repartition(2)
-    out = collect_table(pattern_match_counts(
-        ds, key="u", order="t", state="s",
-        patterns=["ab", "a.b", "a"]))
+    with many_buckets(8):
+        out = collect_table(pattern_match_counts(
+            ds, key="u", order="t", state="s",
+            patterns=["ab", "a.b", "a"]))
     got = {}
     for r in out.to_pylist():   # sum bucket partials (the contract)
         m, u = got.get(r["pattern"], (0, 0))
