@@ -341,7 +341,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "orders_backlog_curve": q.orders_backlog_curve,
         "embeddings_matryoshka_recall": q.embeddings_matryoshka_recall,
         "docs_huffman_plan": q.docs_huffman_plan,
-        "revenue_by_region_auto": q.revenue_by_region_auto,
         "audio_normalize": q.audio_normalize,
         "docs_pair_token_edit": q.docs_pair_token_edit,
         "images_caption_dups": q.images_caption_dups,
@@ -438,7 +437,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "parts_by_brand": q.parts_by_brand,
         "revenue_by_region": q.revenue_by_region,
         "revenue_by_region_shuffle": q.revenue_by_region_shuffle,
-        "revenue_by_region_merge": q.revenue_by_region_merge,
         "customers_with_nation": q.customers_with_nation,
         "customers_without_orders": q.customers_without_orders,
         "top_lineitems_per_supplier": q.top_lineitems_per_supplier,
@@ -455,7 +453,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "customers_tile_pyramid": q.customers_tile_pyramid,
         "pip_rect_join": q.pip_rect_join,
         "pip_rect_join_s2": q.pip_rect_join_s2,
-        "pip_rect_join_s2_adaptive": q.pip_rect_join_s2_adaptive,
         "rects_tile_clip": q.rects_tile_clip,
         "rects_mvt_tiles": q.rects_mvt_tiles,
         "rects_rasterize": q.rects_rasterize,
@@ -3334,16 +3331,6 @@ def oracle_sql() -> dict[str, str]:
             JOIN region ON n_regionkey = r_regionkey
             GROUP BY r_name
         """,
-        "revenue_by_region_merge": """
-            SELECT r_name,
-                   CAST(SUM(CAST(round(o_totalprice * 100) AS BIGINT)) AS BIGINT) AS total_cents,
-                   COUNT(*) AS n_orders
-            FROM orders
-            JOIN customer ON o_custkey = c_custkey
-            JOIN nation ON c_nationkey = n_nationkey
-            JOIN region ON n_regionkey = r_regionkey
-            GROUP BY r_name
-        """,
         "min_price_lineitems": """
             SELECT l.l_orderkey, l.l_partkey, l.l_suppkey,
                    CAST(round(l.l_extendedprice * 100) AS BIGINT) AS price_cents
@@ -3441,15 +3428,6 @@ def oracle_sql() -> dict[str, str]:
         # the S2-indexed route must produce the IDENTICAL join result —
         # the cell index only prunes candidates
         "pip_rect_join_s2": f"""
-            SELECT c_custkey AS custkey, s_suppkey AS polygon_id
-            FROM customer, supplier
-            WHERE {_LON} >= (-180.0 + (s_suppkey * 37) % 300)
-              AND {_LON} <= (-180.0 + (s_suppkey * 37) % 300 + 5.0 + (s_suppkey % 7) * 3.0 + 0.005)
-              AND {_LAT} >= (-85.0 + (s_suppkey * 53) % 160)
-              AND {_LAT} <= (-85.0 + (s_suppkey * 53) % 160 + 4.0 + (s_suppkey % 5) * 3.0 + 0.005)
-        """,
-        # adaptive multi-level cover: still the identical result set
-        "pip_rect_join_s2_adaptive": f"""
             SELECT c_custkey AS custkey, s_suppkey AS polygon_id
             FROM customer, supplier
             WHERE {_LON} >= (-180.0 + (s_suppkey * 37) % 300)
@@ -6159,16 +6137,6 @@ def oracle_sql() -> dict[str, str]:
                              AS n_open
                   FROM days)
             SELECT day, n_open FROM c ORDER BY day
-        """,
-        "revenue_by_region_auto": """
-            SELECT r_name,
-                   CAST(SUM(CAST(round(o_totalprice * 100) AS BIGINT)) AS BIGINT) AS total_cents,
-                   COUNT(*) AS n_orders
-            FROM orders
-            JOIN customer ON o_custkey = c_custkey
-            JOIN nation ON c_nationkey = n_nationkey
-            JOIN region ON n_regionkey = r_regionkey
-            GROUP BY r_name
         """,
         "docs_pair_token_edit": r"""
             WITH RECURSIVE

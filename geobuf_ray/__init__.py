@@ -95,8 +95,6 @@ def __getattr__(name):
         "ivf_build": ("geobuf_ray.functions.ann", "ivf_build"),
         "ivf_topk": ("geobuf_ray.functions.ann", "ivf_topk"),
         "pip_s2_join": ("geobuf_ray.spatial.join", "pip_s2_join"),
-        "pip_s2_join_adaptive": ("geobuf_ray.spatial.join",
-                                 "pip_s2_join_adaptive"),
         "knn_s2_join": ("geobuf_ray.spatial.join", "knn_s2_join"),
         "within_distance_join": ("geobuf_ray.spatial.join",
                                  "within_distance_join"),

@@ -59,6 +59,26 @@ class _UnknownTag(Exception):
     pass
 
 
+def _check_spans(scan: dict, pos: np.ndarray, end: np.ndarray) -> dict:
+    """Raise ValueError naming the first record whose last field runs
+    past the record (``pos`` is where each record's walk stopped), or
+    whose property key or value runs past its keyvalue field: a corrupt
+    length varint would otherwise read the next record's bytes (or
+    bytes past the data).  Fixed-width values need 8 / 4 / 1 bytes;
+    strings and varints span to the field's end."""
+    rec = scan["p_rec"]
+    ks, kl = scan["p_kstart"], scan["p_klen"]
+    vt, vs, ve = scan["p_vtag"], scan["p_vstart"], scan["p_vend"]
+    width = np.select([vt == _T_F64, vt == _T_F32, vt == _T_BOOL],
+                      [8, 4, 1], 0)
+    bad = (kl < 0) | (kl > ve - ks) | (vs > ve - width)
+    bad_recs = np.concatenate((np.flatnonzero(pos > end), rec[bad]))
+    if len(bad_recs):
+        raise ValueError(f"a field of record {int(bad_recs.min())} runs "
+                         f"past the end of the record")
+    return scan
+
+
 def _structure_scan(data: np.ndarray, offs: np.ndarray):
     """Walk tags/lengths of every record; no value decoding."""
     try:
@@ -166,7 +186,7 @@ def _structure_scan_vec(data: np.ndarray, offs: np.ndarray):
         order = np.lexsort((p_ks, p_rec))
         p_rec, p_ks, p_kl = p_rec[order], p_ks[order], p_kl[order]
         p_vt, p_vs, p_ve = p_vt[order], p_vs[order], p_ve[order]
-    return {
+    return _check_spans({
         "ids": ids,
         "has_id": has_id,
         "geomcode": geomcode,
@@ -179,7 +199,7 @@ def _structure_scan_vec(data: np.ndarray, offs: np.ndarray):
         "p_vtag": p_vt,
         "p_vstart": p_vs,
         "p_vend": p_ve,
-    }
+    }, pos, end)
 
 
 def _structure_scan_scalar(data: np.ndarray, offs: np.ndarray):
@@ -203,6 +223,7 @@ def _structure_scan_scalar(data: np.ndarray, offs: np.ndarray):
     p_vstart: list[int] = []
     p_vend: list[int] = []
     dv = vi.decode_varint_scalar
+    stop = np.zeros(n, np.int64)
 
     for i in range(n):
         pos = int(offs[i])
@@ -262,7 +283,8 @@ def _structure_scan_scalar(data: np.ndarray, offs: np.ndarray):
                     pos += 8
                 else:
                     raise ValueError(f"bad wire type {wt} in record {i}")
-    return {
+        stop[i] = min(pos, end + 1)  # a huge length overflows int64
+    return _check_spans({
         "ids": ids,
         "has_id": has_id,
         "geomcode": geomcode,
@@ -275,7 +297,7 @@ def _structure_scan_scalar(data: np.ndarray, offs: np.ndarray):
         "p_vtag": np.asarray(p_vtag, np.int64),
         "p_vstart": np.asarray(p_vstart, np.int64),
         "p_vend": np.asarray(p_vend, np.int64),
-    }
+    }, stop, offs[1:])
 
 
 def _prefix_walk_vec(values, rec_val_starts, rec_val_ends, gtype, dim, n):

@@ -982,159 +982,6 @@ def broadcast_range_join(points, intervals: pa.Table, *, value: str,
                               zero_copy_batch=True, **map_kwargs)
 
 
-def merge_join(left, right, on: str, *, how: str = "inner",
-               nbuckets: int = 32, rsuffix: str = "_r",
-               sample_per_block: int = 256,
-               left_schema: pa.Schema | None = None,
-               right_schema: pa.Schema | None = None):
-    """Range-partitioned sort-merge equi-join — the alternative
-    PHYSICAL strategy to :func:`hash_join` for a single int64 key,
-    with identical logical semantics (USING/COALESCE keys, SQL null
-    rules, inner/left/right/full all supported: unlike salting, range
-    partitioning puts EVERY row of a key in exactly one range, so
-    right-miss detection stays bucket-local).
-
-    Split points come from deterministic per-block key samples of
-    BOTH sides (TeraSort-style; the sample only shapes balance —
-    correctness never depends on it).  Each range then sorts locally
-    and merges by searchsorted, so output blocks are CLUSTERED BY KEY
-    in ascending range order — the property a downstream range scan,
-    as-of alignment, or sorted export gets for free and a hash join
-    cannot give.  Prefer it when the keyspace is skew-prone in hash
-    space or when downstream wants key-ordered blocks; hash_join
-    avoids the sampling pass."""
-    import ray
-
-    from ..collect import collect_table
-    from .dedup import _mix
-    from .exchange import hash_cogroup
-
-    if how not in ("inner", "left", "right", "full"):
-        raise ValueError(f"unsupported how={how!r}")
-    l_schema = left_schema if left_schema is not None else left.schema()
-    r_schema = right_schema if right_schema is not None else right.schema()
-    l_types = dict(zip(l_schema.names, l_schema.types))
-    r_types = dict(zip(r_schema.names, r_schema.types))
-    if not pa.types.is_integer(l_types[on]) or \
-            not pa.types.is_integer(r_types[on]):
-        raise ValueError("merge_join requires an integer key column")
-    l_names = list(l_schema.names)
-    r_names = [n for n in r_schema.names if n != on]
-    out_r_names = [n + rsuffix if n in l_names else n for n in r_names]
-    l_pa_schema = pa.schema([(n, l_types[n]) for n in l_names])
-    r_pa_schema = pa.schema([(n, r_types[n]) for n in r_schema.names])
-
-    samp_schema = pa.schema([("v", pa.int64())])
-
-    def sample(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return samp_schema.empty_table()
-        col = batch[on]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        if col.null_count:
-            col = col.drop_null()
-        v = col.to_numpy(zero_copy_only=False).astype(np.int64)
-        if not len(v):
-            return samp_schema.empty_table()
-        h = _mix(v.view(np.uint64), 0x7C15)
-        sel = np.argsort(h, kind="stable")[:sample_per_block]
-        return pa.table({"v": pa.array(v[sel])})
-
-    samples = []
-    for side in (left, right):
-        samples.append(collect_table(side.map_batches(
-            sample, batch_format="pyarrow", zero_copy_batch=True),
-            schema=samp_schema))
-    sv = np.sort(np.concatenate(
-        [t["v"].to_numpy(zero_copy_only=False).astype(np.int64)
-         for t in samples]))
-    if len(sv) == 0:
-        splits = np.empty(0, np.int64)
-    else:
-        qpos = (np.arange(1, nbuckets) * len(sv)) // nbuckets
-        splits = np.unique(sv[np.minimum(qpos, len(sv) - 1)])
-    splits_ref = ray.put(splits)
-    nrng = len(splits) + 1
-
-    def range_fn(tbl: pa.Table):
-        sp = ray.get(splits_ref) if isinstance(
-            splits_ref, ray.ObjectRef) else splits_ref
-        col = tbl[on]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        v = col.fill_null(0).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        return np.searchsorted(sp, v, "right").astype(np.int64), tbl
-
-    def merge_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
-        knull_l = _null_any(lt, [on], lt.num_rows)
-        knull_r = _null_any(rt, [on], rt.num_rows)
-        li = np.flatnonzero(~knull_l)
-        null_li = np.flatnonzero(knull_l)
-        ri = np.flatnonzero(~knull_r)
-        lk = (lt[on].combine_chunks() if isinstance(lt[on], pa.ChunkedArray)
-              else lt[on])
-        rk = (rt[on].combine_chunks() if isinstance(rt[on], pa.ChunkedArray)
-              else rt[on])
-        lkeys = lk.fill_null(0).to_numpy(
-            zero_copy_only=False).astype(np.int64)[li]
-        rkeys = rk.fill_null(0).to_numpy(
-            zero_copy_only=False).astype(np.int64)[ri]
-        # process left in key order: the expansion (and so the output
-        # block) comes out clustered by key
-        lorder = np.argsort(lkeys, kind="stable")
-        li, lkeys = li[lorder], lkeys[lorder]
-        rorder = np.argsort(rkeys, kind="stable")
-        rks = rkeys[rorder]
-        lo = np.searchsorted(rks, lkeys, side="left")
-        hi = np.searchsorted(rks, lkeys, side="right")
-        cnt = hi - lo
-        from ..codec.varint import ramp
-
-        l_exp = np.repeat(np.arange(len(li)), cnt)
-        r_exp = rorder[np.repeat(lo, cnt) + ramp(cnt)]
-        ltab = lt.take(pa.array(li[l_exp], pa.int64()))
-        rtab = rt.take(pa.array(ri[r_exp], pa.int64()))
-        cols = {n: ltab[n] for n in l_names}
-        for rn, orn in zip(r_names, out_r_names):
-            cols[orn] = rtab[rn]
-        out = pa.table(cols)
-        if how in ("left", "full"):
-            miss_rows = np.concatenate((li[cnt == 0], null_li))
-            if len(miss_rows):
-                mtab = lt.take(pa.array(miss_rows, pa.int64()))
-                mcols = {n: mtab[n] for n in l_names}
-                for rn, orn in zip(r_names, out_r_names):
-                    mcols[orn] = pa.nulls(len(miss_rows), r_types[rn])
-                out = pa.concat_tables([out, pa.table(mcols)])
-        if how in ("right", "full"):
-            r_match = np.bincount(r_exp, minlength=len(ri))
-            null_ri = np.flatnonzero(knull_r)
-            rmiss = np.concatenate((ri[np.flatnonzero(r_match == 0)],
-                                    null_ri))
-            if len(rmiss):
-                mtab = rt.take(pa.array(rmiss, pa.int64()))
-                mcols = {}
-                for n in l_names:
-                    if n == on:
-                        kcol = mtab[n]
-                        if kcol.type != l_types[n]:
-                            kcol = kcol.cast(l_types[n])
-                        mcols[n] = kcol
-                    else:
-                        mcols[n] = pa.nulls(len(rmiss), l_types[n])
-                for rn, orn in zip(r_names, out_r_names):
-                    mcols[orn] = mtab[rn]
-                out = pa.concat_tables([out, pa.table(mcols)])
-        return out
-
-    return hash_cogroup(left, right, nbuckets=nrng,
-                        left_bucket_fn=range_fn, right_bucket_fn=range_fn,
-                        reduce_fn=merge_bucket,
-                        left_schema=l_pa_schema, right_schema=r_pa_schema)
-
-
 def theta_join(left, right: pa.Table, predicate, *, how: str = "inner",
                rsuffix: str = "_r", chunk_cells: int = 1 << 18,
                **map_kwargs):

@@ -3749,11 +3749,12 @@ def pip_rect_join(sf_dir: str, zoom: int = 5):
 
 
 def pip_rect_join_s2(sf_dir: str, level: int = 8):
-    """The same PIP join routed through the from-scratch **S2 cell
-    index** (spatial/s2.py): points key on their level-8 cell, polygons
-    fan out to exact covering cells, one raw-task hash co-group, exact
-    ray-casting refine.  Results are identical to `pip_rect_join` (the
-    index only prunes), so the same SQL oracle hash-checks this path.
+    """The same PIP join as :func:`pip_rect_join`, on the shuffle path
+    (``pip_s2_join``, spatial/s2.py): points key on their level-8
+    cell, polygons fan out to exact covering cells, one raw-task hash
+    co-group, exact ray-casting refine.  `pip_rect_join` broadcasts
+    the polygons instead.  Results are identical (the index only
+    prunes), so the same SQL oracle hash-checks both paths.
     """
     import ray
 
@@ -3763,24 +3764,6 @@ def pip_rect_join_s2(sf_dir: str, level: int = 8):
     polys = ray.data.from_arrow(supplier_rects(sf_dir))
     out = pip_s2_join(pts, polys, level=level, nbuckets=64,
                       poly_id_col="id")
-    return out.select_columns(["custkey", "polygon_id"])
-
-
-def pip_rect_join_s2_adaptive(sf_dir: str):
-    """The same PIP join through the ADAPTIVE multi-level S2 cover
-    (``pip_s2_join_adaptive``): each polygon covers at the level
-    matched to its own bbox size, points emit one ancestor cell per
-    level, candidates match on exact cell equality.  Identical result
-    set — hash-checked against the same SQL oracle as the fixed-level
-    and tile paths."""
-    import ray
-
-    from ..spatial.join import pip_s2_join_adaptive
-
-    pts = customer_points(sf_dir)
-    polys = ray.data.from_arrow(supplier_rects(sf_dir))
-    out = pip_s2_join_adaptive(pts, polys, lmin=4, lmax=9, nbuckets=64,
-                               poly_id_col="id")
     return out.select_columns(["custkey", "polygon_id"])
 
 
@@ -8783,75 +8766,6 @@ def parts_copurchase_lift(sf_dir: str, k: int = 50):
         "n_p2": pa.array([lut[int(b)] for b in p2], pa.int64()),
         "n_orders_total": pa.array(
             np.full(len(p1), n_total, np.int64))})
-
-
-def revenue_by_region_merge(sf_dir: str):
-    """Third PHYSICAL strategy for the same logical query as
-    :func:`revenue_by_region` (broadcast) and
-    :func:`revenue_by_region_shuffle` (hash partition): the
-    range-partitioned SORT-MERGE join (functions/join.merge_join,
-    TeraSort-style sampled splits, key-clustered output blocks).
-    All three hash-match one oracle — the broadcast/hash/merge trio is
-    the planner choice a real warehouse makes by side size, skew and
-    downstream order requirements."""
-    import duckdb
-    import ray
-
-    from ..functions.join import merge_join
-
-    orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                                   columns=["o_custkey", "o_totalprice"])
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table({"c_custkey": batch["o_custkey"],
-                         "o_totalprice": batch["o_totalprice"]})
-
-    orders = orders.map_batches(rename, batch_format="pyarrow",
-                                zero_copy_batch=True)
-    cust = ray.data.read_parquet(f"{sf_dir}/customer.parquet",
-                                 columns=["c_custkey", "c_nationkey"])
-    joined = merge_join(
-        orders, cust, "c_custkey", nbuckets=32,
-        left_schema=pa.schema([("c_custkey", pa.int64()),
-                               ("o_totalprice", pa.float64())]),
-        right_schema=pa.schema([("c_custkey", pa.int64()),
-                                ("c_nationkey", pa.int32())]))
-
-    side = duckdb.connect().execute(f"""
-        SELECT n_nationkey, r_name FROM '{sf_dir}/nation.parquet'
-        JOIN '{sf_dir}/region.parquet' ON n_regionkey = r_regionkey
-    """).fetch_arrow_table()
-    nk = side["n_nationkey"].to_numpy().astype(np.int64)
-    lab = side["r_name"].combine_chunks().dictionary_encode()
-    names = lab.dictionary.to_pylist()
-    idx = np.full(int(nk.max()) + 1, -1, np.int16)
-    idx[nk] = lab.indices.to_numpy().astype(np.int16)
-
-    def agg(batch: pa.Table) -> pa.Table:
-        nkey = batch["c_nationkey"].to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        code = idx[np.clip(nkey, 0, len(idx) - 1)].astype(np.int64)
-        code[(nkey < 0) | (nkey >= len(idx))] = -1
-        ok = code >= 0
-        code = code[ok]
-        cents = np.round(batch["o_totalprice"].to_numpy(
-            zero_copy_only=False)[ok] * 100).astype(np.int64)
-        nbins = len(names)
-        counts = np.bincount(code, minlength=nbins)
-        present = np.flatnonzero(counts)
-        return pa.table({
-            "r_name": pa.array([names[c] for c in present]),
-            "total_cents": pa.array(np.bincount(
-                code, weights=cents,
-                minlength=nbins).astype(np.int64)[present]),
-            "n_orders": pa.array(counts[present].astype(np.int64)),
-        })
-
-    partials = joined.map_batches(agg, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-    return _final_combine(partials, ["r_name"],
-                          ["total_cents", "n_orders"])
-
 
 
 def _orders_cdc_base(sf_dir: str):
@@ -15920,38 +15834,6 @@ def docs_huffman_plan(sf_dir: str):
         "raw_bits": pa.array([raw_bits], pa.int64()),
         "huffman_bits": pa.array([total_bits], pa.int64()),
         "max_code_len": pa.array([int(lengths.max())], pa.int64())})
-
-
-def revenue_by_region_auto(sf_dir: str,
-                           broadcast_limit: int = 4_000_000):
-    """COST-BASED physical join choice — the fourth member of the
-    revenue_by_region planner family (broadcast / hash / merge /
-    AUTO): Count-Min sketches of both key columns (one fixed-size
-    pass each) feed the decision — the probe side's distinct-key
-    bound (n rows, never more keys than rows) and the CM inner
-    product (never-under join-size estimate) pick BROADCAST when the
-    build side fits the limit and the estimated output stays linear,
-    else the hash shuffle.  All four variants hash-check the same
-    oracle, so the planner can never trade correctness for its
-    choice."""
-    import ray
-
-    from ..functions.sketch import cms_build, cms_inner_product
-
-    o = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                              columns=["o_custkey"])
-    c = ray.data.read_parquet(f"{sf_dir}/customer.parquet",
-                              columns=["c_custkey"])
-    sa = cms_build(o, "o_custkey", width=2048, depth=4)
-    sb = cms_build(c, "c_custkey", width=2048, depth=4)
-    n_orders = int(sa[0].sum())
-    n_cust = int(sb[0].sum())
-    est_join = cms_inner_product(sa, sb)
-    # broadcast is safe when the build side is bounded AND the join
-    # stays ~linear in the probe side (no exploding key)
-    if n_cust <= broadcast_limit and est_join <= 4 * n_orders:
-        return revenue_by_region(sf_dir)
-    return revenue_by_region_shuffle(sf_dir)
 
 
 def audio_normalize(sf_dir: str, target: float = 0.125):

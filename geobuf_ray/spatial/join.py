@@ -284,8 +284,10 @@ def pip_s2_join(
     cell bounds, so no covering cell is ever missed).  One raw-task
     hash co-group (`functions/exchange.py`) co-locates cell-equal rows;
     each bucket refines with exact ray-casting PIP.  Results are
-    identical to the broadcast and tile-cell paths — the index only
-    prunes candidates.
+    identical to the broadcast :func:`point_in_polygon_join` — the
+    index only prunes candidates.  That join is the path for a polygon
+    set small enough to ship to every task; this one is the path for
+    one that is not.
 
     Scale notes: S2 cells are near-equal-area (no polar row blowup, cf.
     slippy tiles), and the cell id's prefix property gives ancestor
@@ -399,178 +401,6 @@ def pip_s2_join(
 
     return hash_cogroup(
         points_ds, polygons_ds, nbuckets=nbuckets << salt_bits,
-        left_bucket_fn=points_bucket, right_bucket_fn=polys_bucket,
-        reduce_fn=pip_bucket, left_schema=lschema, right_schema=rschema)
-
-
-def pip_s2_join_adaptive(
-    points_ds,
-    polygons_ds,
-    *,
-    lmin: int = 4,
-    lmax: int = 10,
-    nbuckets: int = 64,
-    max_cover_cells: int = 64,
-    lon_col: str = "lon",
-    lat_col: str = "lat",
-    point_id_col: str = "custkey",
-    poly_id_col: str = "id",
-):
-    """PIP join with a PER-POLYGON adaptive S2 cover level.
-
-    A fixed cover level (``pip_s2_join``) forces one tradeoff on every
-    polygon: continent-sized features explode into thousands of fine
-    cells while parcel-sized ones get no pruning from coarse ones.
-    Here each polygon covers at the level where its bbox spans ~one
-    cell (clamped to ``[lmin, lmax]``, so fan-out per polygon is O(1)
-    bounded by ``max_cover_cells``), and each point emits its ancestor
-    cell id at EVERY level in the range (``lmax-lmin+1`` skinny rows —
-    the point side fans by the number of LEVELS, the polygon side by
-    ~1, instead of either side fanning by polygon/cell size ratio).
-
-    Candidates match on EXACT cell-id equality inside each hash
-    bucket: a containing polygon's cover includes the cell that is the
-    point's ancestor at the polygon's level, and that (point, polygon)
-    candidate arises at exactly ONE cell id — so results need no
-    cross-bucket dedup.  Exact ray-casting refines candidates; output
-    rows are (point_id, polygon_id), identical to every other PIP
-    path.
-
-    Partitioning assumption (documented per SURVEY §4): cells hash
-    uniformly over ``nbuckets``; a single dense point cell bounds one
-    bucket's left side exactly as in ``pip_s2_join`` (salt upstream
-    for pathological cases).
-    """
-    from ..codec.schema import list_column_parts
-    from ..functions.exchange import hash_cogroup
-    from . import s2
-    from .geometry import feature_bbox, point_in_rings
-
-    nlevels = lmax - lmin + 1
-
-    def points_bucket(batch: pa.Table):
-        lon = batch[lon_col].combine_chunks().to_numpy(
-            zero_copy_only=False).astype(np.float64)
-        lat = batch[lat_col].combine_chunks().to_numpy(
-            zero_copy_only=False).astype(np.float64)
-        pid = batch[point_id_col].cast(pa.int64()).combine_chunks(
-        ).to_numpy(zero_copy_only=False)
-        # leaf id once; ancestors are two bit-ops per level
-        leaf = s2.s2_cell_id(lon, lat, s2.MAX_LEVEL)
-        cells = np.concatenate(
-            [s2.parent(leaf, lv) for lv in range(lmin, lmax + 1)])
-        reps = np.tile(np.arange(len(lon)), nlevels)
-        tbl = pa.table({
-            "cell": pa.array(cells, pa.uint64()),
-            "pid": pa.array(pid[reps]),
-            "lon": pa.array(lon[reps]),
-            "lat": pa.array(lat[reps]),
-        })
-        return (cells % np.uint64(nbuckets)).astype(np.int64), tbl
-
-    def polys_bucket(batch: pa.Table):
-        n = batch.num_rows
-        coords, offs = list_column_parts(batch["coords"], np.float64)
-        dim = (batch["dim"].combine_chunks().to_numpy(
-            zero_copy_only=False).astype(np.int64)
-            if "dim" in batch.column_names else np.full(n, 2, np.int64))
-        bb = feature_bbox(coords, offs, dim)
-        # level where one cell (~90deg/2^l on a face) spans the bbox
-        size = np.maximum(np.maximum(bb[:, 2] - bb[:, 0],
-                                     bb[:, 3] - bb[:, 1]), 1e-9)
-        lev = np.clip(np.floor(np.log2(90.0 / size)).astype(np.int64),
-                      lmin, lmax)
-        all_rows, all_cells = [], []
-        for lv in np.unique(lev):
-            sel = np.flatnonzero(lev == lv)
-            rows, cells = s2.cover_rects(
-                bb[sel, 0], bb[sel, 1], bb[sel, 2], bb[sel, 3], int(lv),
-                rect_ids=sel)
-            if len(rows) > max_cover_cells * len(sel):
-                # safety valve: a pathological aspect ratio re-covers
-                # one level coarser (cover count only shrinks)
-                rows, cells = s2.cover_rects(
-                    bb[sel, 0], bb[sel, 1], bb[sel, 2], bb[sel, 3],
-                    max(int(lv) - 1, lmin), rect_ids=sel)
-            all_rows.append(rows)
-            all_cells.append(cells)
-        rows = np.concatenate(all_rows) if all_rows else np.empty(0, np.int64)
-        cells = (np.concatenate(all_cells) if all_cells
-                 else np.empty(0, np.uint64))
-        taken = batch.take(pa.array(rows, pa.int64()))
-        tbl = pa.table({
-            "cell": pa.array(cells, pa.uint64()),
-            "pid": taken[poly_id_col].cast(pa.int64()),
-            "coords": taken["coords"],
-            "ring_sizes": taken["ring_sizes"],
-            "dim": (taken["dim"].cast(pa.int8())
-                    if "dim" in taken.column_names
-                    else pa.array(np.full(len(rows), 2, np.int8))),
-        })
-        return (cells % np.uint64(nbuckets)).astype(np.int64), tbl
-
-    lschema = pa.schema([("cell", pa.uint64()), ("pid", pa.int64()),
-                         ("lon", pa.float64()), ("lat", pa.float64())])
-    rschema = pa.schema([("cell", pa.uint64()), ("pid", pa.int64()),
-                         ("coords", pa.list_(pa.float64())),
-                         ("ring_sizes", pa.list_(pa.int32())),
-                         ("dim", pa.int8())])
-
-    def pip_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
-        empty = pa.table({point_id_col: pa.array([], pa.int64()),
-                          "polygon_id": pa.array([], pa.int64())})
-        if lt.num_rows == 0 or rt.num_rows == 0:
-            return empty
-        pcell = lt["cell"].to_numpy(zero_copy_only=False)
-        rcell = rt["cell"].to_numpy(zero_copy_only=False)
-        order = np.argsort(rcell, kind="stable")
-        rs = rcell[order]
-        lo = np.searchsorted(rs, pcell, side="left")
-        hi = np.searchsorted(rs, pcell, side="right")
-        cnt = hi - lo
-        pt_idx = np.flatnonzero(cnt > 0)
-        if len(pt_idx) == 0:
-            return empty
-        c = cnt[pt_idx]
-        pt_rep = np.repeat(pt_idx, c)
-        gather = (np.repeat(lo[pt_idx], c)
-                  + np.arange(int(c.sum())) - np.repeat(np.cumsum(c) - c, c))
-        poly_rows = order[gather]
-        # exact ray-casting refine, grouped by candidate polygon
-        from ..codec.schema import list_column_parts as _lcp
-
-        coords, offs = _lcp(rt["coords"], np.float64)
-        rsz, rs_offs = _lcp(rt["ring_sizes"], np.int64)
-        dim = rt["dim"].to_numpy(zero_copy_only=False).astype(np.int64)
-        counts = np.diff(offs)
-        local = np.arange(len(coords)) - np.repeat(offs[:-1], counts)
-        d = np.repeat(np.maximum(dim, 1), counts)
-        xs = coords[(local % d) == 0]
-        ys = coords[(local % d) == 1]
-        ring_offsets = np.concatenate(([0], np.cumsum(rsz))).astype(np.int64)
-        feat_ring_offsets = rs_offs.astype(np.int64)
-        ppid = rt["pid"].to_numpy(zero_copy_only=False)
-        lon = lt["lon"].to_numpy(zero_copy_only=False)
-        lat = lt["lat"].to_numpy(zero_copy_only=False)
-        lpid = lt["pid"].to_numpy(zero_copy_only=False)
-        out_pt, out_poly = [], []
-        po = np.argsort(poly_rows, kind="stable")
-        poly_sorted, pt_sorted = poly_rows[po], pt_rep[po]
-        uniq, starts = np.unique(poly_sorted, return_index=True)
-        bounds = np.append(starts, len(poly_sorted))
-        for u, s0, e0 in zip(uniq, bounds[:-1], bounds[1:]):
-            pts = pt_sorted[s0:e0]
-            ro = ring_offsets[feat_ring_offsets[u]:feat_ring_offsets[u + 1] + 1]
-            inside = point_in_rings(lon[pts], lat[pts], xs, ys, ro)
-            out_pt.append(lpid[pts[inside]])
-            out_poly.append(np.full(int(inside.sum()), ppid[u], np.int64))
-        if not out_pt:
-            return empty
-        return pa.table({point_id_col: pa.array(np.concatenate(out_pt)),
-                         "polygon_id": pa.array(np.concatenate(out_poly))})
-
-    return hash_cogroup(
-        points_ds, polygons_ds, nbuckets=nbuckets,
         left_bucket_fn=points_bucket, right_bucket_fn=polys_bucket,
         reduce_fn=pip_bucket, left_schema=lschema, right_schema=rschema)
 

@@ -450,6 +450,35 @@ def test_geometry_past_record_end_raises_value_error(bit):
         dc.decode_batch(pa.array([bytes(bad)], pa.binary()))
 
 
+@pytest.mark.parametrize("corrupt", ["property_length", "truncated"])
+def test_field_past_record_end_raises_value_error(corrupt):
+    """A field that runs past its record: one flipped bit in a
+    property's length, or a record cut one byte short (inside its
+    bbox).  Both structure scans raise ValueError naming the record, in
+    a batch and on its own, instead of reading the next record's bytes
+    as the field's."""
+    from feature_corpus import stream
+
+    recs = fc.scan_frames(stream()).to_pylist()
+    bad = bytearray(recs[42])
+    if corrupt == "property_length":
+        bad[99] ^= 1 << 6
+    else:
+        del bad[-1]
+    bad = bytes(bad)
+    # a field the writer never emits sends the batch to the scalar walk
+    unknown = recs[0] + bytes([0x30, 0x05])
+    data, offs = dc._binary_parts(pa.array([bad, unknown], pa.binary()))
+    with pytest.raises(dc._UnknownTag):
+        dc._structure_scan_vec(data, offs)
+    for tail in ([], [unknown]):
+        batch = recs[:42] + [bad] + recs[43:] + tail
+        with pytest.raises(ValueError, match="record 42"):
+            dc.decode_batch(pa.array(batch, pa.binary()))
+        with pytest.raises(ValueError, match="record 0"):
+            dc.decode_batch(pa.array([bad] + tail, pa.binary()))
+
+
 @needs_ref
 def test_ld_corpus_roundtrip():
     """Roundtrip the reference's second real corpus

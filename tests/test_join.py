@@ -633,79 +633,6 @@ def test_salted_join_rejects_unsupported(ray_session):
                   nbuckets=2, hot_keys=np.array([1]))
 
 
-def test_merge_join_matches_duckdb_all_hows(ray_session):
-    import duckdb
-
-    from geobuf_ray.functions.join import merge_join
-
-    rng = np.random.default_rng(17)
-    lk = rng.integers(0, 150, 1200).astype(float)
-    rk = rng.integers(50, 260, 400).astype(float)
-    lk[::17] = np.nan            # null keys: SQL matches-nothing
-    rk[::13] = np.nan
-    left = pa.table({"k": pa.array([None if np.isnan(x) else int(x)
-                                    for x in lk], pa.int64()),
-                     "lv": pa.array(np.arange(1200), pa.int64())})
-    right = pa.table({"k": pa.array([None if np.isnan(x) else int(x)
-                                     for x in rk], pa.int64()),
-                      "rv": pa.array(np.arange(400), pa.int64())})
-    con = duckdb.connect()
-    con.register("l", left)
-    con.register("r", right)
-    sqls = {
-        "inner": "SELECT l.k AS k, lv, rv FROM l JOIN r ON l.k = r.k",
-        "left": "SELECT l.k AS k, lv, rv FROM l LEFT JOIN r ON l.k = r.k",
-        "right": "SELECT r.k AS k, lv, rv FROM l RIGHT JOIN r ON l.k = r.k",
-        "full": "SELECT COALESCE(l.k, r.k) AS k, lv, rv "
-                "FROM l FULL JOIN r ON l.k = r.k",
-    }
-    for how, sql in sqls.items():
-        got = merge_join(_ds(left, 5), _ds(right, 3), "k", how=how,
-                         nbuckets=7).to_pandas()
-        got = got.sort_values(["k", "lv", "rv"]).reset_index(drop=True)
-        exp = con.execute(sql + " ORDER BY k, lv, rv").fetchdf()
-        assert len(got) == len(exp), how
-        assert got[["k", "lv", "rv"]].astype("float64").fillna(-1).equals(
-            exp[["k", "lv", "rv"]].astype("float64").fillna(-1)), how
-
-
-def test_merge_join_equals_hash_join(ray_session):
-    from geobuf_ray.functions.join import hash_join, merge_join
-
-    rng = np.random.default_rng(23)
-    left = pa.table({"k": pa.array(rng.integers(0, 99, 3000), pa.int64()),
-                     "lv": pa.array(np.arange(3000), pa.int64())})
-    right = pa.table({"k": pa.array(rng.integers(0, 99, 700), pa.int64()),
-                      "rv": pa.array(np.arange(700), pa.int64())})
-    a = hash_join(_ds(left), _ds(right), on="k",
-                  nbuckets=8).to_pandas()
-    b = merge_join(_ds(left), _ds(right), "k", nbuckets=8).to_pandas()
-    key = ["k", "lv", "rv"]
-    assert a.sort_values(key).reset_index(drop=True).equals(
-        b.sort_values(key).reset_index(drop=True))
-
-
-def test_merge_join_output_clustered_by_key(ray_session):
-    """Each output block must be ascending in the key — the clustered
-    property a hash join cannot give."""
-    from geobuf_ray.functions.join import merge_join
-
-    rng = np.random.default_rng(29)
-    left = pa.table({"k": pa.array(rng.integers(0, 500, 2000), pa.int64()),
-                     "lv": pa.array(np.arange(2000), pa.int64())})
-    right = pa.table({"k": pa.array(np.arange(500), pa.int64()),
-                      "rv": pa.array(np.arange(500), pa.int64())})
-    out = merge_join(_ds(left), _ds(right), "k", nbuckets=6)
-    import ray
-
-    from geobuf_ray.collect import collect_table
-    for ref in [r for b in out.iter_internal_ref_bundles()
-                for r in b.block_refs]:
-        blk = ray.get(ref)
-        k = blk["k"].to_numpy(zero_copy_only=False)
-        assert (np.diff(k) >= 0).all()
-
-
 def test_theta_join_inner_vs_duckdb(ray_session):
     import duckdb
 

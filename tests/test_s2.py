@@ -210,17 +210,17 @@ def test_pip_s2_join_salted_equivalence(ray_session):
     assert plain == salted and len(plain) > 0
 
 
-def test_pip_s2_join_adaptive_mixed_sizes(ray_session):
-    """Adaptive multi-level cover: polygons spanning 0.05..60 degrees
-    join identically to the broadcast-exact path, and no (point,
-    polygon) pair is ever emitted twice (the exact-cell-equality
-    uniqueness argument)."""
+def test_pip_s2_join_mixed_polygon_sizes(ray_session):
+    """Polygons spanning 0.05..60 degrees, from sub-cell parcels to
+    ones covering many level-8 cells, join identically to the
+    broadcast-exact path, and no (point, polygon) pair is ever emitted
+    twice (each point lives in one bucket, and each bucket dedupes its
+    polygons)."""
     import ray
 
     from geobuf_ray.collect import collect_table
     from geobuf_ray.io.geojson import features_to_table
-    from geobuf_ray.spatial.join import (pip_s2_join_adaptive,
-                                         point_in_polygon_join)
+    from geobuf_ray.spatial.join import pip_s2_join, point_in_polygon_join
 
     rng = np.random.default_rng(23)
     npts, npoly = 4000, 60
@@ -242,9 +242,9 @@ def test_pip_s2_join_adaptive_mixed_sizes(ray_session):
         "custkey": pa.array(np.arange(npts), pa.int64()),
         "lon": pa.array(lon), "lat": pa.array(lat)})
 
-    out = collect_table(pip_s2_join_adaptive(
+    out = collect_table(pip_s2_join(
         ray.data.from_arrow(pts_tbl).repartition(4),
-        ray.data.from_arrow(polys), lmin=2, lmax=9, nbuckets=16))
+        ray.data.from_arrow(polys), level=8, nbuckets=16))
     got = [(r["custkey"], r["polygon_id"]) for r in out.to_pylist()]
     assert len(got) == len(set(got))  # uniqueness, no cross-bucket dups
     want = {(r["custkey"], r["polygon_id"]) for r in collect_table(
