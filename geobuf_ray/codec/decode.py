@@ -118,7 +118,9 @@ def _structure_scan_vec(data: np.ndarray, offs: np.ndarray):
         s18 = tags == 0x18
         if s18.any():
             gi = act[s18]
-            geomcode[gi] = data[pos[gi] + 1]
+            # a tag as the data's last byte reads the clamp; its pos
+            # then passes the record's end and _check_spans names it
+            geomcode[gi] = data[np.minimum(pos[gi] + 1, len(data) - 1)]
             pos[gi] += 2
         rest = ~s18
         if rest.any():
@@ -228,61 +230,64 @@ def _structure_scan_scalar(data: np.ndarray, offs: np.ndarray):
     for i in range(n):
         pos = int(offs[i])
         end = int(offs[i + 1])
-        while pos < end:
-            tag = mv[pos]
-            pos += 1
-            if tag == 0x08:  # id varint
-                v, pos = dv(mv, pos)
-                # wrap to int64 like the vectorized scan (ids >= 2^63
-                # are negative ids as written by the encoder)
-                ids[i] = v - (1 << 64) if v >= (1 << 63) else v
-                has_id[i] = True
-            elif tag == 0x12:  # property keyvalue
-                ln, pos = dv(mv, pos)
-                pend = pos + ln
-                # 0x0A varint(klen) key
-                kl, kp = dv(mv, pos + 1)
-                ks = kp
-                vp = kp + kl
-                # value: 0x12 varint(vlen) inner
-                if vp < pend and mv[vp] == 0x12:
-                    vl, vp = dv(mv, vp + 1)
-                    vtag = mv[vp]
-                    vs = vp + 1
-                    if vtag == _T_STRING:
-                        sl, vs = dv(mv, vs)
-                    p_rec.append(i)
-                    p_kstart.append(ks)
-                    p_klen.append(kl)
-                    p_vtag.append(vtag)
-                    p_vstart.append(vs)
-                    p_vend.append(pend)
-                pos = pend
-            elif tag == 0x18:  # geomcode
-                geomcode[i] = mv[pos]
+        try:
+            while pos < end:
+                tag = mv[pos]
                 pos += 1
-            elif tag == 0x22:  # packed geometry
-                ln, pos = dv(mv, pos)
-                geom_start[i] = pos
-                geom_end[i] = pos + ln
-                pos += ln
-            elif tag == 0x2A:  # bbox
-                ln, pos = dv(mv, pos)
-                bbox_start[i] = pos
-                pos += ln
-            else:  # unknown field: skip by wire type
-                wt = tag & 7
-                if wt == 0:
-                    _, pos = dv(mv, pos)
-                elif wt == 2:
+                if tag == 0x08:  # id varint
+                    v, pos = dv(mv, pos)
+                    # wrap to int64 like the vectorized scan (ids >= 2^63
+                    # are negative ids as written by the encoder)
+                    ids[i] = v - (1 << 64) if v >= (1 << 63) else v
+                    has_id[i] = True
+                elif tag == 0x12:  # property keyvalue
                     ln, pos = dv(mv, pos)
+                    pend = pos + ln
+                    # 0x0A varint(klen) key
+                    kl, kp = dv(mv, pos + 1)
+                    ks = kp
+                    vp = kp + kl
+                    # value: 0x12 varint(vlen) inner
+                    if vp < pend and mv[vp] == 0x12:
+                        vl, vp = dv(mv, vp + 1)
+                        vtag = mv[vp]
+                        vs = vp + 1
+                        if vtag == _T_STRING:
+                            sl, vs = dv(mv, vs)
+                        p_rec.append(i)
+                        p_kstart.append(ks)
+                        p_klen.append(kl)
+                        p_vtag.append(vtag)
+                        p_vstart.append(vs)
+                        p_vend.append(pend)
+                    pos = pend
+                elif tag == 0x18:  # geomcode
+                    geomcode[i] = mv[pos]
+                    pos += 1
+                elif tag == 0x22:  # packed geometry
+                    ln, pos = dv(mv, pos)
+                    geom_start[i] = pos
+                    geom_end[i] = pos + ln
                     pos += ln
-                elif wt == 5:
-                    pos += 4
-                elif wt == 1:
-                    pos += 8
-                else:
-                    raise ValueError(f"bad wire type {wt} in record {i}")
+                elif tag == 0x2A:  # bbox
+                    ln, pos = dv(mv, pos)
+                    bbox_start[i] = pos
+                    pos += ln
+                else:  # unknown field: skip by wire type
+                    wt = tag & 7
+                    if wt == 0:
+                        _, pos = dv(mv, pos)
+                    elif wt == 2:
+                        ln, pos = dv(mv, pos)
+                        pos += ln
+                    elif wt == 5:
+                        pos += 4
+                    elif wt == 1:
+                        pos += 8
+                    else:
+                        raise ValueError(f"bad wire type {wt} in record {i}")
+        except IndexError:  # a field cut short by the data's end
+            pos = end + 1
         stop[i] = min(pos, end + 1)  # a huge length overflows int64
     return _check_spans({
         "ids": ids,

@@ -34,6 +34,8 @@ Framing (one stream record): 0x0A varint(len) record  (writer.go:73-89).
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 import pyarrow as pa
 
@@ -638,19 +640,31 @@ def encode_batch(
 
 
 def frame_records(records: pa.Array) -> bytes:
-    """Frame records into a geobuf stream: 0x0A varint(len) record ..."""
+    """Frame records into a geobuf stream: 0x0A varint(len) record ...
+
+    One walk over the records writes each frame's tag, length varint
+    and payload into one growing buffer (the reference's framing loop,
+    writer.go:73-89); a length under 128 is its own one-byte varint."""
     if isinstance(records, pa.ChunkedArray):
         records = records.combine_chunks()
-    offs = np.frombuffer(records.buffers()[1], np.int32, len(records) + 1, records.offset * 4).astype(np.int64)
-    data = np.frombuffer(records.buffers()[2], np.uint8) if records.buffers()[2] else np.empty(0, np.uint8)
-    lens = np.diff(offs)
-    pref_flat, pref_lens = vi.varint_encode(lens.astype(_U64))
-    n = len(lens)
-    tag = np.full(n, 0x0A, np.uint8)
-    one = np.ones(n, np.int64)
-    body = vi.gather_spans(data, offs[:-1], lens)
-    flat, _ = vi.rowwise_concat([(tag, one), (pref_flat, pref_lens), (body, lens)])
-    return flat.tobytes()
+    n = len(records)
+    if n == 0:
+        return b""
+    offs = memoryview(records.buffers()[1]).cast("i")[
+        records.offset: records.offset + n + 1]
+    body = memoryview(records.buffers()[2] or b"")
+    out = bytearray()
+    a = offs[0]
+    for b in offs[1:]:
+        ln = b - a
+        out.append(0x0A)
+        while ln >= 0x80:
+            out.append(ln & 0x7F | 0x80)
+            ln >>= 7
+        out.append(ln)
+        out += body[a:b]
+        a = b
+    return bytes(out)
 
 
 def _chain_state(data: np.ndarray):
@@ -726,83 +740,101 @@ def sync_candidates(data: np.ndarray) -> np.ndarray:
     return cand[terminal_ok[term]]
 
 
-def frame_boundaries(
-    data: np.ndarray, partial: bool = False
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Vectorized frame walk over a ``0x0A varint(len) payload`` stream.
+def _byte_view(buf) -> memoryview:
+    """A flat byte view of ``buf`` (bytes-like or uint8 array), no copy
+    for contiguous input."""
+    if isinstance(buf, np.ndarray):
+        buf = np.ascontiguousarray(buf, np.uint8)
+    return memoryview(buf).cast("B")
 
-    Frame starts are inherently chained (frame i+1's position depends
-    on frame i's length), but almost all of the walk vectorizes:
-    every ``0x0A`` byte is a CANDIDATE start (true starts plus payload
-    false positives); each candidate's length varint decodes in one
-    windowed gather; candidates then form a successor function in
-    candidate-index space, and the true chain from byte 0 is marked by
-    pointer-doubling reachability — O(log n) numpy rounds replacing the
-    per-frame Python loop (the protoscan walk, reader.go:84-93).
+
+def _walk_frames(buf: memoryview, partial: bool,
+                 sink: bytearray | None = None):
+    """Walk ``0x0A varint(len) payload`` frames from byte 0 of ``buf``,
+    one frame at a time (the protoscan walk, reader.go:84-93).
+
+    Returns ``(payload_starts, payload_lens, consumed)``, the spans as
+    ``array('q')``; each payload is also appended to ``sink`` if given.
+    A length varint without a terminator in its 10 bytes, or one whose
+    payload runs past the buffer, makes a cut frame: it ends the walk
+    with ``partial=True`` and raises otherwise."""
+    total = len(buf)
+    starts, lens = array("q"), array("q")
+    pos = 0
+    while pos < total:
+        if buf[pos] != 0x0A:
+            raise ValueError(f"bad frame tag {buf[pos]:#x} at byte {pos}")
+        p = pos + 2
+        ln = buf[pos + 1] if p <= total else 0x80
+        if ln >= 0x80:  # a length of two or more varint bytes
+            ln &= 0x7F
+            shift = 7
+            while True:
+                if p >= total or shift == 70:
+                    ln = total  # no terminator: a cut frame
+                    break
+                b = buf[p]
+                p += 1
+                ln |= (b & 0x7F) << shift
+                if b < 0x80:
+                    break
+                shift += 7
+        end = p + ln
+        if end > total:
+            if not partial:
+                raise ValueError("truncated geobuf stream")
+            break
+        starts.append(p)
+        lens.append(ln)
+        if sink is not None:
+            sink += buf[p:end]
+        pos = end
+    return starts, lens, pos
+
+
+def frame_boundaries(
+    data, partial: bool = False
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Frame walk over a ``0x0A varint(len) payload`` stream.
+
+    ``data`` is any bytes-like buffer or uint8 array; it is read in
+    place.  The walk steps from frame to frame: a payload is never
+    looked at, so ``0x0A`` bytes inside it cost nothing (there are
+    about 6.5 of them per frame in a typical feature stream).
 
     Returns ``(payload_starts, payload_lens, consumed_bytes)``.  With
     ``partial=True`` a trailing cut-off frame is left unconsumed
     (``consumed < len(data)``); otherwise it raises.  A bad tag at a
     true frame boundary raises in both modes.
     """
-    total = len(data)
-    empty = (np.empty(0, np.int64), np.empty(0, np.int64))
-    if total == 0:
-        return (*empty, 0)
-    if data[0] != 0x0A:
-        raise ValueError(f"bad frame tag {data[0]:#x} at byte 0")
-    cand, vlen, pay_start, nxt, complete, succ = _chain_state(data)
-    m = len(cand)
-    # pointer-doubling reachability from candidate 0
-    reach = np.zeros(m + 1, bool)
-    reach[0] = True
-    jump = np.append(succ, m)
-    nreach = 1
-    while True:
-        reach[jump[np.flatnonzero(reach[:m])]] = True
-        now = int(reach.sum())
-        if now == nreach:
-            break
-        nreach = now
-        jump = jump[jump]
-    chain = np.flatnonzero(reach[:m])
-    last = chain[-1]
-    consumed = total
-    if succ[last] == m:  # chain terminal: end-of-stream, bad tag, or cut
-        if complete[last]:
-            if nxt[last] < total:
-                raise ValueError(
-                    f"bad frame tag {data[nxt[last]]:#x} at byte {nxt[last]}")
-            consumed = int(nxt[last])
-        else:
-            if not partial:
-                raise ValueError("truncated geobuf stream")
-            consumed = int(cand[last])
-            chain = chain[:-1]
-    return pay_start[chain], vlen[chain], consumed
+    starts, lens, consumed = _walk_frames(_byte_view(data), partial)
+    return (np.frombuffer(starts, np.int64), np.frombuffer(lens, np.int64),
+            consumed)
 
 
 def scan_frames(buf: bytes | np.ndarray) -> pa.Array:
     """Split a framed geobuf stream into a binary array of records.
 
-    Vectorized top-level framing walk only (record payloads are not
-    touched) — the protoscan equivalent (reader.go:84-93).
+    One frame walk copies each payload once into the records' data
+    buffer; record payloads are not parsed — the protoscan equivalent
+    (reader.go:84-93).
     """
-    if isinstance(buf, np.ndarray):
-        data = np.ascontiguousarray(buf, np.uint8)
-    else:
-        data = np.frombuffer(buf, np.uint8)
-    starts_a, lens_a, _ = frame_boundaries(data, partial=False)
-    return _records_from_spans(data, starts_a, lens_a)
+    flat = bytearray()
+    _, lens, _ = _walk_frames(_byte_view(buf), False, flat)
+    return _binary_array(flat, np.frombuffer(lens, np.int64))
 
 
 def _records_from_spans(data: np.ndarray, starts_a: np.ndarray,
                         lens_a: np.ndarray) -> pa.Array:
-    n = len(starts_a)
-    flat = vi.gather_spans(data, starts_a, lens_a)
-    offsets = np.concatenate(([0], np.cumsum(lens_a))).astype(np.int32)
+    return _binary_array(vi.gather_spans(data, starts_a, lens_a), lens_a)
+
+
+def _binary_array(flat, lens: np.ndarray) -> pa.Array:
+    """A binary array over ``flat``, the concatenated values of
+    ``lens`` bytes each (no copy)."""
+    offsets = np.empty(len(lens) + 1, np.int32)
+    offsets[0] = 0
+    offsets[1:] = lens.cumsum()
     return pa.Array.from_buffers(
-        pa.binary(),
-        n,
-        [None, pa.py_buffer(offsets.tobytes()), pa.py_buffer(flat.tobytes())],
-    )
+        pa.binary(), len(lens),
+        [None, pa.py_buffer(offsets), pa.py_buffer(flat)])

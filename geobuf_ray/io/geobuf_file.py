@@ -11,9 +11,11 @@ READ itself is parallel):
   (reader.go:258-274) split EXACTLY on SubFile byte ranges — the very
   index ``SubFileSeek`` exists for (reader.go:278-304);
 * plain streams split at stripe offsets with frame RESYNC: a task
-  validates candidate ``0x0A`` tags by chain-walking its whole stripe
-  (``frame_boundaries``' pointer-doubling walk) and owns every frame
-  whose tag byte lies in its stripe.  Resync is heuristic the same way
+  classifies every ``0x0A`` byte of its stripe in one vectorized pass
+  (``sync_candidates``: the candidates whose frame chain stays valid to
+  the stripe's end), walks frames from the first valid one
+  (``frame_boundaries``) and owns every frame whose tag byte lies in
+  its stripe.  Resync is heuristic the same way
   newline-split text is — a payload byte that starts a chain which
   stays valid across the entire remaining stripe would mis-frame it;
   indexed files are the guaranteed-exact scale path.
@@ -103,9 +105,8 @@ def _walk_from(f, path: str, buf: bytes, base: int, sync: int, end: int,
     cap)."""
     buf0 = len(buf)
     while True:
-        data = np.frombuffer(buf, np.uint8)
-        seg = data[sync:]
-        starts, lens, consumed = fc.frame_boundaries(seg, partial=True)
+        starts, lens, consumed = fc.frame_boundaries(memoryview(buf)[sync:],
+                                                     partial=True)
         if base + sync + consumed >= end:
             break  # every frame tagged < end is complete in the buffer
         # the frame straddling `end` (tag < end) is cut — extend.  For
@@ -127,7 +128,8 @@ def _walk_from(f, path: str, buf: bytes, base: int, sync: int, end: int,
     np.add(starts[:-1], lens[:-1], out=tags[1:])
     tags_abs = base + sync + tags
     keep = tags_abs < end
-    records = fc._records_from_spans(data, sync + starts[keep], lens[keep])
+    records = fc._records_from_spans(np.frombuffer(buf, np.uint8),
+                                     sync + starts[keep], lens[keep])
     return records, tags_abs[keep]
 
 
@@ -395,12 +397,15 @@ def write_indexed_geobuf(subfiles, out_path: str,
                          bounds: tuple[float, float, float, float] | None = None) -> dict:
     """Combine per-key streams into ONE reference-style indexed geobuf.
 
-    ``subfiles`` is an iterable of ``(key, stream_bytes)`` — e.g. the
-    per-tile outputs of :func:`~..pipelines.tiling.split_combine` — and
-    the result is the reference's Combine layout (split_combine.go:
-    196-228): a leading gob-MetaData header feature, then the subfile
-    byte ranges back-to-back, positions RELATIVE to the first subfile
-    byte.  Returns the metadata dict.
+    ``subfiles`` is an iterable of ``(key, stream_bytes)`` or
+    ``(key, stream_bytes, num_features)`` — e.g. the per-tile outputs
+    of :func:`~..pipelines.tiling.split_combine`, whose manifest holds
+    the counts — and the result is the reference's Combine layout
+    (split_combine.go:196-228): a leading gob-MetaData header feature,
+    then the subfile byte ranges back-to-back, positions RELATIVE to
+    the first subfile byte.  A subfile given without a count (or with
+    ``None``) has its frames walked to count them.  Returns the
+    metadata dict.
     """
     import shutil
 
@@ -422,8 +427,9 @@ def write_indexed_geobuf(subfiles, out_path: str,
     tmp_payload = f"{out_path}.{uuid.uuid4().hex[:12]}.payload.tmp"
     try:
         with open(tmp_payload, "wb") as pf:
-            for key, raw in subfiles:
-                nfeat = len(fc.scan_frames(raw)) if raw else 0
+            for key, raw, *count in subfiles:
+                nfeat = count[0] if count and count[0] is not None \
+                    else len(fc.frame_boundaries(raw)[0])
                 files[str(key)] = {
                     "Positions": [pos, pos + len(raw)],
                     "NumberFeatures": nfeat,

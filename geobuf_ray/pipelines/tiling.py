@@ -225,12 +225,20 @@ def _read_bytes(path: str) -> bytes:
 def _combine(manifest: pa.Table, combine_path: str) -> None:
     """The Combine step (split_combine.go:196-228): the manifest's files
     concatenated in key order into ONE gob-indexed geobuf whose header
-    carries the manifest's data bounds (NaN / null bounds skipped)."""
+    carries the manifest's data bounds (NaN / null bounds skipped) and
+    feature counts.  A file whose length is not the manifest's
+    ``size_bytes`` raises ValueError naming its key."""
     from ..io.geobuf_file import write_indexed_geobuf
 
     def subfiles():
-        for row in manifest.sort_by("key").select(["key", "path"]).to_pylist():
-            yield row["key"], _read_bytes(row["path"])
+        cols = ["key", "path", "num_features", "size_bytes"]
+        for row in manifest.sort_by("key").select(cols).to_pylist():
+            raw = _read_bytes(row["path"])
+            if len(raw) != row["size_bytes"]:
+                raise ValueError(
+                    f"subfile {row['key']!r} ({row['path']}) holds "
+                    f"{len(raw)} bytes, its manifest row {row['size_bytes']}")
+            yield row["key"], raw, row["num_features"]
 
     sides = [manifest[c].to_numpy(zero_copy_only=False).astype(np.float64)
              for c in ("west", "south", "east", "north")]

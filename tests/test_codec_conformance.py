@@ -479,6 +479,24 @@ def test_field_past_record_end_raises_value_error(corrupt):
             dc.decode_batch(pa.array([bad] + tail, pa.binary()))
 
 
+@pytest.mark.parametrize("cut", [
+    "080118",        # geomcode tag as the last byte (vectorized scan)
+    "080140011285",  # unknown tag, then a cut length varint (scalar walk)
+    "400108",        # unknown tag, then an id varint cut (scalar walk)
+])
+def test_record_cut_inside_a_field_raises_value_error(cut):
+    """A record cut short inside a field raises ValueError naming it,
+    on its own (where the field runs past the data: an IndexError
+    before) and followed by two intact records."""
+    from feature_corpus import stream
+
+    recs = fc.scan_frames(stream()).to_pylist()
+    bad = bytes.fromhex(cut)
+    for batch in ([bad], [bad] + recs[:2]):
+        with pytest.raises(ValueError, match="record 0"):
+            dc.decode_batch(pa.array(batch, pa.binary()))
+
+
 @needs_ref
 def test_ld_corpus_roundtrip():
     """Roundtrip the reference's second real corpus

@@ -189,6 +189,65 @@ def test_truncated_header_raises_value_error(tmp_path):
             gf.read_subfile(path, "a")
 
 
+def test_given_feature_counts_are_used_without_a_frame_walk(tmp_path,
+                                                           monkeypatch):
+    """A subfile given with its feature count is not walked; one given
+    with ``None`` (or without a count) is.  Either way the file is the
+    one counting every subfile's frames writes."""
+    import pytest
+
+    streams = [("a", _point_stream([1, 2, 3])), ("b", _point_stream([4]))]
+    walked = str(tmp_path / "walked.geobuf")
+    gf.write_indexed_geobuf(streams, walked)
+    counted = str(tmp_path / "counted.geobuf")
+    mixed = str(tmp_path / "mixed.geobuf")
+    gf.write_indexed_geobuf([("a", streams[0][1], 3), ("b", streams[1][1], None)],
+                            mixed)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a counted subfile was walked")
+
+    monkeypatch.setattr(fc, "frame_boundaries", refuse)
+    monkeypatch.setattr(fc, "scan_frames", refuse)
+    meta = gf.write_indexed_geobuf([("a", streams[0][1], 3),
+                                    ("b", streams[1][1], 1)], counted)
+    assert meta["NumberFeatures"] == 4
+    with pytest.raises(AssertionError, match="walked"):
+        gf.write_indexed_geobuf([("a", streams[0][1], None)],
+                                str(tmp_path / "none.geobuf"))
+    want = open(walked, "rb").read()
+    assert open(counted, "rb").read() == want
+    assert open(mixed, "rb").read() == want
+
+
+def test_combine_rejects_a_file_whose_size_is_not_the_manifests(tmp_path):
+    """The Combine step trusts the manifest's feature counts, so a
+    subfile whose byte length differs from its ``size_bytes`` raises
+    ValueError naming its key."""
+    import pytest
+
+    from geobuf_ray.pipelines.tiling import _combine
+
+    rows = []
+    for key, ids in (("1-0-1", [1, 2]), ("1-1-1", [3])):
+        path = str(tmp_path / f"{key}.geobuf")
+        stream = _point_stream(ids)
+        open(path, "wb").write(stream)
+        rows.append({"path": path, "key": key, "num_features": len(ids),
+                     "size_bytes": len(stream), "west": -1.0,
+                     "south": -2.0, "east": 3.0, "north": 6.0,
+                     "write_seconds": 0.0})
+    manifest = pa.Table.from_pylist(rows, schema=gf._MANIFEST_SCHEMA)
+    out = str(tmp_path / "combined.geobuf")
+    _combine(manifest, out)
+    assert _ids(out, "1-0-1") == [1, 2] and _ids(out, "1-1-1") == [3]
+    assert gf.read_metadata(out)[0]["NumberFeatures"] == 3
+    with open(rows[1]["path"], "ab") as f:
+        f.write(_point_stream([4]))  # the file grew after the manifest
+    with pytest.raises(ValueError, match="'1-1-1'"):
+        _combine(manifest, str(tmp_path / "stale.geobuf"))
+
+
 def test_indexed_geobuf_streams_through_datasource(ray_session, tmp_path):
     """The same indexed file reads as a plain stream (metadata header
     skipped) through the Ray datasource."""

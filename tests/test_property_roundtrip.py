@@ -108,7 +108,7 @@ def test_random_feature_roundtrip(feats):
 @given(st.lists(st.binary(min_size=0, max_size=300), min_size=1, max_size=30),
        st.integers(min_value=0, max_value=400))
 def test_frame_scan_roundtrip_and_partial(payloads, cut):
-    """The pointer-doubling frame walk must recover arbitrary payloads
+    """The frame-by-frame walk must recover arbitrary payloads
     (including ones full of 0x0A false-candidate bytes) and, in partial
     mode, consume exactly the longest complete-frame prefix."""
     recs = pa.array(payloads, pa.binary())

@@ -513,6 +513,34 @@ def test_split_writes_same_records_as_per_group_encode(ray_session, tmp_path,
             assert not np.isnan(bb).any()
 
 
+def test_combine_counts_from_manifest_keep_combined_bytes(ray_session,
+                                                         tmp_path):
+    """The Combine step takes each subfile's feature count from the
+    manifest (split and rollup levels alike): every level's combined
+    file is byte for byte the one counting each subfile's frames
+    writes."""
+    from geobuf_ray.io.geobuf_file import read_metadata, write_indexed_geobuf
+    from geobuf_ray.pipelines.tiling import tile_pyramid
+
+    out = str(tmp_path / "pyr")
+    mans = tile_pyramid(_blocks(_corpus_table()), out, _ZOOM, levels=2)
+    assert sorted(mans) == [_ZOOM - 1, _ZOOM]
+    for z, m in mans.items():
+        combined = f"{out}/z{z}/combined.geobuf"
+        meta, _ = read_metadata(combined)
+        assert meta["NumberFeatures"] == sum(m["num_features"].to_pylist())
+        b = meta["Bounds"]
+        walked = str(tmp_path / f"walked{z}.geobuf")
+        subfiles = []
+        for row in m.sort_by("key").to_pylist():
+            with open(row["path"], "rb") as f:
+                subfiles.append((row["key"], f.read()))
+        write_indexed_geobuf(subfiles, walked,
+                             bounds=(b["W"], b["S"], b["E"], b["N"]))
+        with open(combined, "rb") as f, open(walked, "rb") as g:
+            assert f.read() == g.read(), z
+
+
 def test_encode_rows_step_once_per_block(monkeypatch):
     """The split's map step, without Ray: one ``encode_batch`` per
     block, key columns kept, a property named like a manifest or bbox

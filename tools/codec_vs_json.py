@@ -12,12 +12,16 @@ Usage: python tools/codec_vs_json.py [N] [V]
        python tools/codec_vs_json.py --concurrent [P] [N] [V]
        python tools/codec_vs_json.py --batch-sizes 10,80,8000 [N] [V]
        python tools/codec_vs_json.py --geojson-read [N] [V]
-Prints one JSON line with sizes, seconds, and speedups.
+Prints one JSON line with sizes, seconds, and speedups.  The default
+line also times the two frame kernels on the encoded records:
+``frame_us`` (``frame_records``) and ``scan_us`` (``scan_frames`` over
+the framed stream), best-of-5 microseconds per feature.
 
-``--batch-sizes`` measures ``encode_batch``'s fixed cost per call: the
-same N features (default 8,000 LineStrings of 8 vertices) are encoded
-in consecutive slices of each batch size, and the line reports the
-best-of-3 encode microseconds per feature at every size.  A small
+``--batch-sizes`` measures each codec kernel's fixed cost per call:
+the same N features (default 8,000 LineStrings of 8 vertices) are
+encoded in consecutive slices of each batch size, then each slice is
+framed, scanned back and decoded, and the line reports the best-of-3
+microseconds per feature of every kernel at every size.  A small
 batch pays the per-call cost over few features.
 
 ``--geojson-read`` measures the GeoJSON read kernel that feeds the
@@ -134,18 +138,31 @@ def run_concurrent(procs: int, n: int, v: int) -> None:
 
 
 def run_batch_sizes(sizes: list[int], n: int, v: int) -> None:
-    """Encode microseconds per feature when N features are encoded in
-    slices of each batch size (one ``encode_batch`` call per slice)."""
+    """Microseconds per feature when N features go through each codec
+    kernel in slices of each batch size (one call per slice): encode,
+    frame (``frame_records``), scan (``scan_frames``) and decode."""
     tbl = parse_features_batch([json.dumps(f) for f in build_features(n, v)])
     prop_cols = [c for c in tbl.column_names if c not in GEOM_COLS]
-    per_feature = {}
+    us = {k: {} for k in ("encode", "frame", "scan", "decode")}
     for size in sizes:
         slices = [tbl.slice(i, size) for i in range(0, n, size)]
-        best, _ = best_of(3, lambda: [
+        best, encs = best_of(3, lambda: [
             feature.encode_batch(s, prop_cols=prop_cols) for s in slices])
-        per_feature[str(size)] = round(best / n * 1e6, 2)
-    print(json.dumps({"mode": "batch_sizes", "n": n, "vertices": v,
-                      "encode_us_per_feature": per_feature}))
+        us["encode"][str(size)] = best
+        best, framed = best_of(3, lambda: [
+            feature.frame_records(e) for e in encs])
+        us["frame"][str(size)] = best
+        best, _ = best_of(3, lambda: [
+            feature.scan_frames(f) for f in framed])
+        us["scan"][str(size)] = best
+        best, _ = best_of(3, lambda: [
+            decode.decode_batch(e) for e in encs])
+        us["decode"][str(size)] = best
+    line = {"mode": "batch_sizes", "n": n, "vertices": v}
+    for kernel, per_size in us.items():
+        line[f"{kernel}_us_per_feature"] = {
+            size: round(s / n * 1e6, 2) for size, s in per_size.items()}
+    print(json.dumps(line))
 
 
 def run_geojson_read(n: int, v: int) -> None:
@@ -215,6 +232,9 @@ def main() -> None:
     buf_size = sum(len(b.as_py()) for b in enc)
     buf_read, dec = best_of(5, lambda: decode.decode_batch(enc))
     assert dec.num_rows == n
+    frame_s, framed = best_of(5, lambda: feature.frame_records(enc))
+    scan_s, scanned = best_of(5, lambda: feature.scan_frames(framed))
+    assert scanned.equals(enc)
 
     print(json.dumps({
         "n": n, "vertices": v,
@@ -222,6 +242,8 @@ def main() -> None:
         "json_read_s": round(json_read, 3),
         "buf_write_s": round(buf_write, 3),
         "buf_read_s": round(buf_read, 3),
+        "frame_us": round(frame_s / n * 1e6, 3),
+        "scan_us": round(scan_s / n * 1e6, 3),
         "json_mb": round(json_size / 1e6, 2),
         "buf_mb": round(buf_size / 1e6, 2),
         "write_speedup": round(json_write / buf_write, 2),
