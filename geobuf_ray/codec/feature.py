@@ -740,24 +740,19 @@ def sync_candidates(data: np.ndarray) -> np.ndarray:
     return cand[terminal_ok[term]]
 
 
-def _byte_view(buf) -> memoryview:
-    """A flat byte view of ``buf`` (bytes-like or uint8 array), no copy
-    for contiguous input."""
-    if isinstance(buf, np.ndarray):
-        buf = np.ascontiguousarray(buf, np.uint8)
-    return memoryview(buf).cast("B")
-
-
-def _walk_frames(buf: memoryview, partial: bool,
-                 sink: bytearray | None = None):
-    """Walk ``0x0A varint(len) payload`` frames from byte 0 of ``buf``,
-    one frame at a time (the protoscan walk, reader.go:84-93).
+def _walk_frames(data, partial: bool, sink: bytearray | None = None):
+    """Walk ``0x0A varint(len) payload`` frames from byte 0 of ``data``
+    (bytes-like or uint8 array, read in place), one frame at a time
+    (the protoscan walk, reader.go:84-93).
 
     Returns ``(payload_starts, payload_lens, consumed)``, the spans as
     ``array('q')``; each payload is also appended to ``sink`` if given.
     A length varint without a terminator in its 10 bytes, or one whose
     payload runs past the buffer, makes a cut frame: it ends the walk
     with ``partial=True`` and raises otherwise."""
+    if isinstance(data, np.ndarray):
+        data = np.ascontiguousarray(data, np.uint8)
+    buf = memoryview(data).cast("B")
     total = len(buf)
     starts, lens = array("q"), array("q")
     pos = 0
@@ -807,7 +802,7 @@ def frame_boundaries(
     (``consumed < len(data)``); otherwise it raises.  A bad tag at a
     true frame boundary raises in both modes.
     """
-    starts, lens, consumed = _walk_frames(_byte_view(data), partial)
+    starts, lens, consumed = _walk_frames(data, partial)
     return (np.frombuffer(starts, np.int64), np.frombuffer(lens, np.int64),
             consumed)
 
@@ -820,13 +815,8 @@ def scan_frames(buf: bytes | np.ndarray) -> pa.Array:
     (reader.go:84-93).
     """
     flat = bytearray()
-    _, lens, _ = _walk_frames(_byte_view(buf), False, flat)
+    _, lens, _ = _walk_frames(buf, False, flat)
     return _binary_array(flat, np.frombuffer(lens, np.int64))
-
-
-def _records_from_spans(data: np.ndarray, starts_a: np.ndarray,
-                        lens_a: np.ndarray) -> pa.Array:
-    return _binary_array(vi.gather_spans(data, starts_a, lens_a), lens_a)
 
 
 def _binary_array(flat, lens: np.ndarray) -> pa.Array:
