@@ -647,6 +647,8 @@ def frame_records(records: pa.Array) -> bytes:
     writer.go:73-89); a length under 128 is its own one-byte varint."""
     if isinstance(records, pa.ChunkedArray):
         records = records.combine_chunks()
+    if pa.types.is_large_binary(records.type):  # int64 offsets
+        records = records.cast(pa.binary())
     n = len(records)
     if n == 0:
         return b""

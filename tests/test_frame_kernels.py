@@ -59,6 +59,7 @@ def test_frame_records_matches_reference_and_scans_back(payloads):
     if len(payloads) > 1:
         assert fc.frame_records(recs.slice(1)) == \
             _reference_stream(payloads[1:])
+    assert fc.frame_records(recs.cast(pa.large_binary())) == stream
     starts, lens, consumed = fc.frame_boundaries(
         np.frombuffer(stream, np.uint8))
     assert consumed == len(stream)
