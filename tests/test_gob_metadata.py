@@ -201,8 +201,8 @@ def test_given_feature_counts_are_used_without_a_frame_walk(tmp_path,
     gf.write_indexed_geobuf(streams, walked)
     counted = str(tmp_path / "counted.geobuf")
     mixed = str(tmp_path / "mixed.geobuf")
-    gf.write_indexed_geobuf([("a", streams[0][1], 3), ("b", streams[1][1], None)],
-                            mixed)
+    gf.write_indexed_geobuf([("a", streams[0][1], 3),
+                             ("b", streams[1][1], None)], mixed)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a counted subfile was walked")

@@ -143,23 +143,23 @@ def run_batch_sizes(sizes: list[int], n: int, v: int) -> None:
     frame (``frame_records``), scan (``scan_frames``) and decode."""
     tbl = parse_features_batch([json.dumps(f) for f in build_features(n, v)])
     prop_cols = [c for c in tbl.column_names if c not in GEOM_COLS]
-    us = {k: {} for k in ("encode", "frame", "scan", "decode")}
+    secs = {k: {} for k in ("encode", "frame", "scan", "decode")}
     for size in sizes:
         slices = [tbl.slice(i, size) for i in range(0, n, size)]
         best, encs = best_of(3, lambda: [
             feature.encode_batch(s, prop_cols=prop_cols) for s in slices])
-        us["encode"][str(size)] = best
+        secs["encode"][str(size)] = best
         best, framed = best_of(3, lambda: [
             feature.frame_records(e) for e in encs])
-        us["frame"][str(size)] = best
+        secs["frame"][str(size)] = best
         best, _ = best_of(3, lambda: [
             feature.scan_frames(f) for f in framed])
-        us["scan"][str(size)] = best
+        secs["scan"][str(size)] = best
         best, _ = best_of(3, lambda: [
             decode.decode_batch(e) for e in encs])
-        us["decode"][str(size)] = best
+        secs["decode"][str(size)] = best
     line = {"mode": "batch_sizes", "n": n, "vertices": v}
-    for kernel, per_size in us.items():
+    for kernel, per_size in secs.items():
         line[f"{kernel}_us_per_feature"] = {
             size: round(s / n * 1e6, 2) for size, s in per_size.items()}
     print(json.dumps(line))
