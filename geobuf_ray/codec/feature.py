@@ -742,19 +742,23 @@ def sync_candidates(data: np.ndarray) -> np.ndarray:
     return cand[terminal_ok[term]]
 
 
-def _walk_frames(data, partial: bool, sink: bytearray | None = None):
-    """Walk ``0x0A varint(len) payload`` frames from byte 0 of ``data``
-    (bytes-like or uint8 array, read in place), one frame at a time
-    (the protoscan walk, reader.go:84-93).
+def _byte_view(buf) -> memoryview:
+    """A flat byte view of ``buf`` (bytes-like or uint8 array), no copy
+    for contiguous input."""
+    if isinstance(buf, np.ndarray):
+        buf = np.ascontiguousarray(buf, np.uint8)
+    return memoryview(buf).cast("B")
+
+
+def _walk_frames(buf: memoryview, partial: bool):
+    """Walk ``0x0A varint(len) payload`` frames from byte 0 of ``buf``,
+    one frame at a time (the protoscan walk, reader.go:84-93).
 
     Returns ``(payload_starts, payload_lens, consumed)``, the spans as
-    ``array('q')``; each payload is also appended to ``sink`` if given.
-    A length varint without a terminator in its 10 bytes, or one whose
-    payload runs past the buffer, makes a cut frame: it ends the walk
-    with ``partial=True`` and raises otherwise."""
-    if isinstance(data, np.ndarray):
-        data = np.ascontiguousarray(data, np.uint8)
-    buf = memoryview(data).cast("B")
+    ``array('q')``.  A length varint without a terminator in its 10
+    bytes, or one whose payload runs past the buffer, makes a cut
+    frame: it ends the walk with ``partial=True`` and raises
+    otherwise."""
     total = len(buf)
     starts, lens = array("q"), array("q")
     pos = 0
@@ -783,8 +787,6 @@ def _walk_frames(data, partial: bool, sink: bytearray | None = None):
             break
         starts.append(p)
         lens.append(ln)
-        if sink is not None:
-            sink += buf[p:end]
         pos = end
     return starts, lens, pos
 
@@ -804,7 +806,7 @@ def frame_boundaries(
     (``consumed < len(data)``); otherwise it raises.  A bad tag at a
     true frame boundary raises in both modes.
     """
-    starts, lens, consumed = _walk_frames(data, partial)
+    starts, lens, consumed = _walk_frames(_byte_view(data), partial)
     return (np.frombuffer(starts, np.int64), np.frombuffer(lens, np.int64),
             consumed)
 
@@ -812,21 +814,36 @@ def frame_boundaries(
 def scan_frames(buf: bytes | np.ndarray) -> pa.Array:
     """Split a framed geobuf stream into a binary array of records.
 
-    One frame walk copies each payload once into the records' data
-    buffer; record payloads are not parsed — the protoscan equivalent
-    (reader.go:84-93).
+    One frame walk finds the payloads, which are copied once into the
+    records' buffer; record payloads are not parsed — the protoscan
+    equivalent (reader.go:84-93).
     """
-    flat = bytearray()
-    _, lens, _ = _walk_frames(buf, False, flat)
-    return _binary_array(flat, np.frombuffer(lens, np.int64))
+    data = _byte_view(buf)
+    starts, lens, _ = _walk_frames(data, False)
+    return _payload_spans(data, np.frombuffer(starts, np.int64),
+                         np.frombuffer(lens, np.int64))
 
 
-def _binary_array(flat, lens: np.ndarray) -> pa.Array:
-    """A binary array over ``flat``, the concatenated values of
-    ``lens`` bytes each (no copy)."""
-    offsets = np.empty(len(lens) + 1, np.int32)
-    offsets[0] = 0
-    offsets[1:] = lens.cumsum()
-    return pa.Array.from_buffers(
-        pa.binary(), len(lens),
-        [None, pa.py_buffer(offsets), pa.py_buffer(flat)])
+def _payload_spans(data, starts: np.ndarray, lens: np.ndarray) -> pa.Array:
+    """``data[starts[i] : starts[i] + lens[i]]`` for sorted, disjoint
+    spans of a bytes-like ``data``, as one binary array.
+
+    The spans and the gaps between them form a binary array over
+    ``data`` itself (offsets only, no copy); Arrow's filter copies
+    every other value, the spans, out in one pass."""
+    n = len(starts)
+    if n == 0:
+        return pa.array([], pa.binary())
+    if len(data) >= 1 << 31:  # int32 binary offsets would wrap
+        raise ValueError(f"framed buffer is {len(data)} bytes (>= 2 GiB)")
+    bounds = np.empty(2 * n, np.int32)
+    bounds[0::2] = starts
+    bounds[1::2] = starts + lens
+    spans = pa.Array.from_buffers(
+        pa.binary(), 2 * n - 1,
+        [None, pa.py_buffer(bounds), pa.py_buffer(data)])
+    # keep values 0, 2, 4, ...: 0x55 sets the even bits of an Arrow
+    # (LSB-first) bitmap
+    every_other = pa.Array.from_buffers(
+        pa.bool_(), 2 * n - 1, [None, pa.py_buffer(b"\x55" * ((n + 3) // 4))])
+    return spans.filter(every_other)

@@ -326,8 +326,8 @@ def gather_spans(data: np.ndarray, starts: np.ndarray,
         return np.empty(0, data.dtype)
     ends = np.cumsum(lengths)
     total = int(ends[-1])
-    # Dense sorted spans (the range reader's shape: records tile the
-    # stream minus tiny headers): build a BOOLEAN keep-mask with an
+    # Dense sorted spans (a batch's geometry or value fields: they
+    # tile most of the record bytes): build a BOOLEAN keep-mask with an
     # int8 +1/-1 boundary scatter + cumsum instead of materializing a
     # full int64 gather index — 8x less scratch (int8 vs int64 per
     # stream byte, and no index output), which is what keeps decode

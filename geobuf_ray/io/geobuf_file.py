@@ -128,9 +128,7 @@ def _walk_from(f, path: str, buf: bytes, base: int, sync: int, end: int,
     np.add(starts[:-1], lens[:-1], out=tags[1:])
     tags_abs = base + sync + tags
     keep = tags_abs < end
-    lens = lens[keep]
-    records = fc._binary_array(vi.gather_spans(
-        np.frombuffer(buf, np.uint8), sync + starts[keep], lens), lens)
+    records = fc._payload_spans(buf, sync + starts[keep], lens[keep])
     return records, tags_abs[keep]
 
 
