@@ -223,10 +223,11 @@ def shuffle_pipeline(sf_dir: str, replicate: int = 1) -> int:
     li = li.map_batches(rename, batch_format="pyarrow", zero_copy_batch=True)
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_totalprice"])
-    # nbuckets constant across parallelism levels: the scaling pair must
-    # run IDENTICAL work, only with more workers
+    # the join sizes its buckets from the input's bytes, not the
+    # cluster, so the scaling pair runs IDENTICAL work, only with more
+    # workers
     joined = hash_join(
-        li, orders, on="o_orderkey", nbuckets=64,
+        li, orders, on="o_orderkey",
         left_schema=pa.schema([("o_orderkey", pa.int64()),
                                ("l_extendedprice", pa.float64())]),
         right_schema=pa.schema([("o_orderkey", pa.int64()),

@@ -128,7 +128,8 @@ def _structure_scan_vec(data: np.ndarray, offs: np.ndarray):
             rp = pos[ri] + 1
             v, nb = vi.gather_varints(data, rp)
             after = rp + nb
-            vlen = v.astype(np.int64)
+            # capped: a length past 2^63 must not wrap negative
+            vlen = np.minimum(v, len(data)).astype(np.int64)
             t = tags[rest]
             m = t == 0x08
             if m.any():
@@ -153,7 +154,10 @@ def _structure_scan_vec(data: np.ndarray, offs: np.ndarray):
                 # matching the scalar walk)
                 kl, knb = vi.gather_varints(data, pstart + 1)
                 ks = pstart + 1 + knb
-                vp = ks + kl.astype(np.int64)
+                # a key length past 2^63 wraps negative: flag its record
+                kl = kl.astype(np.int64)
+                wrap = kl < 0
+                vp = np.where(wrap, pend, ks + kl)
                 cap = len(data) - 1
                 valid = (vp < pend) & (data[np.minimum(vp, cap)] == 0x12)
                 vl, vnb = vi.gather_varints(data, vp + 1)
@@ -169,11 +173,11 @@ def _structure_scan_vec(data: np.ndarray, offs: np.ndarray):
                 if len(sel):
                     pp_rec.append(reci[sel])
                     pp_ks.append(ks[sel])
-                    pp_kl.append(kl[sel].astype(np.int64))
+                    pp_kl.append(kl[sel])
                     pp_vt.append(vtag[sel])
                     pp_vs.append(vs[sel])
                     pp_ve.append(pend[sel])
-                pos[reci] = pend
+                pos[reci] = np.where(wrap, end[reci] + 1, pend)
     cat = (lambda parts, dt: np.concatenate(parts).astype(dt)
            if parts else np.empty(0, np.int64))
     p_rec = cat(pp_rec, np.int64)

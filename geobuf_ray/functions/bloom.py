@@ -130,7 +130,6 @@ def bloom_prefilter(ds, on, bits_ref, *, k: int = 7,
 
 def bloom_semi_join(left, right, on, *, right_on=None,
                     nbits: int = 1 << 23, k: int = 7,
-                    nbuckets: int = 64,
                     left_schema: pa.Schema | None = None):
     """EXACT semi-join with a Bloom prefilter on the left (big) side:
     build the filter from the right keys, broadcast it once, drop
@@ -150,4 +149,4 @@ def bloom_semi_join(left, right, on, *, right_on=None,
     pre = bloom_prefilter(left, on_cols, bits_ref, k=k,
                           schema=left_schema)
     return semi_join(pre, right, on_cols, right_on=r_cols,
-                     nbuckets=nbuckets, left_schema=left_schema)
+                     left_schema=left_schema)

@@ -33,24 +33,18 @@ Cost accounting at scale (the number that matters at 100 TB): the
 exchange creates ``nmaps x nbuckets`` small objects.  Bound both
 factors: ``_BLOCKS_PER_MAP`` coalesces input blocks so
 ``nmaps ~ input_bytes / (_BLOCKS_PER_MAP x block_size)``, and
-``nbuckets`` tracks the data, not the cluster size.  A keyed exchange
-called without ``nbuckets`` sizes itself: it sums the input blocks'
-``size_bytes`` from the bundle metadata (no data moves) and takes
-``nbuckets = clamp(ceil(bytes / _BUCKET_BYTES), 1, _MAX_BUCKETS)``, so
-a bucket carries enough bytes to cover its task's fixed cost.  It
-holds at most ``_MAX_BUCKETS x _BUCKET_BYTES`` of block refs before the
-first split (a block with no size counts as reaching the cap); past
-that the count is the cap.  The keyed aggregate, window and sample
-operators take no count and always size themselves; an empty key
-list (``on=[]``) is one group and gets one bucket.  A count stays
-explicit only where bytes do not decide it: ``nbuckets=1`` for a
-keyless query step with no key list to pass; a custom
-``bucket_fn``; exchanges whose count both sides, or a persisted
-layout, depend on (:func:`hash_cogroup`, :func:`presplit`,
-:func:`cogroup_presplit`, and the joins and set operations on them);
-the iterative graph operators; and the S2 joins, image stitch and
-point builds, whose reduce cost follows pair counts, not bytes.
-Past ~10^7 fragments, pass
+``nbuckets`` tracks the data, not the cluster size: called without it,
+an exchange sums its input blocks' metadata ``size_bytes`` (both sides
+for a co-group; no data moves, and at most the cap ``_MAX_BUCKETS x
+_BUCKET_BYTES`` of refs per side is held) and takes ``clamp(ceil(bytes
+/ _BUCKET_BYTES), 1, _MAX_BUCKETS)`` buckets, so each carries enough
+bytes to cover its task's fixed cost.  The keyed aggregate, window,
+sample, join and set operators take no count; ``on=[]`` (one group)
+gets one bucket.  A count stays explicit where bytes do not decide it:
+``nbuckets=1`` for a keyless step; a custom ``bucket_fn``; layouts
+reused across rounds (:func:`presplit`, :func:`cogroup_presplit`, the
+graph operators); and the S2 joins, image stitch and point builds,
+whose reduce cost follows pair counts.  Past ~10^7 fragments, pass
 ``rounds=2`` to :func:`hash_exchange` (bucket high bits, then the exact
 bucket id) — same primitive, composed.
 
@@ -176,12 +170,10 @@ def _drive_splits(bundles, bucket_fn, nbuckets: int) -> list:
     return maps
 
 
-def _size_buckets(bundles):
-    """The self-sized bucket count: ``(nbuckets, bundles)``, where the
-    returned iterator replays the bundles read while sizing, then the
-    rest.  Sums each block's metadata ``size_bytes`` and stops reading
-    once the total reaches ``_MAX_BUCKETS x _BUCKET_BYTES`` (a block
-    with no size counts as reaching it) or the input ends."""
+def _read_bytes(bundles):
+    """``(nbytes, bundles)``: metadata ``size_bytes`` summed until the
+    cap or the input's end (a block with no size counts as the cap);
+    ``bundles`` replays the ones read, then the rest."""
     cap = _MAX_BUCKETS * _BUCKET_BYTES
     bundles = iter(bundles)
     held, total = [], 0
@@ -192,8 +184,17 @@ def _size_buckets(bundles):
             total = cap if size is None else total + size
         if total >= cap:
             break
-    nbuckets = min(_MAX_BUCKETS, max(1, -(-total // _BUCKET_BYTES)))
-    return nbuckets, itertools.chain(held, bundles)
+    return total, itertools.chain(held, bundles)
+
+
+def _bucket_count(nbytes: int) -> int:
+    return min(_MAX_BUCKETS, max(1, -(-nbytes // _BUCKET_BYTES)))
+
+
+def _size_buckets(bundles):
+    """One input's self-sized ``(nbuckets, bundles)``."""
+    nbytes, bundles = _read_bytes(bundles)
+    return _bucket_count(nbytes), bundles
 
 
 def _reduce(reduce_fn, nbuckets: int, sides):
@@ -247,11 +248,8 @@ def hash_exchange(ds, *, nbuckets: int | None = None, bucket_fn=None,
     Pass either ``on`` (key column name(s); bucket = hash % nbuckets)
     or an explicit ``bucket_fn(tbl) -> (bucket ndarray, tbl)`` for
     fan-out / custom routing; with ``nbuckets=1`` both may be omitted.
-    Without ``nbuckets`` a keyed (``on``) exchange sizes itself from
-    the input's block metadata (``_BUCKET_BYTES`` per bucket, at most
-    ``_MAX_BUCKETS``), and an empty key list (``on=[]``, a keyless
-    aggregate) takes one bucket; a custom ``bucket_fn`` needs an
-    explicit count.
+    Without ``nbuckets`` a keyed (``on``) exchange sizes itself (see the
+    module docstring); a custom ``bucket_fn`` needs an explicit count.
     Returns a Ray ``Dataset`` of the reduce outputs, one block per
     bucket (``nbuckets`` blocks, or the self-sized count).
 
@@ -309,7 +307,7 @@ def hash_exchange(ds, *, nbuckets: int | None = None, bucket_fn=None,
     return _reduce(reduce_fn, nbuckets, [(maps, schema)])
 
 
-def hash_cogroup(left, right, *, nbuckets: int, reduce_fn,
+def hash_cogroup(left, right, *, reduce_fn, nbuckets: int | None = None,
                  left_on=None, right_on=None,
                  left_bucket_fn=None, right_bucket_fn=None,
                  left_schema: pa.Schema | None = None,
@@ -317,21 +315,40 @@ def hash_cogroup(left, right, *, nbuckets: int, reduce_fn,
     """Two-sided exchange: co-locate equal buckets of ``left`` and
     ``right`` and apply ``reduce_fn(left_tbl, right_tbl) -> table`` per
     bucket.  Each side ships only its own columns (no union padding).
+    Without ``nbuckets`` a keyed co-group (``left_on`` and ``right_on``)
+    sizes itself from both inputs' bytes L and R:
+    ``clamp(ceil((L + R) / _BUCKET_BYTES), 1, _MAX_BUCKETS)``.
 
-    The two sides' upstream pipelines execute CONCURRENTLY (driven from
-    two threads — ``iter_internal_ref_bundles`` would otherwise
-    serialize read+map of right behind left).
+    The two sides' upstream pipelines execute CONCURRENTLY (sized and
+    driven from two threads — ``iter_internal_ref_bundles`` would
+    otherwise serialize read+map of right behind left).
     """
-    left_bucket_fn = _resolve_bucket_fn(left_on, left_bucket_fn, nbuckets)
-    right_bucket_fn = _resolve_bucket_fn(right_on, right_bucket_fn,
-                                         nbuckets)
+    if nbuckets is None and (left_on is None or right_on is None
+                             or left_bucket_fn or right_bucket_fn):
+        raise ValueError("a self-sized co-group (no nbuckets) needs "
+                         "left_on= and right_on=, not a bucket_fn")
+    return _cogroup(left, right, lambda n: (
+        n, _resolve_bucket_fn(left_on, left_bucket_fn, n),
+        _resolve_bucket_fn(right_on, right_bucket_fn, n)),
+        reduce_fn, left_schema, right_schema, nbuckets)
+
+
+def _cogroup(left, right, route, reduce_fn, left_schema, right_schema,
+             nbuckets: int | None = None):
+    """:func:`hash_cogroup` with ``route(nbuckets) -> (total, left_fn,
+    right_fn)`` building the routing once the count is known; ``total``
+    may exceed it (a salted join appends its hot-key buckets)."""
+    sides = [_bundles(left), _bundles(right)]
     with ThreadPoolExecutor(max_workers=2) as ex:
-        fl = ex.submit(_drive_splits, _bundles(left), left_bucket_fn,
-                       nbuckets)
-        fr = ex.submit(_drive_splits, _bundles(right), right_bucket_fn,
-                       nbuckets)
+        if nbuckets is None:
+            sized = list(ex.map(_read_bytes, sides))
+            nbuckets = _bucket_count(sum(nbytes for nbytes, _ in sized))
+            sides = [bundles for _, bundles in sized]
+        total, left_fn, right_fn = route(nbuckets)
+        fl = ex.submit(_drive_splits, sides[0], left_fn, total)
+        fr = ex.submit(_drive_splits, sides[1], right_fn, total)
         lmaps, rmaps = fl.result(), fr.result()
-    return _reduce(reduce_fn, nbuckets,
+    return _reduce(reduce_fn, total,
                    [(lmaps, left_schema), (rmaps, right_schema)])
 
 

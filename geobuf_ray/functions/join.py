@@ -13,9 +13,9 @@ Shape (the only one that survives 100 TB):
     left, right -> split each by hash(key) % nbuckets
     hash_cogroup -> per bucket: local vectorized hash join
 
-Each side ships only its own columns.  ``nbuckets`` bounds the
-per-bucket working set: pick it so the largest bucket (both sides)
-fits a worker's heap; hot keys are salted (``hot_keys=``) since the
+Each side ships only its own columns.  The bucket count is sized from
+both inputs' bytes (about 1 MiB per bucket), which bounds the
+per-bucket working set; hot keys are salted (``hot_keys=``) since the
 bucket key is a HASH, not the raw key.  The binned joins
 (:func:`range_join`, :func:`interval_overlap_join`) co-locate their
 bins through ``grouped_exchange`` on the same exchange.
@@ -127,8 +127,8 @@ def detect_hot_keys(ds, on: str, *, threshold: int, topk: int = 16
     return np.sort(k[n >= threshold])
 
 
-def _salted_bucket_fns(key_col: str, on_cols: list[str], nbuckets: int,
-                       hot: np.ndarray, salt: int):
+def _salted_bucket_fns(key_col: str, nbuckets: int, hot: np.ndarray,
+                       salt: int):
     """Bucket functions for the skew-salted join: cold rows route by
     the ordinary hash % nbuckets; each hot KEY owns a dedicated range
     of ``salt`` buckets after the cold range.  Left hot rows partition
@@ -140,7 +140,7 @@ def _salted_bucket_fns(key_col: str, on_cols: list[str], nbuckets: int,
     hot = np.sort(np.asarray(hot, np.int64))
 
     def classify(tbl: pa.Table):
-        b = (_combined_hash(tbl, on_cols)
+        b = (_combined_hash(tbl, [key_col])
              % np.uint64(nbuckets)).astype(np.int64)
         arr = tbl[key_col]
         if isinstance(arr, pa.ChunkedArray):
@@ -178,11 +178,10 @@ def _salted_bucket_fns(key_col: str, on_cols: list[str], nbuckets: int,
     return left_fn, right_fn
 
 
-def hash_join(left, right, on, *, how: str = "inner",
-              nbuckets: int = 64, rsuffix: str = "_r",
+def hash_join(left, right, on, *, how: str = "inner", rsuffix: str = "_r",
               left_schema: pa.Schema | None = None,
               right_schema: pa.Schema | None = None,
-              hot_keys=None, salt: int = 8, **map_kwargs):
+              hot_keys=None, salt: int = 8):
     """Equi-join two Datasets on column ``on`` (a name or a list of
     names for a composite key).
 
@@ -197,16 +196,16 @@ def hash_join(left, right, on, *, how: str = "inner",
     block per side.
 
     Routing goes through :func:`~geobuf_ray.functions.exchange.
-    hash_cogroup` — the raw-task simple shuffle — so each side ships
-    only its own columns; the per-bucket kernel is one vectorized
-    sort + searchsorted expansion, no per-row Python.
+    hash_cogroup` — the raw-task simple shuffle, sized from both inputs'
+    bytes — so each side ships only its own columns; the per-bucket
+    kernel is one vectorized sort + searchsorted expansion.
 
     **Skew salting**: pass ``hot_keys`` (an int64 array of key VALUES,
     e.g. from :func:`detect_hot_keys`) and each hot key's rows split
-    across ``salt`` dedicated buckets — left rows partitioned, right
-    rows replicated — so one boilerplate key can no longer pin a whole
-    join to a single reduce task.  Replication is what makes the
-    results exactly equal to the unsalted join for ``how="inner"`` /
+    across ``salt`` dedicated buckets after the sized ones — left rows
+    partitioned, right rows replicated — so one boilerplate key can no
+    longer pin a whole join to a single reduce task.  Replication makes
+    the results exactly equal to the unsalted join for ``how="inner"`` /
     ``"left"``; ``"right"``/``"full"`` would see a replicated right row
     miss in one salt bucket while matching in another, so salting those
     raises.  Salting requires a single integer key column.
@@ -307,7 +306,7 @@ def hash_join(left, right, on, *, how: str = "inner",
                 out = pa.concat_tables([out, pa.table(mcols)])
         return out
 
-    from .exchange import hash_cogroup
+    from .exchange import _cogroup, hash_cogroup
 
     if hot_keys is not None and len(hot_keys):
         if how not in ("inner", "left"):
@@ -318,23 +317,22 @@ def hash_join(left, right, on, *, how: str = "inner",
                 l_types[on_cols[0]]):
             raise ValueError("hot_keys salting requires a single "
                              "integer key column")
-        lf, rf = _salted_bucket_fns(on_cols[0], on_cols, nbuckets,
-                                    hot_keys, salt)
-        return hash_cogroup(
-            left, right,
-            nbuckets=nbuckets + len(hot_keys) * salt,
-            left_bucket_fn=lf, right_bucket_fn=rf,
-            reduce_fn=join_bucket,
-            left_schema=l_pa_schema, right_schema=r_pa_schema)
 
-    return hash_cogroup(left, right, nbuckets=nbuckets,
+        def salted_route(n: int):
+            return (n + len(hot_keys) * salt,
+                    *_salted_bucket_fns(on_cols[0], n, hot_keys, salt))
+
+        return _cogroup(left, right, salted_route, join_bucket,
+                        l_pa_schema, r_pa_schema)
+
+    return hash_cogroup(left, right,
                         left_on=on_cols, right_on=on_cols,
                         reduce_fn=join_bucket,
                         left_schema=l_pa_schema, right_schema=r_pa_schema)
 
 
 def semi_join(left, right, on, *, right_on=None, anti: bool = False,
-              nbuckets: int = 64, left_schema: pa.Schema | None = None):
+              left_schema: pa.Schema | None = None):
     """Distributed semi-join: the left rows with (``anti=False``) or
     without (``anti=True``) at least one key match on the right —
     SQL's ``WHERE [NOT] EXISTS (SELECT 1 FROM right WHERE right.key =
@@ -408,19 +406,19 @@ def semi_join(left, right, on, *, right_on=None, anti: bool = False,
 
     # right_schema stays None: an all-empty bucket falls back to the
     # zero-row fragment, which carries the true (projected) right schema
-    return hash_cogroup(left, right, nbuckets=nbuckets,
+    return hash_cogroup(left, right,
                         left_on=on_cols, right_on=r_cols,
                         reduce_fn=member_bucket,
                         left_schema=l_pa_schema, right_schema=None)
 
 
-def anti_join(left, right, on, *, right_on=None, nbuckets: int = 64,
+def anti_join(left, right, on, *, right_on=None,
               left_schema: pa.Schema | None = None):
     """SQL ``NOT EXISTS``: left rows with no key match on the right.
     See :func:`semi_join` for semantics (this is its ``anti=True``
     form)."""
     return semi_join(left, right, on, right_on=right_on, anti=True,
-                     nbuckets=nbuckets, left_schema=left_schema)
+                     left_schema=left_schema)
 
 
 def range_join(points, intervals, *, value: str, lo: str, hi: str,
@@ -526,10 +524,9 @@ def range_join(points, intervals, *, value: str, lo: str, hi: str,
 
 
 def asof_join(left, right, on, *, left_time: str, right_time: str,
-              direction: str = "backward",
-              nbuckets: int = 64, rsuffix: str = "_r",
+              direction: str = "backward", rsuffix: str = "_r",
               left_schema: pa.Schema | None = None,
-              right_schema: pa.Schema | None = None, **map_kwargs):
+              right_schema: pa.Schema | None = None):
     """As-of join: each left row matches one right row with the same
     key (``on``: a column name or list of names) by time
     (inner semantics: unmatched left rows drop).
@@ -684,7 +681,7 @@ def asof_join(left, right, on, *, left_time: str, right_time: str,
 
     from .exchange import hash_cogroup
 
-    return hash_cogroup(left, right, nbuckets=nbuckets,
+    return hash_cogroup(left, right,
                         left_on=on_cols, right_on=on_cols,
                         reduce_fn=asof_bucket,
                         left_schema=l_pa_schema, right_schema=r_pa_schema)

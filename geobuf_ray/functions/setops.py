@@ -18,10 +18,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 
-def _setop(left, right, *, keep_both: bool, nbuckets: int,
-           schema: pa.Schema | None):
-    from .exchange import hash_cogroup
-
+def _setop(left, right, *, keep_both: bool, schema: pa.Schema | None):
     def kernel(lt: pa.Table, rt: pa.Table) -> pa.Table:
         if lt.num_rows == 0 or lt.num_columns == 0:
             return (schema.empty_table() if schema is not None
@@ -50,38 +47,35 @@ def _setop(left, right, *, keep_both: bool, nbuckets: int,
             pc.and_(in_left, pc.invert(in_right))
         return g.filter(mask).select(names)
 
-    return hash_cogroup(left, right, nbuckets=nbuckets,
-                        left_bucket_fn=_all_cols_bucket_fn(nbuckets),
-                        right_bucket_fn=_all_cols_bucket_fn(nbuckets),
-                        reduce_fn=kernel,
-                        left_schema=schema, right_schema=schema)
+    return _cogroup_rows(left, right, kernel, schema)
 
 
-def _all_cols_bucket_fn(nbuckets: int):
-    """Bucket on the combined hash of every column (computed per
-    table, so left/right just need the same column NAMES — the
-    exchange key is the whole row)."""
+def _cogroup_rows(left, right, kernel, schema: pa.Schema | None):
+    """Self-sized co-group on the combined hash of every column (per
+    table, so left/right just need the same column NAMES — the exchange
+    key is the whole row)."""
     import numpy as np
 
+    from .exchange import _cogroup
     from .join import _combined_hash
 
-    def fn(tbl: pa.Table):
-        names = sorted(tbl.column_names)
-        h = _combined_hash(tbl, names) % np.uint64(nbuckets)
-        return h.astype(np.int64), tbl
+    def route(nbuckets: int):
+        def fn(tbl: pa.Table):
+            names = sorted(tbl.column_names)
+            h = _combined_hash(tbl, names) % np.uint64(nbuckets)
+            return h.astype(np.int64), tbl
 
-    return fn
+        return nbuckets, fn, fn
+
+    return _cogroup(left, right, route, kernel, schema, schema)
 
 
-def _setop_all(left, right, *, keep_both: bool, nbuckets: int,
-               schema: pa.Schema | None):
+def _setop_all(left, right, *, keep_both: bool, schema: pa.Schema | None):
     """Bag-semantics kernel: INTERSECT ALL emits each row
     min(count_left, count_right) times, EXCEPT ALL emits it
     max(count_left - count_right, 0) times (SQL:2016 7.13).  Only
     DISTINCT rows plus two int64 counts cross the wire per bucket —
     duplicates are collapsed to multiplicities before the repeat."""
-    from .exchange import hash_cogroup
-
     def kernel(lt: pa.Table, rt: pa.Table) -> pa.Table:
         import numpy as np
 
@@ -115,43 +109,31 @@ def _setop_all(left, right, *, keep_both: bool, nbuckets: int,
         idx = np.repeat(np.arange(g.num_rows), reps)
         return g.select(names).take(idx)
 
-    return hash_cogroup(left, right, nbuckets=nbuckets,
-                        left_bucket_fn=_all_cols_bucket_fn(nbuckets),
-                        right_bucket_fn=_all_cols_bucket_fn(nbuckets),
-                        reduce_fn=kernel,
-                        left_schema=schema, right_schema=schema)
+    return _cogroup_rows(left, right, kernel, schema)
 
 
-def intersect_distinct(left, right, *, nbuckets: int = 32,
-                       schema: pa.Schema | None = None):
+def intersect_distinct(left, right, *, schema: pa.Schema | None = None):
     """SQL ``left INTERSECT right``: distinct rows present in both
     inputs.  Column NAMES must match (order may differ; the right is
     re-projected to the left's order).  NULLs compare equal, as in
     SQL set operations."""
-    return _setop(left, right, keep_both=True, nbuckets=nbuckets,
-                  schema=schema)
+    return _setop(left, right, keep_both=True, schema=schema)
 
 
-def except_distinct(left, right, *, nbuckets: int = 32,
-                    schema: pa.Schema | None = None):
+def except_distinct(left, right, *, schema: pa.Schema | None = None):
     """SQL ``left EXCEPT right``: distinct left rows absent from the
     right."""
-    return _setop(left, right, keep_both=False, nbuckets=nbuckets,
-                  schema=schema)
+    return _setop(left, right, keep_both=False, schema=schema)
 
 
-def intersect_all(left, right, *, nbuckets: int = 32,
-                  schema: pa.Schema | None = None):
+def intersect_all(left, right, *, schema: pa.Schema | None = None):
     """SQL ``left INTERSECT ALL right``: each row min(count_left,
     count_right) times.  NULLs compare equal; column names must match
     (the right is re-projected to the left's order)."""
-    return _setop_all(left, right, keep_both=True, nbuckets=nbuckets,
-                      schema=schema)
+    return _setop_all(left, right, keep_both=True, schema=schema)
 
 
-def except_all(left, right, *, nbuckets: int = 32,
-               schema: pa.Schema | None = None):
+def except_all(left, right, *, schema: pa.Schema | None = None):
     """SQL ``left EXCEPT ALL right``: each left row max(count_left -
     count_right, 0) times."""
-    return _setop_all(left, right, keep_both=False, nbuckets=nbuckets,
-                      schema=schema)
+    return _setop_all(left, right, keep_both=False, schema=schema)

@@ -530,9 +530,8 @@ def jaccard_set_join(ds, *, id_col: str = "doc_id",
     tok_b = tokens.map_batches(
         lambda b: pa.table({"b": b["doc"], "term": b["term"]}),
         batch_format="pyarrow", zero_copy_batch=True)
-    expanded = hash_join(pairs, tok_a, on="a", nbuckets=nbuckets)
-    both = semi_join(expanded, tok_b, on=["b", "term"],
-                     nbuckets=nbuckets)
+    expanded = hash_join(pairs, tok_a, on="a")
+    both = semi_join(expanded, tok_b, on=["b", "term"])
 
     def count_inter(tbl: pa.Table) -> pa.Table:
         if tbl.num_rows == 0 or tbl.num_columns == 0:

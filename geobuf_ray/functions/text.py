@@ -333,7 +333,7 @@ def tfidf_topk(ds, *, doc_col: str = "doc_id", text_col: str = "text",
     df = grouping_sets_agg(tf, sets=[["term"]], sums={}, count_col="df",
                            schema=tf_schema)
     joined = hash_join(
-        tf, df, on="term", nbuckets=nbuckets, left_schema=tf_schema,
+        tf, df, on="term", left_schema=tf_schema,
         right_schema=pa.schema([("term", pa.string()),
                                 ("df", pa.int64())]))
 

@@ -403,8 +403,9 @@ def write_indexed_geobuf(subfiles, out_path: str,
     (split_combine.go:196-228): a leading gob-MetaData header feature,
     then the subfile byte ranges back-to-back, positions RELATIVE to
     the first subfile byte.  A subfile given without a count (or with
-    ``None``) has its frames walked to count them.  Returns the
-    metadata dict.
+    ``None``) has its frames walked to count them.  A key's subfiles (a
+    salted hot tile) must be adjacent; one index entry spans them all.
+    Returns the metadata dict.
     """
     import shutil
 
@@ -429,11 +430,15 @@ def write_indexed_geobuf(subfiles, out_path: str,
             for key, raw, *count in subfiles:
                 nfeat = count[0] if count and count[0] is not None \
                     else len(fc.frame_boundaries(raw)[0])
-                files[str(key)] = {
-                    "Positions": [pos, pos + len(raw)],
-                    "NumberFeatures": nfeat,
-                    "Size": len(raw),
-                }
+                key = str(key)
+                if key in files and key != next(reversed(files)):
+                    raise ValueError(f"subfiles of key {key!r} are not "
+                                     f"adjacent")
+                entry = files.setdefault(key, {
+                    "Positions": [pos, pos], "NumberFeatures": 0, "Size": 0})
+                entry["Positions"][1] = pos + len(raw)
+                entry["NumberFeatures"] += nfeat
+                entry["Size"] += len(raw)
                 pf.write(raw)
                 pos += len(raw)
                 nfeat_total += nfeat

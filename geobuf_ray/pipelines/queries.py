@@ -1851,7 +1851,7 @@ def customer_orders_full(sf_dir: str):
     orders = orders.map_batches(key_name, batch_format="pyarrow",
                                 zero_copy_batch=True)
     return hash_join(
-        cust, orders, on="c_custkey", how="full", nbuckets=16,
+        cust, orders, on="c_custkey", how="full",
         left_schema=pa.schema([("c_custkey", pa.int64()),
                                ("c_name", pa.string())]),
         right_schema=pa.schema([("c_custkey", pa.int64()),
@@ -1884,7 +1884,6 @@ def suppliers_with_shipments(sf_dir: str):
     li = li.map_batches(flagged, batch_format="pyarrow",
                         zero_copy_batch=True)
     return semi_join(sup, li, on="s_suppkey", right_on="l_suppkey",
-                     nbuckets=16,
                      left_schema=pa.schema([("s_suppkey", pa.int64()),
                                             ("s_name", pa.string())]))
 
@@ -1905,7 +1904,6 @@ def parts_never_shipped(sf_dir: str):
         filter=pds.field("l_quantity") >= pds.scalar(46.0))
     li = li.select_columns(["l_partkey"])
     return anti_join(part, li, on="p_partkey", right_on="l_partkey",
-                     nbuckets=16,
                      left_schema=pa.schema([("p_partkey", pa.int64()),
                                             ("p_name", pa.string()),
                                             ("p_brand", pa.string())]))
@@ -2010,7 +2008,7 @@ def orders_priority_intersect(sf_dir: str):
                         ("o_orderstatus", pa.string())])
     return intersect_distinct(_orders_priority_side(sf_dir, "1-URGENT"),
                               _orders_priority_side(sf_dir, "2-HIGH"),
-                              nbuckets=8, schema=schema)
+                              schema=schema)
 
 
 def orders_priority_except(sf_dir: str):
@@ -2022,7 +2020,7 @@ def orders_priority_except(sf_dir: str):
                         ("o_orderstatus", pa.string())])
     return except_distinct(_orders_priority_side(sf_dir, "1-URGENT"),
                            _orders_priority_side(sf_dir, "2-HIGH"),
-                           nbuckets=8, schema=schema)
+                           schema=schema)
 
 
 def _lineitem_flag_side(sf_dir: str, flag: str):
@@ -2047,7 +2045,7 @@ def lineitem_flag_intersect_all(sf_dir: str):
                         ("l_linestatus", pa.string())])
     return intersect_all(_lineitem_flag_side(sf_dir, "R"),
                          _lineitem_flag_side(sf_dir, "A"),
-                         nbuckets=8, schema=schema)
+                         schema=schema)
 
 
 def lineitem_flag_except_all(sf_dir: str):
@@ -2059,7 +2057,7 @@ def lineitem_flag_except_all(sf_dir: str):
                         ("l_linestatus", pa.string())])
     return except_all(_lineitem_flag_side(sf_dir, "R"),
                       _lineitem_flag_side(sf_dir, "A"),
-                      nbuckets=8, schema=schema)
+                      schema=schema)
 
 
 def lineitem_rollup(sf_dir: str):
@@ -2536,7 +2534,7 @@ def events_last_order_asof(sf_dir: str):
                                 zero_copy_batch=True)
     out = asof_join(
         events, orders, on="user_id",
-        left_time="event_day", right_time="order_day", nbuckets=32,
+        left_time="event_day", right_time="order_day",
         left_schema=pa.schema([("user_id", pa.int64()),
                                ("event_id", pa.int64()),
                                ("event_day", pa.int64())]),
@@ -2589,7 +2587,7 @@ def orders_next_order_asof(sf_dir: str):
                              zero_copy_batch=True)
     out = asof_join(
         left, right, on="o_custkey", direction="forward",
-        left_time="t_probe", right_time="t_order", nbuckets=32,
+        left_time="t_probe", right_time="t_order",
         left_schema=pa.schema([("o_custkey", pa.int64()),
                                ("o_orderkey", pa.int64()),
                                ("t_probe", pa.int64())]),
@@ -2978,7 +2976,7 @@ def revenue_by_region_shuffle(sf_dir: str):
     cust = ray.data.read_parquet(f"{sf_dir}/customer.parquet",
                                  columns=["c_custkey", "c_nationkey"])
     joined = hash_join(
-        orders, cust, on="c_custkey", nbuckets=32,
+        orders, cust, on="c_custkey",
         left_schema=pa.schema([("c_custkey", pa.int64()),
                                ("o_totalprice", pa.float64())]),
         right_schema=pa.schema([("c_custkey", pa.int64()),
@@ -3065,7 +3063,7 @@ def min_price_lineitems(sf_dir: str):
         on=["l_partkey", "l_suppkey"], reduce_fn=min_per_key("mp"),
         schema=mins_schema)
     joined = hash_join(
-        li, mins, on=["l_partkey", "l_suppkey"], nbuckets=32,
+        li, mins, on=["l_partkey", "l_suppkey"],
         left_schema=pa.schema([("l_orderkey", pa.int64()),
                                ("l_partkey", pa.int64()),
                                ("l_suppkey", pa.int64()),
@@ -3607,7 +3605,7 @@ def tpch_q3(sf_dir: str):
                  "o_orderpriority"],
     ).map_batches(oprep, batch_format="pyarrow", zero_copy_batch=True)
     orders_b = semi_join(
-        orders, cust, on="o_custkey", right_on="c_custkey", nbuckets=32,
+        orders, cust, on="o_custkey", right_on="c_custkey",
         left_schema=pa.schema([("o_orderkey", pa.int64()),
                                ("o_custkey", pa.int64()),
                                ("o_day", pa.int64()),
@@ -3629,7 +3627,7 @@ def tpch_q3(sf_dir: str):
         columns=["l_orderkey", "l_extendedprice", "l_discount",
                  "l_shipdate"],
     ).map_batches(lprep, batch_format="pyarrow", zero_copy_batch=True)
-    joined = hash_join(items, orders_b, on="o_orderkey", nbuckets=32)
+    joined = hash_join(items, orders_b, on="o_orderkey")
 
     def partial(b: pa.Table) -> pa.Table:
         return b.group_by(
@@ -5877,7 +5875,7 @@ def tpch_q5(sf_dir: str, region: str = "ASIA",
         lambda b: pa.table({"o_custkey": b["c_custkey"],
                             "c_nat": b["c_nationkey"].cast(pa.int64())}),
         batch_format="pyarrow", zero_copy_batch=True)
-    ordc = hash_join(orders, cust, on="o_custkey", nbuckets=32) \
+    ordc = hash_join(orders, cust, on="o_custkey") \
         .select_columns(["o_orderkey", "c_nat"])
 
     def lprep(b: pa.Table) -> pa.Table:
@@ -5901,7 +5899,7 @@ def tpch_q5(sf_dir: str, region: str = "ASIA",
         columns=["l_orderkey", "l_suppkey", "l_extendedprice",
                  "l_discount"]).map_batches(
         lprep, batch_format="pyarrow", zero_copy_batch=True)
-    joined = hash_join(items, ordc, on="o_orderkey", nbuckets=32)
+    joined = hash_join(items, ordc, on="o_orderkey")
 
     def partial(b: pa.Table) -> pa.Table:
         cn = b["c_nat"].to_numpy(zero_copy_only=False)
@@ -6772,7 +6770,7 @@ def tpch_q10(sf_dir: str):
                  "l_discount"]).map_batches(
         lprep, batch_format="pyarrow", zero_copy_batch=True)
 
-    joined = hash_join(items, orders, on="o_orderkey", nbuckets=32)
+    joined = hash_join(items, orders, on="o_orderkey")
 
     def partial(b: pa.Table) -> pa.Table:
         return b.group_by(["o_custkey"]).aggregate(
@@ -7019,7 +7017,7 @@ def tpch_q4(sf_dir: str):
             1, "n", c.column(1).cast(pa.int64()))
 
     parts = hash_cogroup(
-        orders, items, nbuckets=32, reduce_fn=reduce,
+        orders, items, reduce_fn=reduce,
         left_on="o_orderkey", right_on="l_orderkey",
         left_schema=pa.schema([("o_orderkey", pa.int64()),
                                ("o_day", pa.int64()),
@@ -7070,7 +7068,7 @@ def tpch_q12(sf_dir: str):
         columns=["o_orderkey", "o_orderpriority"]).map_batches(
         oprep, batch_format="pyarrow", zero_copy_batch=True)
 
-    joined = hash_join(items, orders, on="o_orderkey", nbuckets=32)
+    joined = hash_join(items, orders, on="o_orderkey")
 
     def partial(b: pa.Table) -> pa.Table:
         h = b["high"].to_numpy().astype(np.int64)
@@ -7275,7 +7273,7 @@ def tpch_q22(sf_dir: str):
         columns=["o_custkey", "o_orderdate"]).map_batches(
         oprep, batch_format="pyarrow", zero_copy_batch=True)
     left = anti_join(
-        cust, orders, on="c_custkey", right_on="o_custkey", nbuckets=32,
+        cust, orders, on="c_custkey", right_on="o_custkey",
         left_schema=pa.schema([("c_custkey", pa.int64()),
                                ("c_nationkey", pa.int64()),
                                ("acct_c2", pa.int64())]))
@@ -7368,7 +7366,7 @@ def tpch_q7(sf_dir: str):
         LPrep(s2n), batch_format="pyarrow", zero_copy_batch=True)
     orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
                                    columns=["o_orderkey", "o_custkey"])
-    j1 = hash_join(items, orders, on="o_orderkey", nbuckets=32)
+    j1 = hash_join(items, orders, on="o_orderkey")
 
     def rekey(b: pa.Table) -> pa.Table:
         return b.rename_columns(
@@ -7379,7 +7377,7 @@ def tpch_q7(sf_dir: str):
                         zero_copy_batch=True)
     cust = ray.data.read_parquet(f"{sf_dir}/customer.parquet",
                                  columns=["c_custkey", "c_nationkey"])
-    j2 = hash_join(j1, cust, on="c_custkey", nbuckets=32)
+    j2 = hash_join(j1, cust, on="c_custkey")
 
     ab = {k for k, v in name_of.items() if v == nat_a}
     code_a = next(iter(ab))
@@ -7459,7 +7457,7 @@ def events_by_segment_salted(sf_dir: str):
         columns=["c_custkey", "c_mktsegment"]).map_batches(
         cprep, batch_format="pyarrow", zero_copy_batch=True)
 
-    joined = hash_join(mk_events(), cust, on="user_id", nbuckets=16,
+    joined = hash_join(mk_events(), cust, on="user_id",
                        hot_keys=hot, salt=4,
                        left_schema=pa.schema([("user_id", pa.int64()),
                                               ("cents", pa.int64())]),
@@ -8310,7 +8308,7 @@ def orders_revenue_hhi(sf_dir: str):
             "sum_sq_cents": pa.array([str(x) for x in sq], pa.string())})
 
     parts = collect_table(hash_cogroup(
-        o, c, nbuckets=32, left_on="o_custkey", right_on="c_custkey",
+        o, c, left_on="o_custkey", right_on="c_custkey",
         reduce_fn=kernel, left_schema=o_schema, right_schema=c_schema))
     acc: dict[str, list] = {}
     for r in parts.to_pylist():
@@ -9384,7 +9382,7 @@ def tpch_q8(sf_dir: str):
         columns=["l_orderkey", "l_partkey", "l_suppkey",
                  "l_extendedprice", "l_discount"]).map_batches(
         lprep, batch_format="pyarrow", zero_copy_batch=True)
-    j = hash_join(items, orders, on="o_orderkey", nbuckets=32)
+    j = hash_join(items, orders, on="o_orderkey")
 
     def partial(b: pa.Table) -> pa.Table:
         c2n, s2n = ray.get(c2n_ref), ray.get(s2n_ref)
@@ -9484,7 +9482,7 @@ def tpch_q9(sf_dir: str):
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_orderdate"]).map_batches(
         oprep, batch_format="pyarrow", zero_copy_batch=True)
-    j = hash_join(items, orders, on="o_orderkey", nbuckets=32)
+    j = hash_join(items, orders, on="o_orderkey")
 
     def partial(b: pa.Table) -> pa.Table:
         s2n_ = ray.get(s2n_ref)
@@ -9609,7 +9607,7 @@ def tpch_q21(sf_dir: str):
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_suppkey", "l_shipdate"]).map_batches(
         lprep, batch_format="pyarrow", zero_copy_batch=True)
-    j = hash_join(items, orders, on="o_orderkey", nbuckets=32)
+    j = hash_join(items, orders, on="o_orderkey")
 
     def partial(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
@@ -10864,7 +10862,7 @@ def lineitem_constraints(sf_dir: str):
                           zero_copy_batch=True),
         ray.data.read_parquet(f"{sf_dir}/orders.parquet",
                               columns=["o_orderkey"]),
-        on="o_orderkey", nbuckets=32)
+        on="o_orderkey")
 
     def ocount(b: pa.Table) -> pa.Table:
         # an all-filtered anti-join bucket can surface as a zero-column
@@ -13744,7 +13742,7 @@ def lineitem_ship_delay_quantiles(sf_dir: str):
     orders = orders.map_batches(o_prep, batch_format="pyarrow",
                                 zero_copy_batch=True)
     joined = hash_join(
-        li, orders, on="o_orderkey", nbuckets=32,
+        li, orders, on="o_orderkey",
         left_schema=pa.schema([("o_orderkey", pa.int64()),
                                ("ship_day", pa.int64()),
                                ("l_returnflag", pa.string())]),
@@ -14181,7 +14179,7 @@ def suppliers_scorecard(sf_dir: str, sla_days: int = 60):
     orders = orders.map_batches(o_prep, batch_format="pyarrow",
                                 zero_copy_batch=True)
     joined = hash_join(
-        li, orders, on="o_orderkey", nbuckets=32,
+        li, orders, on="o_orderkey",
         left_schema=pa.schema([("o_orderkey", pa.int64()),
                                ("l_suppkey", pa.int64()),
                                ("cents", pa.int64()),
@@ -15247,8 +15245,7 @@ def orders_reconciliation(sf_dir: str):
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_totalprice", "o_orderpriority"]) \
         .map_batches(oprep, batch_format="pyarrow", zero_copy_batch=True)
-    joined = hash_join(orders, lsums, on="o_orderkey", how="left",
-                       nbuckets=32)
+    joined = hash_join(orders, lsums, on="o_orderkey", how="left")
 
     def partial(b: pa.Table) -> pa.Table:
         pr = b["o_orderpriority"].combine_chunks().dictionary_encode()
@@ -15488,11 +15485,10 @@ def events_attribution(sf_dir: str, window_days: int = 7):
                           ("cents", pa.int64())])
     last = asof_join(purchases, touches, on="user_id",
                      left_time="lt_last", right_time="t_us",
-                     nbuckets=32, left_schema=p_schema,
-                     right_schema=t_schema)
+                     left_schema=p_schema, right_schema=t_schema)
     first = asof_join(purchases, touches, on="user_id",
                       left_time="lt_first", right_time="t_us",
-                      direction="forward", nbuckets=32,
+                      direction="forward",
                       left_schema=p_schema, right_schema=t_schema)
 
     def agg(kind):
@@ -16543,7 +16539,7 @@ def lineitem_sequence_gaps(sf_dir: str):
         lambda b: pa.table({"l_orderkey": b["o_orderkey"],
                             "o_orderpriority": b["o_orderpriority"]}),
         batch_format="pyarrow", zero_copy_batch=True)
-    joined = hash_join(per_order, orders, on="l_orderkey", nbuckets=32)
+    joined = hash_join(per_order, orders, on="l_orderkey")
 
     def partial(b: pa.Table) -> pa.Table:
         pr = b["o_orderpriority"].combine_chunks().dictionary_encode()

@@ -161,7 +161,7 @@ def grid_dbscan(pts, *, id_col: str = "id", x_col: str = "x",
     flagged = hash_join(
         pts.map_batches(home_stamp, batch_format="pyarrow",
                         zero_copy_batch=True),
-        flags, "id", nbuckets=nbuckets)
+        flags, "id")
 
     def core_stamp(batch: pa.Table) -> pa.Table:
         n = batch["n"].to_numpy(zero_copy_only=False)

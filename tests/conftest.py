@@ -42,8 +42,8 @@ def many_buckets(monkeypatch):
     many exchange buckets, empty ones included.  A self-sized exchange
     gives each bucket ``_BUCKET_BYTES`` of input (1 MiB), so a test
     table of a few KB lands in one bucket; inside the block each bucket
-    gets ``nbytes`` instead (``_size_buckets`` reads the constant on
-    the driver at call time), up to ``_MAX_BUCKETS``."""
+    gets ``nbytes`` instead (the exchange's sizing reads the constant
+    on the driver at call time), up to ``_MAX_BUCKETS``."""
     import contextlib
 
     from geobuf_ray.functions import exchange

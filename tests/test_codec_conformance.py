@@ -497,6 +497,26 @@ def test_record_cut_inside_a_field_raises_value_error(cut):
             dc.decode_batch(pa.array(batch, pa.binary()))
 
 
+@pytest.mark.parametrize("where", ["key", "geometry", "keyvalue"])
+def test_wrapped_length_raises_value_error(where):
+    """A length varint at or past 2^63 wraps negative as an int64; the
+    record must still fail as a ValueError naming it (an IndexError or
+    OverflowError before), on its own and ahead of two intact records,
+    from every entry point.  ``key``: record 89 of the corpus with byte
+    0x52 inserted at offset 3, which turns a property key's length into
+    a 10-byte varint."""
+    from feature_corpus import stream
+
+    recs = fc.scan_frames(stream()).to_pylist()
+    bad = {"key": recs[89][:3] + b"\x52" + recs[89][3:],
+           "geometry": bytes.fromhex("22" + "80" * 9 + "01"),
+           "keyvalue": bytes.fromhex("12" + "ff" * 9 + "01")}[where]
+    for batch in ([bad], [bad] + recs[:2]):
+        for fn in (dc.decode_batch, dc.read_bounding_boxes, dc.read_keys):
+            with pytest.raises(ValueError, match="record 0"):
+                fn(pa.array(batch, pa.binary()))
+
+
 @needs_ref
 def test_ld_corpus_roundtrip():
     """Roundtrip the reference's second real corpus

@@ -14,7 +14,7 @@ def _ds(tbl, parts=4):
     return ray.data.from_arrow(tbl).repartition(parts)
 
 
-def test_inner_join_matches_duckdb(ray_session):
+def test_inner_join_matches_duckdb(ray_session, many_buckets):
     import duckdb
 
     rng = np.random.default_rng(5)
@@ -22,8 +22,10 @@ def test_inner_join_matches_duckdb(ray_session):
                      "lv": pa.array(rng.integers(0, 10**6, 2000), pa.int64())})
     right = pa.table({"k": pa.array(rng.integers(0, 200, 500), pa.int64()),
                       "rv": pa.array(rng.integers(0, 10**6, 500), pa.int64())})
-    out = hash_join(_ds(left), _ds(right), on="k", nbuckets=8)
-    got = out.to_pandas().sort_values(["k", "lv", "rv"]).reset_index(drop=True)
+    with many_buckets(4096):
+        out = hash_join(_ds(left), _ds(right), on="k")
+        got = out.to_pandas().sort_values(["k", "lv", "rv"]) \
+            .reset_index(drop=True)
     con = duckdb.connect()
     con.register("l", left); con.register("r", right)
     exp = con.execute(
@@ -33,51 +35,53 @@ def test_inner_join_matches_duckdb(ray_session):
     assert (got[["k", "lv", "rv"]].values == exp.values).all()
 
 
-def test_left_join_null_fills(ray_session):
+def test_left_join_null_fills(ray_session, many_buckets):
     left = pa.table({"k": pa.array([1, 2, 3, 4], pa.int64()),
                      "lv": pa.array([10, 20, 30, 40], pa.int64())})
     right = pa.table({"k": pa.array([2, 2, 4], pa.int64()),
                       "rv": pa.array([200, 201, 400], pa.int64())})
-    out = hash_join(_ds(left, 2), _ds(right, 2), on="k", how="left",
-                    nbuckets=4)
-    df = out.to_pandas().sort_values(["k", "rv"]).reset_index(drop=True)
+    with many_buckets(8):
+        out = hash_join(_ds(left, 2), _ds(right, 2), on="k", how="left")
+        df = out.to_pandas().sort_values(["k", "rv"]).reset_index(drop=True)
     assert len(df) == 5  # 1->null, 2->200, 2->201, 3->null, 4->400
     assert df[df.k == 1]["rv"].isna().all()
     assert df[df.k == 3]["rv"].isna().all()
     assert sorted(df[df.k == 2]["rv"].tolist()) == [200, 201]
 
 
-def test_string_key_join(ray_session):
+def test_string_key_join(ray_session, many_buckets):
     left = pa.table({"k": pa.array(["a", "b", "c", "a"]),
                      "lv": pa.array([1, 2, 3, 4], pa.int64())})
     right = pa.table({"k": pa.array(["a", "c", "z"]),
                       "rv": pa.array([10, 30, 99], pa.int64())})
-    out = hash_join(_ds(left, 2), _ds(right, 2), on="k", nbuckets=4)
-    df = out.to_pandas().sort_values(["k", "lv"]).reset_index(drop=True)
+    with many_buckets(8):
+        out = hash_join(_ds(left, 2), _ds(right, 2), on="k")
+        df = out.to_pandas().sort_values(["k", "lv"]).reset_index(drop=True)
     assert df[["k", "lv", "rv"]].values.tolist() == [
         ["a", 1, 10], ["a", 4, 10], ["c", 3, 30]]
 
 
-def test_name_collision_suffix(ray_session):
+def test_name_collision_suffix(ray_session, many_buckets):
     left = pa.table({"k": pa.array([1], pa.int64()),
                      "v": pa.array([10], pa.int64())})
     right = pa.table({"k": pa.array([1], pa.int64()),
                       "v": pa.array([20], pa.int64())})
-    out = hash_join(_ds(left, 1), _ds(right, 1), on="k", nbuckets=2)
-    df = out.to_pandas()
+    with many_buckets(8):
+        out = hash_join(_ds(left, 1), _ds(right, 1), on="k")
+        df = out.to_pandas()
     assert sorted(df.columns) == ["k", "v", "v_r"]
     assert df.iloc[0]["v"] == 10 and df.iloc[0]["v_r"] == 20
 
 
-def test_null_keys_never_match(ray_session):
+def test_null_keys_never_match(ray_session, many_buckets):
     import duckdb
 
     left = pa.table({"k": pa.array([1, None, 3, None], pa.int64()),
                      "lv": pa.array([10, 20, 30, 40], pa.int64())})
     right = pa.table({"k": pa.array([1, None, 3], pa.int64()),
                       "rv": pa.array([100, 200, 300], pa.int64())})
-    inner = hash_join(_ds(left, 2), _ds(right, 2), on="k",
-                      nbuckets=4).to_pandas()
+    with many_buckets(8):
+        inner = hash_join(_ds(left, 2), _ds(right, 2), on="k").to_pandas()
     con = duckdb.connect()
     con.register("l", left); con.register("r", right)
     exp = con.execute("SELECT l.k, lv, rv FROM l JOIN r ON l.k = r.k "
@@ -86,14 +90,15 @@ def test_null_keys_never_match(ray_session):
     assert len(got) == len(exp) == 2
     assert (got[["k", "lv", "rv"]].values == exp.values).all()
 
-    lj = hash_join(_ds(left, 2), _ds(right, 2), on="k", how="left",
-                   nbuckets=4).to_pandas()
+    with many_buckets(8):
+        lj = hash_join(_ds(left, 2), _ds(right, 2), on="k",
+                       how="left").to_pandas()
     assert len(lj) == 4  # every left row survives; null keys unmatched
     nulls = lj[lj["k"].isna()]
     assert len(nulls) == 2 and nulls["rv"].isna().all()
 
 
-def test_asof_join_small_known(ray_session):
+def test_asof_join_small_known(ray_session, many_buckets):
     from geobuf_ray.functions.join import asof_join
 
     left = pa.table({"k": pa.array([1, 1, 1, 2, 3], pa.int64()),
@@ -102,15 +107,16 @@ def test_asof_join_small_known(ray_session):
     right = pa.table({"k": pa.array([1, 1, 1, 2], pa.int64()),
                       "rt": pa.array([3, 5, 9, 8], pa.int64()),
                       "rv": pa.array([30, 50, 90, 80], pa.int64())})
-    out = asof_join(_ds(left, 2), _ds(right, 2), on="k",
-                    left_time="lt", right_time="rt", nbuckets=4)
-    got = {r["ev"]: r["rv"] for r in out.take_all()}
+    with many_buckets(8):
+        out = asof_join(_ds(left, 2), _ds(right, 2), on="k",
+                        left_time="lt", right_time="rt")
+        got = {r["ev"]: r["rv"] for r in out.take_all()}
     # ev100 t=5: latest right t<=5 is (5,50); ev101 t=10 -> (9,90);
     # ev102 t=2 -> none; ev103 k=2 t=7 < 8 -> none; ev104 k=3 -> none
     assert got == {100: 50, 101: 90}
 
 
-def test_asof_join_equal_time_matches(ray_session):
+def test_asof_join_equal_time_matches(ray_session, many_buckets):
     from geobuf_ray.functions.join import asof_join
 
     left = pa.table({"k": pa.array([1], pa.int64()),
@@ -119,9 +125,11 @@ def test_asof_join_equal_time_matches(ray_session):
     right = pa.table({"k": pa.array([1], pa.int64()),
                       "rt": pa.array([5], pa.int64()),
                       "rv": pa.array([55], pa.int64())})
-    out = asof_join(_ds(left, 1), _ds(right, 1), on="k",
-                    left_time="lt", right_time="rt", nbuckets=2)
-    assert out.take_all()[0]["rv"] == 55  # equal time IS a match
+    with many_buckets(8):
+        out = asof_join(_ds(left, 1), _ds(right, 1), on="k",
+                        left_time="lt", right_time="rt")
+        rows = out.take_all()
+    assert rows[0]["rv"] == 55  # equal time IS a match
 
 
 def test_range_join_matches_duckdb(ray_session, no_ray_groupby):
@@ -146,7 +154,7 @@ def test_range_join_matches_duckdb(ray_session, no_ray_groupby):
     assert (got[["pid", "iid"]].values == exp.values).all()
 
 
-def test_asof_join_random_matches_duckdb(ray_session):
+def test_asof_join_random_matches_duckdb(ray_session, many_buckets):
     import duckdb
 
     from geobuf_ray.functions.join import asof_join
@@ -164,9 +172,10 @@ def test_asof_join_random_matches_duckdb(ray_session):
     right = pa.table({"k": pa.array(ks, pa.int64()),
                       "rt": pa.array(ts, pa.int64()),
                       "rv": pa.array(np.arange(nr), pa.int64())})
-    out = asof_join(_ds(left, 3), _ds(right, 2), on="k",
-                    left_time="lt", right_time="rt", nbuckets=8)
-    got = out.to_pandas().sort_values("ev").reset_index(drop=True)
+    with many_buckets(4096):
+        out = asof_join(_ds(left, 3), _ds(right, 2), on="k",
+                        left_time="lt", right_time="rt")
+        got = out.to_pandas().sort_values("ev").reset_index(drop=True)
     con = duckdb.connect()
     con.register("l", left); con.register("r", right)
     exp = con.execute("""
@@ -179,7 +188,7 @@ def test_asof_join_random_matches_duckdb(ray_session):
     assert (got[["ev", "rv"]].values == exp[["ev", "rv"]].values).all()
 
 
-def test_asof_join_null_times_match_nothing(ray_session):
+def test_asof_join_null_times_match_nothing(ray_session, many_buckets):
     from geobuf_ray.functions.join import asof_join
 
     left = pa.table({"k": pa.array([1, 1], pa.int64()),
@@ -188,14 +197,16 @@ def test_asof_join_null_times_match_nothing(ray_session):
     right = pa.table({"k": pa.array([1, 1], pa.int64()),
                       "rt": pa.array([5, None], pa.int64()),
                       "rv": pa.array([50, 99], pa.int64())})
-    out = asof_join(_ds(left, 1), _ds(right, 1), on="k",
-                    left_time="lt", right_time="rt", nbuckets=2)
-    rows = out.take_all()
+    with many_buckets(8):
+        out = asof_join(_ds(left, 1), _ds(right, 1), on="k",
+                        left_time="lt", right_time="rt")
+        rows = out.take_all()
     assert len(rows) == 1           # null-time left row drops (inner)
     assert rows[0]["ev"] == 1 and rows[0]["rv"] == 50  # null right unseen
 
 
-def test_asof_join_int64_microsecond_epochs_above_2p53(ray_session):
+def test_asof_join_int64_microsecond_epochs_above_2p53(ray_session,
+                                                      many_buckets):
     """VERDICT r2 finding #1: int64 times ~1.7e18 (>2^53) with right
     rows <1 ms apart must not mis-order through a float64 cast."""
     import duckdb
@@ -212,9 +223,10 @@ def test_asof_join_int64_microsecond_epochs_above_2p53(ray_session):
                       "rt": pa.array([base + 100, base + 200, base + 300],
                                      pa.int64()),
                       "rv": pa.array([10, 20, 30], pa.int64())})
-    out = asof_join(_ds(left, 1), _ds(right, 1), on="k",
-                    left_time="lt", right_time="rt", nbuckets=2)
-    got = {r["ev"]: r["rv"] for r in out.take_all()}
+    with many_buckets(8):
+        out = asof_join(_ds(left, 1), _ds(right, 1), on="k",
+                        left_time="lt", right_time="rt")
+        got = {r["ev"]: r["rv"] for r in out.take_all()}
     con = duckdb.connect()
     con.register("l", left); con.register("r", right)
     exp_df = con.execute("""
@@ -227,7 +239,7 @@ def test_asof_join_int64_microsecond_epochs_above_2p53(ray_session):
     assert got == exp == {1: 10, 3: 20}
 
 
-def test_asof_join_timestamp_nulls_match_nothing(ray_session):
+def test_asof_join_timestamp_nulls_match_nothing(ray_session, many_buckets):
     """ADVICE r2 (medium): NaT on the datetime path must be masked via
     the Arrow validity bitmap, not slip through as INT64_MIN."""
     from geobuf_ray.functions.join import asof_join
@@ -239,16 +251,17 @@ def test_asof_join_timestamp_nulls_match_nothing(ray_session):
     right = pa.table({"k": pa.array([1, 1], pa.int64()),
                       "rt": pa.array([500_000, None], ts),
                       "rv": pa.array([50, 99], pa.int64())})
-    out = asof_join(_ds(left, 1), _ds(right, 1), on="k",
-                    left_time="lt", right_time="rt", nbuckets=2)
-    rows = out.take_all()
+    with many_buckets(8):
+        out = asof_join(_ds(left, 1), _ds(right, 1), on="k",
+                        left_time="lt", right_time="rt")
+        rows = out.take_all()
     # NaT right row must NOT win (INT64_MIN would sort first and a
     # later accumulate could surface it); NaT left row must drop
     assert len(rows) == 1
     assert rows[0]["ev"] == 1 and rows[0]["rv"] == 50
 
 
-def test_float_key_join_no_truncation(ray_session):
+def test_float_key_join_no_truncation(ray_session, many_buckets):
     """ADVICE r2 (low): float64 keys must join on value, not on
     astype(int64) truncation (1.2 vs 1.9 are distinct keys)."""
     import duckdb
@@ -257,8 +270,9 @@ def test_float_key_join_no_truncation(ray_session):
                      "lv": pa.array([1, 2, 3, 4], pa.int64())})
     right = pa.table({"k": pa.array([1.2, 0.0, 2.5], pa.float64()),
                       "rv": pa.array([10, 30, 40], pa.int64())})
-    out = hash_join(_ds(left, 2), _ds(right, 2), on="k", nbuckets=4)
-    got = out.to_pandas().sort_values(["lv", "rv"]).reset_index(drop=True)
+    with many_buckets(8):
+        out = hash_join(_ds(left, 2), _ds(right, 2), on="k")
+        got = out.to_pandas().sort_values(["lv", "rv"]).reset_index(drop=True)
     con = duckdb.connect()
     con.register("l", left); con.register("r", right)
     exp = con.execute("SELECT lv, rv FROM l JOIN r ON l.k = r.k "
@@ -268,7 +282,7 @@ def test_float_key_join_no_truncation(ray_session):
         [1, 10], [3, 30], [4, 40]]
 
 
-def test_float_key_nan_matches_nothing(ray_session):
+def test_float_key_nan_matches_nothing(ray_session, many_buckets):
     """NaN keys: IEEE semantics (NaN != NaN) — a NaN left row is a
     left-join miss, not a silent drop.  (DuckDB deviates here: it
     treats NaN = NaN as true, so no oracle comparison.)"""
@@ -276,16 +290,16 @@ def test_float_key_nan_matches_nothing(ray_session):
                      "lv": pa.array([1, 2], pa.int64())})
     right = pa.table({"k": pa.array([float("nan"), 1.0], pa.float64()),
                       "rv": pa.array([10, 20], pa.int64())})
-    inner = hash_join(_ds(left, 1), _ds(right, 1), on="k",
-                      nbuckets=2).to_pandas()
+    with many_buckets(8):
+        inner = hash_join(_ds(left, 1), _ds(right, 1), on="k").to_pandas()
+        lj = hash_join(_ds(left, 1), _ds(right, 1), on="k", how="left") \
+            .to_pandas().sort_values("lv")
     assert inner[["lv", "rv"]].values.tolist() == [[2, 20]]
-    lj = hash_join(_ds(left, 1), _ds(right, 1), on="k", how="left",
-                   nbuckets=2).to_pandas().sort_values("lv")
     assert len(lj) == 2
     assert lj[lj.lv == 1]["rv"].isna().all()  # NaN row -> miss, kept
 
 
-def test_composite_key_join_matches_duckdb(ray_session):
+def test_composite_key_join_matches_duckdb(ray_session, many_buckets):
     """VERDICT r2 item #7: hash_join(on=[two columns])."""
     import duckdb
 
@@ -297,8 +311,9 @@ def test_composite_key_join_matches_duckdb(ray_session):
     right = pa.table({"k1": pa.array(rng.integers(0, 20, 300), pa.int64()),
                       "k2": pa.array(rng.integers(0, 20, 300), pa.int64()),
                       "rv": pa.array(np.arange(300), pa.int64())})
-    out = hash_join(_ds(left, 3), _ds(right, 2), on=["k1", "k2"], nbuckets=8)
-    got = out.to_pandas().sort_values(["lv", "rv"]).reset_index(drop=True)
+    with many_buckets(4096):
+        out = hash_join(_ds(left, 3), _ds(right, 2), on=["k1", "k2"])
+        got = out.to_pandas().sort_values(["lv", "rv"]).reset_index(drop=True)
     con = duckdb.connect()
     con.register("l", left); con.register("r", right)
     exp = con.execute(
@@ -307,15 +322,16 @@ def test_composite_key_join_matches_duckdb(ray_session):
     assert len(got) == len(exp)
     assert (got[["lv", "rv"]].values == exp.values).all()
     # left join: misses survive with nulls
-    lj = hash_join(_ds(left, 3), _ds(right, 2), on=["k1", "k2"],
-                   how="left", nbuckets=8).to_pandas()
+    with many_buckets(4096):
+        lj = hash_join(_ds(left, 3), _ds(right, 2), on=["k1", "k2"],
+                       how="left").to_pandas()
     exp_lj = con.execute(
         "SELECT lv, rv FROM l LEFT JOIN r ON l.k1 = r.k1 AND l.k2 = r.k2"
     ).fetchdf()
     assert len(lj) == len(exp_lj)
 
 
-def test_composite_key_asof_matches_duckdb(ray_session):
+def test_composite_key_asof_matches_duckdb(ray_session, many_buckets):
     import duckdb
 
     from geobuf_ray.functions.join import asof_join
@@ -335,9 +351,10 @@ def test_composite_key_asof_matches_duckdb(ray_session):
                       "k2": pa.array(k2, pa.int64()),
                       "rt": pa.array(ts, pa.int64()),
                       "rv": pa.array(np.arange(nr), pa.int64())})
-    out = asof_join(_ds(left, 3), _ds(right, 2), on=["k1", "k2"],
-                    left_time="lt", right_time="rt", nbuckets=8)
-    got = out.to_pandas().sort_values("ev").reset_index(drop=True)
+    with many_buckets(4096):
+        out = asof_join(_ds(left, 3), _ds(right, 2), on=["k1", "k2"],
+                        left_time="lt", right_time="rt")
+        got = out.to_pandas().sort_values("ev").reset_index(drop=True)
     con = duckdb.connect()
     con.register("l", left); con.register("r", right)
     exp = con.execute("""
@@ -398,7 +415,7 @@ def test_broadcast_join_vs_duckdb(ray_session):
         "ON l.k = r.k AND l.name = r.name")
 
 
-def test_asof_join_forward_vs_duckdb(ray_session):
+def test_asof_join_forward_vs_duckdb(ray_session, many_buckets):
     import duckdb
 
     from geobuf_ray.functions.join import asof_join
@@ -413,10 +430,11 @@ def test_asof_join_forward_vs_duckdb(ray_session):
         "k": pa.array(rng.integers(0, 30, nr), pa.int64()),
         "tr": pa.array(rng.integers(0, 10**6, nr), pa.int64()),
         "rv": pa.array(np.arange(nr), pa.int64())})
-    out = asof_join(
-        _ds(left, 4), _ds(right, 3),
-        on="k", left_time="tl", right_time="tr",
-        direction="forward", nbuckets=4).to_pandas()
+    with many_buckets(4096):
+        out = asof_join(
+            _ds(left, 4), _ds(right, 3),
+            on="k", left_time="tl", right_time="tr",
+            direction="forward").to_pandas()
     con = duckdb.connect()
     con.register("l", left)
     con.register("r", right)
@@ -431,7 +449,7 @@ def test_asof_join_forward_vs_duckdb(ray_session):
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
 
-def test_asof_join_nearest_vs_reference(ray_session):
+def test_asof_join_nearest_vs_reference(ray_session, many_buckets):
     from geobuf_ray.functions.join import asof_join
 
     rng = np.random.default_rng(29)
@@ -446,11 +464,12 @@ def test_asof_join_nearest_vs_reference(ray_session):
     right = pa.table({"k": pa.array(rk, pa.int64()),
                       "tr": pa.array(rt_, pa.int64()),
                       "rv": pa.array(np.arange(nr), pa.int64())})
-    out = asof_join(
-        _ds(left, 4), _ds(right, 3),
-        on="k", left_time="tl", right_time="tr",
-        direction="nearest", nbuckets=4).to_pandas()
-    got = {r.lv: (r.tr, abs(r.tr - r.tl)) for r in out.itertuples()}
+    with many_buckets(4096):
+        out = asof_join(
+            _ds(left, 4), _ds(right, 3),
+            on="k", left_time="tl", right_time="tr",
+            direction="nearest").to_pandas()
+        got = {r.lv: (r.tr, abs(r.tr - r.tl)) for r in out.itertuples()}
     # scalar reference: nearest |tr - tl| per key, ties backward
     for i in range(nl):
         cand = rt_[rk == lk[i]]
@@ -467,7 +486,7 @@ def test_asof_join_nearest_vs_reference(ray_session):
             assert got[i][0] <= lt_[i]
 
 
-def test_asof_join_nearest_int64_extremes(ray_session):
+def test_asof_join_nearest_int64_extremes(ray_session, many_buckets):
     from geobuf_ray.functions.join import asof_join
 
     lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
@@ -477,11 +496,12 @@ def test_asof_join_nearest_int64_extremes(ray_session):
     right = pa.table({"k": pa.array([1, 1], pa.int64()),
                       "tr": pa.array([lo, hi], pa.int64()),
                       "rv": pa.array([10, 11], pa.int64())})
-    out = asof_join(
-        _ds(left, 1), _ds(right, 1),
-        on="k", left_time="tl", right_time="tr",
-        direction="nearest", nbuckets=2).to_pandas() \
-        .sort_values("lv")
+    with many_buckets(8):
+        out = asof_join(
+            _ds(left, 1), _ds(right, 1),
+            on="k", left_time="tl", right_time="tr",
+            direction="nearest").to_pandas() \
+            .sort_values("lv")
     # each left row's nearest is its own end of the domain; a
     # wrapped/float distance would cross the whole range and pick wrong
     assert out["rv"].tolist() == [10, 11]
@@ -574,7 +594,7 @@ def test_broadcast_range_join_vs_shuffle_range_join(ray_session,
     assert got_sh == want
 
 
-def test_salted_join_equals_plain(ray_session):
+def test_salted_join_equals_plain(ray_session, many_buckets):
     """One key holding half the rows (the boilerplate-skew shape):
     the salted join must be row-for-row identical to the unsalted
     join for inner AND left, including left misses."""
@@ -589,11 +609,12 @@ def test_salted_join_equals_plain(ray_session):
     right = pa.table({"k": pa.array(rk, pa.int64()),
                       "rv": pa.array(np.arange(len(rk)), pa.int64())})
     for how in ("inner", "left"):
-        plain = hash_join(_ds(left), _ds(right), on="k", how=how,
-                          nbuckets=8).to_pandas()
-        salted = hash_join(_ds(left), _ds(right), on="k", how=how,
-                           nbuckets=8, hot_keys=np.array([7, 42]),
-                           salt=4).to_pandas()
+        with many_buckets(4096):
+            plain = hash_join(_ds(left), _ds(right), on="k",
+                              how=how).to_pandas()
+            salted = hash_join(_ds(left), _ds(right), on="k", how=how,
+                               hot_keys=np.array([7, 42]),
+                               salt=4).to_pandas()
         key = ["k", "lv", "rv"]
         p = plain.sort_values(key).reset_index(drop=True)
         s = salted.sort_values(key).reset_index(drop=True)
@@ -621,7 +642,7 @@ def test_salted_join_rejects_unsupported(ray_session):
                       "rv": pa.array([1, 2], pa.int64())})
     with pytest.raises(ValueError, match="inner"):
         hash_join(_ds(left, 1), _ds(right, 1), on="k", how="full",
-                  nbuckets=2, hot_keys=np.array([1]))
+                  hot_keys=np.array([1]))
     left2 = pa.table({"a": pa.array([1], pa.int64()),
                       "b": pa.array([1], pa.int64()),
                       "lv": pa.array([1], pa.int64())})
@@ -630,7 +651,7 @@ def test_salted_join_rejects_unsupported(ray_session):
                        "rv": pa.array([1], pa.int64())})
     with pytest.raises(ValueError, match="single integer"):
         hash_join(_ds(left2, 1), _ds(right2, 1), on=["a", "b"],
-                  nbuckets=2, hot_keys=np.array([1]))
+                  hot_keys=np.array([1]))
 
 
 def test_theta_join_inner_vs_duckdb(ray_session):
@@ -715,7 +736,7 @@ def test_theta_join_empty_right(ray_session):
     assert len(out) == 3 and out["lo"].isna().all()
 
 
-def test_broadcast_asof_matches_exchange_asof(ray_session):
+def test_broadcast_asof_matches_exchange_asof(ray_session, many_buckets):
     from geobuf_ray.functions.join import asof_join, broadcast_asof_join
 
     rng = np.random.default_rng(21)
@@ -732,10 +753,11 @@ def test_broadcast_asof_matches_exchange_asof(ray_session):
             _ds(left), right, "k", left_time="t", right_time="t",
             direction=direction).to_pandas() \
             .sort_values(["k", "t", "lv"]).reset_index(drop=True)
-        exp = asof_join(_ds(left), _ds(right), "k", left_time="t",
-                        right_time="t", direction=direction,
-                        nbuckets=8).to_pandas() \
-            .sort_values(["k", "t", "lv"]).reset_index(drop=True)
+        with many_buckets(4096):
+            exp = asof_join(_ds(left), _ds(right), "k", left_time="t",
+                            right_time="t", direction=direction) \
+                .to_pandas().sort_values(["k", "t", "lv"]) \
+                .reset_index(drop=True)
         assert len(got) == len(exp), direction
         assert (got[["k", "t", "lv", "rv"]].values
                 == exp[["k", "t", "lv", "rv"]].values).all(), direction

@@ -31,7 +31,7 @@ def _canon(df, cols):
             .astype("float64"))
 
 
-def test_full_and_right_join_vs_duckdb(ray_session):
+def test_full_and_right_join_vs_duckdb(ray_session, many_buckets):
     import duckdb
 
     from geobuf_ray.functions.join import hash_join
@@ -41,8 +41,9 @@ def test_full_and_right_join_vs_duckdb(ray_session):
     con.register("l", left)
     con.register("r", right)
     for how, sql_kw in [("full", "FULL"), ("right", "RIGHT")]:
-        out = hash_join(_ds(left), _ds(right), on="k", how=how,
-                        nbuckets=8).to_pandas()
+        with many_buckets(4096):
+            out = hash_join(_ds(left), _ds(right), on="k",
+                            how=how).to_pandas()
         exp = con.execute(
             f"SELECT COALESCE(l.k, r.k) AS k, lv, rv "
             f"FROM l {sql_kw} JOIN r ON l.k = r.k").fetchdf()
@@ -54,7 +55,7 @@ def test_full_and_right_join_vs_duckdb(ray_session):
         pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
 
-def test_full_join_string_keys_collision_verify(ray_session):
+def test_full_join_string_keys_collision_verify(ray_session, many_buckets):
     import duckdb
 
     from geobuf_ray.functions.join import hash_join
@@ -67,8 +68,9 @@ def test_full_join_string_keys_collision_verify(ray_session):
         np.concatenate([keys[rng.integers(20, 40, 80)],
                         np.array(["only_right_1", "only_right_2"])])),
         "rv": pa.array(np.arange(82), pa.int64())})
-    out = hash_join(_ds(left, 3), _ds(right, 3), on="k", how="full",
-                    nbuckets=4).to_pandas()
+    with many_buckets(4096):
+        out = hash_join(_ds(left, 3), _ds(right, 3), on="k",
+                        how="full").to_pandas()
     con = duckdb.connect()
     con.register("l", left)
     con.register("r", right)
@@ -84,7 +86,7 @@ def test_full_join_string_keys_collision_verify(ray_session):
                                   b[["k", "lv", "rv"]], check_dtype=False)
 
 
-def test_semi_anti_join_vs_duckdb(ray_session):
+def test_semi_anti_join_vs_duckdb(ray_session, many_buckets):
     import duckdb
 
     from geobuf_ray.functions.join import anti_join, semi_join
@@ -93,16 +95,16 @@ def test_semi_anti_join_vs_duckdb(ray_session):
     con = duckdb.connect()
     con.register("l", left)
     con.register("r", right)
-    semi = semi_join(_ds(left), _ds(right), on="k",
-                     nbuckets=8).to_pandas()
+    with many_buckets(4096):
+        semi = semi_join(_ds(left), _ds(right), on="k").to_pandas()
     exp_semi = con.execute(
         "SELECT k, lv FROM l WHERE EXISTS "
         "(SELECT 1 FROM r WHERE r.k = l.k)").fetchdf()
     pd.testing.assert_frame_equal(_canon(semi, ["k", "lv"]),
                                   _canon(exp_semi, ["k", "lv"]),
                                   check_dtype=False)
-    anti = anti_join(_ds(left), _ds(right), on="k",
-                     nbuckets=8).to_pandas()
+    with many_buckets(4096):
+        anti = anti_join(_ds(left), _ds(right), on="k").to_pandas()
     exp_anti = con.execute(
         "SELECT k, lv FROM l WHERE NOT EXISTS "
         "(SELECT 1 FROM r WHERE r.k = l.k)").fetchdf()
@@ -112,25 +114,27 @@ def test_semi_anti_join_vs_duckdb(ray_session):
                                   check_dtype=False)
 
 
-def test_semi_join_string_right_on(ray_session):
+def test_semi_join_string_right_on(ray_session, many_buckets):
     from geobuf_ray.functions.join import semi_join
 
     left = pa.table({"name": pa.array(["a", "b", "c", None, "d"]),
                      "v": pa.array([1, 2, 3, 4, 5], pa.int64())})
     right = pa.table({"other": pa.array(["b", "d", "zz"]),
                       "junk": pa.array([0, 0, 0], pa.int64())})
-    out = semi_join(_ds(left, 2), _ds(right, 2), on="name",
-                    right_on="other", nbuckets=4).to_pandas()
+    with many_buckets(8):
+        out = semi_join(_ds(left, 2), _ds(right, 2), on="name",
+                        right_on="other").to_pandas()
     assert sorted(out["name"].tolist()) == ["b", "d"]
     # anti keeps the NULL-key row (NOT EXISTS semantics)
     from geobuf_ray.functions.join import anti_join
 
-    anti = anti_join(_ds(left, 2), _ds(right, 2), on="name",
-                     right_on="other", nbuckets=4).to_pandas()
+    with many_buckets(8):
+        anti = anti_join(_ds(left, 2), _ds(right, 2), on="name",
+                         right_on="other").to_pandas()
     assert sorted(anti["v"].tolist()) == [1, 3, 4]
 
 
-def test_setops_vs_duckdb(ray_session):
+def test_setops_vs_duckdb(ray_session, many_buckets):
     import duckdb
 
     from geobuf_ray.functions.setops import except_distinct, \
@@ -147,21 +151,22 @@ def test_setops_vs_duckdb(ray_session):
     con.register("l", left)
     con.register("r", right)
 
-    inter = intersect_distinct(_ds(left), _ds(right),
-                               nbuckets=4).to_pandas()
+    with many_buckets(4096):
+        inter = intersect_distinct(_ds(left), _ds(right)).to_pandas()
     exp = con.execute("SELECT a, b FROM l INTERSECT "
                       "SELECT a, b FROM r").fetchdf()
     key = lambda df: sorted(  # noqa: E731
         (("N" if pd.isna(a) else f"{int(a):05d}"), b) for a, b in df.values)
     assert key(inter) == key(exp)
 
-    exc = except_distinct(_ds(left), _ds(right), nbuckets=4).to_pandas()
+    with many_buckets(4096):
+        exc = except_distinct(_ds(left), _ds(right)).to_pandas()
     exp2 = con.execute("SELECT a, b FROM l EXCEPT "
                        "SELECT a, b FROM r").fetchdf()
     assert key(exc) == key(exp2)
 
 
-def test_setops_all_vs_duckdb(ray_session):
+def test_setops_all_vs_duckdb(ray_session, many_buckets):
     import duckdb
 
     from geobuf_ray.functions.setops import except_all, intersect_all
@@ -179,20 +184,23 @@ def test_setops_all_vs_duckdb(ray_session):
     key = lambda df: sorted(  # noqa: E731
         (("N" if pd.isna(a) else f"{int(a):05d}"), b) for a, b in df.values)
 
-    inter = intersect_all(_ds(left), _ds(right), nbuckets=4).to_pandas()
+    with many_buckets(4096):
+        inter = intersect_all(_ds(left), _ds(right)).to_pandas()
     exp = con.execute("SELECT a, b FROM l INTERSECT ALL "
                       "SELECT a, b FROM r").fetchdf()
     assert key(inter) == key(exp) and len(inter) > 0
 
-    exc = except_all(_ds(left), _ds(right), nbuckets=4).to_pandas()
+    with many_buckets(4096):
+        exc = except_all(_ds(left), _ds(right)).to_pandas()
     exp2 = con.execute("SELECT a, b FROM l EXCEPT ALL "
                        "SELECT a, b FROM r").fetchdf()
     assert key(exc) == key(exp2) and len(exc) > 0
 
     # empty right: INTERSECT ALL empties, EXCEPT ALL passes the bag
     empty = left.slice(0, 0)
-    assert intersect_all(_ds(left), _ds(empty), nbuckets=4).count() == 0
-    assert except_all(_ds(left), _ds(empty), nbuckets=4).count() == len(left)
+    with many_buckets(4096):
+        assert intersect_all(_ds(left), _ds(empty)).count() == 0
+        assert except_all(_ds(left), _ds(empty)).count() == len(left)
 
 
 def test_range_moving_agg_vs_duckdb(ray_session, many_buckets):

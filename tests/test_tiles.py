@@ -541,6 +541,68 @@ def test_combine_counts_from_manifest_keep_combined_bytes(ray_session,
             assert f.read() == g.read(), z
 
 
+def test_combine_indexes_every_file_of_a_key(tmp_path):
+    """Several subfiles of one key (a salted split's hot tile) get one
+    index entry spanning them all, so a key-addressed read returns
+    every row; a key whose subfiles are not adjacent raises."""
+    from geobuf_ray.codec import decode as dc
+    from geobuf_ray.io.geobuf_file import (_encode_stream, read_metadata,
+                                           read_subfile,
+                                           write_indexed_geobuf)
+
+    tbl = _points_table(4)
+    a, b, c = (_encode_stream(tbl.slice(i, n))[0]
+               for i, n in ((0, 2), (2, 1), (3, 1)))
+    out = str(tmp_path / "combined.geobuf")
+    write_indexed_geobuf([("6-1-1", a, 2), ("6-1-1", b, 1),
+                          ("6-1-2", c, 1)], out)
+    meta, _ = read_metadata(out)
+    assert meta["NumberFeatures"] == 4
+    entry = meta["Files"]["6-1-1"]
+    assert entry["NumberFeatures"] == 3
+    assert entry["Positions"] == [0, len(a) + len(b)]
+    rows = dc.decode_batch(read_subfile(out, "6-1-1")["geobuf"]
+                           .combine_chunks())
+    assert rows["id"].to_pylist() == [0, 1, 2]
+    assert read_subfile(out, "6-1-2").num_rows == 1
+    with pytest.raises(ValueError, match="6-1-1"):
+        write_indexed_geobuf([("6-1-1", a, 2), ("6-1-2", c, 1),
+                              ("6-1-1", b, 1)], str(tmp_path / "x.geobuf"))
+
+
+def test_salted_split_combine_reads_back_every_row(ray_session, tmp_path):
+    """A salted split writes a hot tile as several files under one key;
+    the combined file must read back every row of every key."""
+    import ray
+
+    from geobuf_ray.codec import decode as dc
+    from geobuf_ray.io import geojson as gj
+    from geobuf_ray.io.geobuf_file import read_metadata, read_subfile
+    from geobuf_ray.pipelines.tiling import split_combine
+
+    rng = np.random.default_rng(9)
+    pts = [(10.0 + float(rng.uniform(0, 5)), 50.0 + float(rng.uniform(0, 5)))
+           for _ in range(300)]
+    pts += [(float(rng.uniform(-170, -10)), float(rng.uniform(-80, 0)))
+            for _ in range(100)]
+    feats = [{"type": "Feature", "id": i, "properties": {},
+              "geometry": {"type": "Point", "coordinates": list(c)}}
+             for i, c in enumerate(pts)]
+    ds = ray.data.from_arrow(gj.features_to_table(feats)).repartition(4)
+    combined = str(tmp_path / "combined.geobuf")
+    m = split_combine(ds, str(tmp_path / "tiles"), 2, salt_bits=2,
+                      combine_path=combined)
+    per_key = {}
+    for r in m.to_pylist():
+        per_key[r["key"]] = per_key.get(r["key"], 0) + r["num_features"]
+    assert len(per_key) < m.num_rows  # the hot tile spans several files
+    meta, _ = read_metadata(combined)
+    assert meta["NumberFeatures"] == sum(per_key.values()) == len(pts)
+    for key, n in per_key.items():
+        raw = read_subfile(combined, key)["geobuf"].combine_chunks()
+        assert dc.decode_batch(raw).num_rows == n, key
+
+
 def test_encode_rows_step_once_per_block(monkeypatch):
     """The split's map step, without Ray: one ``encode_batch`` per
     block, key columns kept, a property named like a manifest or bbox

@@ -30,7 +30,8 @@ def main() -> None:
 
     if not ray.is_initialized():
         ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS",
+                                             os.cpu_count() or 1)),
                  include_dashboard=False, logging_level="ERROR")
     import __ray_entry__ as entry
 
