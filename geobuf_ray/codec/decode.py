@@ -2,13 +2,22 @@
 
 Two-phase design (the stateful-dictionary decoder of SURVEY.md §2.4 T4):
 
-1. A cheap sequential *structure scan* per record walks only tags and
-   length prefixes (a handful of Python steps per record — no value
+1. A *structure scan* walks only tags and length prefixes (no value
    decoding), collecting spans for id / properties / geometry / bbox.
+   It has two walks with equal results: a record-at-a-time scalar walk,
+   which costs a few microseconds per record, and a lockstep vectorised
+   walk over all records, which costs about a millisecond nearly
+   whatever the record count.  A batch of at most
+   ``_SCALAR_MAX_RECORDS`` records takes the scalar walk, so a
+   key-addressed read of a few features costs a few features' work.
 2. All value decoding is batch-vectorized numpy: one varint stream
    decode over every record's geometry bytes at once, zigzag + exact
    int64 segmented cumsum for the per-ring delta accumulator
-   (geom.go:127-157), and per-type gathers for property values.
+   (geom.go:127-157), and per-type gathers for property values.  The
+   ring / polygon count walk splits by batch size the same way.
+
+Corrupt input fails closed: a check raises ValueError naming a
+record; no walk reads past its record or stalls on a count.
 
 The reference decodes per feature with float accumulation then a
 half-up round to 7 dp (geom.go:78-90).  We accumulate the quantized
@@ -55,32 +64,78 @@ def _binary_parts(records) -> tuple[np.ndarray, np.ndarray]:
     return data, offs
 
 
+# 256-entry lookup tables over a byte (a field tag, a value tag or a
+# geometry type): one gather where np.isin / np.select would sort or
+# branch, which costs tens of microseconds on a batch of a few records
+def _byte_table(members, values=True, dtype=bool) -> np.ndarray:
+    t = np.zeros(256, dtype)
+    t[list(members)] = values
+    return t
+
+
+_KNOWN_TAG = _byte_table((0x08, 0x12, 0x18, 0x22, 0x2A))
+_VALUE_WIDTH = _byte_table((_T_F64, _T_F32, _T_BOOL), (8, 4, 1), np.int64)
+_GEOM_TYPE = _byte_table((POINT, MULTIPOINT, LINESTRING, POLYGON,
+                          MULTILINESTRING, MULTIPOLYGON))
+_ONE_LEVEL = _byte_table((POLYGON, MULTILINESTRING))
+_HAS_PREFIX = _byte_table((POLYGON, MULTILINESTRING, MULTIPOLYGON))
+
+# batches of at most this many records take the scalar structure walk
+# (see _structure_scan; set from tools/codec_vs_json.py --batch-sizes)
+_SCALAR_MAX_RECORDS = 128
+
+
 class _UnknownTag(Exception):
     pass
 
 
-def _check_spans(scan: dict, pos: np.ndarray, end: np.ndarray) -> dict:
+def _check_spans(scan: dict, cut: np.ndarray) -> dict:
     """Raise ValueError naming the first record whose last field runs
-    past the record (``pos`` is where each record's walk stopped), or
-    whose property key or value runs past its keyvalue field: a corrupt
-    length varint would otherwise read the next record's bytes (or
-    bytes past the data).  Fixed-width values need 8 / 4 / 1 bytes;
-    strings and varints span to the field's end."""
+    past the record (``cut`` lists the records whose walk stopped past
+    their end), or whose property key or value runs past its keyvalue
+    field: a corrupt length varint would otherwise read the next
+    record's bytes (or bytes past the data).  Fixed-width values need
+    8 / 4 / 1 bytes; strings and varints span to the field's end."""
     rec = scan["p_rec"]
     ks, kl = scan["p_kstart"], scan["p_klen"]
-    vt, vs, ve = scan["p_vtag"], scan["p_vstart"], scan["p_vend"]
-    width = np.select([vt == _T_F64, vt == _T_F32, vt == _T_BOOL],
-                      [8, 4, 1], 0)
+    vs, ve = scan["p_vstart"], scan["p_vend"]
+    width = _VALUE_WIDTH[scan["p_vtag"]]
     bad = (kl < 0) | (kl > ve - ks) | (vs > ve - width)
-    bad_recs = np.concatenate((np.flatnonzero(pos > end), rec[bad]))
+    bad_recs = np.concatenate((cut, rec[bad]))
     if len(bad_recs):
         raise ValueError(f"a field of record {int(bad_recs.min())} runs "
                          f"past the end of the record")
     return scan
 
 
+def _wide_varint(rec) -> ValueError:
+    return ValueError(f"a varint of record {int(rec)} needs more than "
+                      f"64 bits")
+
+
+def _gather(data: np.ndarray, pos: np.ndarray, rec: np.ndarray):
+    """``gather_varints`` that raises ValueError naming the record
+    (``rec[k]`` for ``pos[k]``) of the first varint needing more than
+    64 bits."""
+    v, nb = vi.gather_varints(data, pos)
+    if len(nb) and nb.min() == 0:
+        raise _wide_varint(rec[np.argmin(nb)])
+    return v, nb
+
+
 def _structure_scan(data: np.ndarray, offs: np.ndarray):
-    """Walk tags/lengths of every record; no value decoding."""
+    """Walk tags/lengths of every record; no value decoding.
+
+    A batch of at most ``_SCALAR_MAX_RECORDS`` records takes the scalar
+    walk, whose cost is a few microseconds per record; a larger one
+    takes the lockstep vectorised walk, whose cost is nearly flat in
+    the record count (0.7-0.9 ms from one record to a few hundred on a
+    1-vCPU host), and falls back to the scalar walk on a tag the writer
+    never emits.  Both walks return equal span tables; on a corrupt
+    record both raise ValueError naming a record.
+    """
+    if len(offs) - 1 <= _SCALAR_MAX_RECORDS:
+        return _structure_scan_scalar(data, offs)
     try:
         return _structure_scan_vec(data, offs)
     except _UnknownTag:
@@ -113,7 +168,7 @@ def _structure_scan_vec(data: np.ndarray, offs: np.ndarray):
         if guard > 10_000:  # malformed input: bail to scalar error paths
             raise _UnknownTag
         tags = data[pos[act]]
-        if not np.isin(tags, (0x08, 0x12, 0x18, 0x22, 0x2A)).all():
+        if not _KNOWN_TAG[tags].all():
             raise _UnknownTag
         s18 = tags == 0x18
         if s18.any():
@@ -126,7 +181,7 @@ def _structure_scan_vec(data: np.ndarray, offs: np.ndarray):
         if rest.any():
             ri = act[rest]
             rp = pos[ri] + 1
-            v, nb = vi.gather_varints(data, rp)
+            v, nb = _gather(data, rp, ri)
             after = rp + nb
             # capped: a length past 2^63 must not wrap negative
             vlen = np.minimum(v, len(data)).astype(np.int64)
@@ -152,7 +207,7 @@ def _structure_scan_vec(data: np.ndarray, offs: np.ndarray):
                 pend = pstart + vlen[m]
                 # key: 0x0A varint(klen) bytes (tag byte not re-checked,
                 # matching the scalar walk)
-                kl, knb = vi.gather_varints(data, pstart + 1)
+                kl, knb = _gather(data, pstart + 1, reci)
                 ks = pstart + 1 + knb
                 # a key length past 2^63 wraps negative: flag its record
                 kl = kl.astype(np.int64)
@@ -160,13 +215,18 @@ def _structure_scan_vec(data: np.ndarray, offs: np.ndarray):
                 vp = np.where(wrap, pend, ks + kl)
                 cap = len(data) - 1
                 valid = (vp < pend) & (data[np.minimum(vp, cap)] == 0x12)
-                vl, vnb = vi.gather_varints(data, vp + 1)
+                # the value length is read only where the key is
+                # followed by a value (as in the scalar walk)
+                _, vnb = vi.gather_varints(data, vp + 1)
+                wide = valid & (vnb == 0)
+                if wide.any():
+                    raise _wide_varint(reci[np.argmax(wide)])
                 vtag_pos = vp + 1 + vnb
                 vtag = data[np.minimum(vtag_pos, cap)].astype(np.int64)
                 vs = vtag_pos + 1
                 is_str = valid & (vtag == _T_STRING)
                 if is_str.any():
-                    _, snb = vi.gather_varints(data, vs[is_str])
+                    _, snb = _gather(data, vs[is_str], reci[is_str])
                     vs = vs.copy()
                     vs[is_str] += snb
                 sel = np.flatnonzero(valid)
@@ -205,116 +265,175 @@ def _structure_scan_vec(data: np.ndarray, offs: np.ndarray):
         "p_vtag": p_vt,
         "p_vstart": p_vs,
         "p_vend": p_ve,
-    }, pos, end)
+    }, np.flatnonzero(pos > end))
+
+
+def _varint_tail(mv: bytes, pos: int, v: int, rec: int) -> tuple[int, int]:
+    """Finish a varint whose first byte ``v`` (already read) continues;
+    ``pos`` is the next byte.  Raises ValueError naming record ``rec``
+    when the value needs more than 64 bits."""
+    v &= 0x7F
+    shift = 7
+    while True:
+        b = mv[pos]
+        pos += 1
+        v |= (b & 0x7F) << shift
+        if b < 0x80:
+            if v >> 64:
+                raise _wide_varint(rec)
+            return v, pos
+        shift += 7
+        if shift == 70:
+            raise _wide_varint(rec)
 
 
 def _structure_scan_scalar(data: np.ndarray, offs: np.ndarray):
-    """Scalar fallback walk (handles unknown fields by wire type).
+    """Record-at-a-time field walk (handles unknown fields by wire type).
 
-    Returns dict of numpy arrays describing spans (see keys below).
+    One-byte varints, nearly all of them, are read inline; longer ones
+    finish in ``_varint_tail`` and, as lengths, are capped at the data's
+    size.  A key length past 2^63 stops its record, as in the vectorised
+    walk, so both return the same span tables.  Returns dict of numpy
+    arrays describing spans (see keys below).
     """
-    mv = data.tobytes()  # bytes: fastest scalar indexing in CPython
     n = len(offs) - 1
-    ids = np.full(n, -1, np.int64)  # -1 = absent
-    has_id = np.zeros(n, bool)
-    geomcode = np.zeros(n, np.int16)
-    geom_start = np.zeros(n, np.int64)
-    geom_end = np.zeros(n, np.int64)
-    bbox_start = np.full(n, -1, np.int64)
-    # property value records: (record idx, key_start, key_len, vtag, val_start, val_end)
-    p_rec: list[int] = []
-    p_kstart: list[int] = []
-    p_klen: list[int] = []
-    p_vtag: list[int] = []
-    p_vstart: list[int] = []
-    p_vend: list[int] = []
-    dv = vi.decode_varint_scalar
-    stop = np.zeros(n, np.int64)
+    total = len(data)
+    base = int(offs[0]) if n else 0
+    # bytes: fastest scalar indexing in CPython; only the batch's span
+    mv = data[base:int(offs[-1])].tobytes() if n else b""
+    bounds = (offs - base).tolist()
+    ids = [-1] * n  # -1 = absent
+    has_id = [False] * n
+    geomcode = [0] * n
+    geom_start = [0] * n
+    geom_end = [0] * n
+    bbox_start = [-1] * n
+    # one (record, key start, key length, value tag, value start,
+    # keyvalue end) row per property value
+    props: list[tuple] = []
+    cut: list[int] = []
+    tail = _varint_tail
 
     for i in range(n):
-        pos = int(offs[i])
-        end = int(offs[i + 1])
+        pos = bounds[i]
+        end = bounds[i + 1]
         try:
             while pos < end:
                 tag = mv[pos]
-                pos += 1
-                if tag == 0x08:  # id varint
-                    v, pos = dv(mv, pos)
-                    # wrap to int64 like the vectorized scan (ids >= 2^63
-                    # are negative ids as written by the encoder)
-                    ids[i] = v - (1 << 64) if v >= (1 << 63) else v
-                    has_id[i] = True
-                elif tag == 0x12:  # property keyvalue
-                    ln, pos = dv(mv, pos)
+                if tag == 0x12:  # property keyvalue
+                    ln = mv[pos + 1]
+                    pos += 2
+                    if ln >= 0x80:
+                        ln, pos = tail(mv, pos, ln, i)
+                        ln = min(ln, total)
                     pend = pos + ln
                     # 0x0A varint(klen) key
-                    kl, kp = dv(mv, pos + 1)
-                    ks = kp
-                    vp = kp + kl
+                    kl = mv[pos + 1]
+                    ks = pos + 2
+                    if kl >= 0x80:
+                        kl, ks = tail(mv, ks, kl, i)
+                        if kl >> 63:  # wraps negative as an int64
+                            pos = end + 1
+                            break
+                    vp = ks + kl
                     # value: 0x12 varint(vlen) inner
                     if vp < pend and mv[vp] == 0x12:
-                        vl, vp = dv(mv, vp + 1)
+                        vl = mv[vp + 1]
+                        vp += 2
+                        if vl >= 0x80:
+                            vl, vp = tail(mv, vp, vl, i)
                         vtag = mv[vp]
                         vs = vp + 1
                         if vtag == _T_STRING:
-                            sl, vs = dv(mv, vs)
-                        p_rec.append(i)
-                        p_kstart.append(ks)
-                        p_klen.append(kl)
-                        p_vtag.append(vtag)
-                        p_vstart.append(vs)
-                        p_vend.append(pend)
+                            sl = mv[vs]
+                            vs += 1
+                            if sl >= 0x80:
+                                sl, vs = tail(mv, vs, sl, i)
+                        props.append((i, ks, kl, vtag, vs, pend))
                     pos = pend
-                elif tag == 0x18:  # geomcode
-                    geomcode[i] = mv[pos]
+                    continue
+                if tag == 0x18:  # geomcode
+                    geomcode[i] = mv[pos + 1]
+                    pos += 2
+                    continue
+                wt = tag & 7
+                pos += 1
+                if wt == 0 or wt == 2:
+                    v = mv[pos]
                     pos += 1
-                elif tag == 0x22:  # packed geometry
-                    ln, pos = dv(mv, pos)
-                    geom_start[i] = pos
-                    geom_end[i] = pos + ln
-                    pos += ln
-                elif tag == 0x2A:  # bbox
-                    ln, pos = dv(mv, pos)
-                    bbox_start[i] = pos
-                    pos += ln
-                else:  # unknown field: skip by wire type
-                    wt = tag & 7
-                    if wt == 0:
-                        _, pos = dv(mv, pos)
-                    elif wt == 2:
-                        ln, pos = dv(mv, pos)
-                        pos += ln
-                    elif wt == 5:
-                        pos += 4
-                    elif wt == 1:
-                        pos += 8
-                    else:
-                        raise ValueError(f"bad wire type {wt} in record {i}")
+                    if v >= 0x80:
+                        v, pos = tail(mv, pos, v, i)
+                        if wt == 2:
+                            v = min(v, total)
+                    if tag == 0x08:  # id varint
+                        # wrap to int64 like the vectorized scan (ids >=
+                        # 2^63 are negative ids as written by the encoder)
+                        ids[i] = v - (1 << 64) if v >> 63 else v
+                        has_id[i] = True
+                    elif tag == 0x22:  # packed geometry
+                        geom_start[i] = pos + base
+                        pos += v
+                        geom_end[i] = pos + base
+                    elif tag == 0x2A:  # bbox
+                        bbox_start[i] = pos + base
+                        pos += v
+                    elif wt == 2:  # unknown length-delimited field
+                        pos += v
+                elif wt == 5:  # unknown fixed-width fields
+                    pos += 4
+                elif wt == 1:
+                    pos += 8
+                else:
+                    raise ValueError(f"bad wire type {wt} in record {i}")
         except IndexError:  # a field cut short by the data's end
             pos = end + 1
-        stop[i] = min(pos, end + 1)  # a huge length overflows int64
+        if pos > end:
+            cut.append(i)
+    i64 = np.int64
+    p = np.array(props, i64).reshape(-1, 6)
+    if base:
+        p[:, [1, 4, 5]] += base
+    p_rec, p_ks, p_kl, p_vt, p_vs, p_ve = np.ascontiguousarray(p.T)
     return _check_spans({
-        "ids": ids,
-        "has_id": has_id,
-        "geomcode": geomcode,
-        "geom_start": geom_start,
-        "geom_end": geom_end,
-        "bbox_start": bbox_start,
-        "p_rec": np.asarray(p_rec, np.int64),
-        "p_kstart": np.asarray(p_kstart, np.int64),
-        "p_klen": np.asarray(p_klen, np.int64),
-        "p_vtag": np.asarray(p_vtag, np.int64),
-        "p_vstart": np.asarray(p_vstart, np.int64),
-        "p_vend": np.asarray(p_vend, np.int64),
-    }, stop, offs[1:])
+        "ids": np.array(ids, i64),
+        "has_id": np.array(has_id, bool),
+        "geomcode": np.array(geomcode, np.int16),
+        "geom_start": np.array(geom_start, i64),
+        "geom_end": np.array(geom_end, i64),
+        "bbox_start": np.array(bbox_start, i64),
+        "p_rec": p_rec,
+        "p_kstart": p_ks,
+        "p_klen": p_kl,
+        "p_vtag": p_vt,
+        "p_vstart": p_vs,
+        "p_vend": p_ve,
+    }, np.array(cut, i64))
+
+
+def _count_past_record(rec) -> ValueError:
+    return ValueError(f"a ring or polygon count of record {int(rec)} runs "
+                      f"past the end of the record")
+
+
+def _checked_counts(values, p, e, sel, walk) -> np.ndarray:
+    """The ring / polygon counts at ``p[sel]`` as int64.  Each needs at
+    least that many values after it in its record: a larger count (one
+    of 2^63 or more would wrap negative and stall the walk) raises
+    ValueError naming the record."""
+    ps = p[sel]
+    cnt = values[ps]
+    bad = cnt > (e[sel] - ps - 1).astype(_U64)
+    if bad.any():
+        raise _count_past_record(walk[sel[bad.argmax()]])
+    return cnt.astype(np.int64)
 
 
 def _prefix_walk_vec(values, rec_val_starts, rec_val_ends, gtype, dim, n):
     """Vectorized ring/poly prefix walk over the decoded value stream.
 
-    Replaces the per-record Python walk for prefixed geometry types
-    (Polygon / MultiLineString / MultiPolygon, geom.go:95-157): all
-    records advance in lockstep rounds — round r consumes the r-th
+    The large-batch twin of ``_prefix_walk_scalar`` for prefixed
+    geometry types (Polygon / MultiLineString / MultiPolygon,
+    geom.go:95-157): all records advance in lockstep rounds — round r consumes the r-th
     ring (or poly) prefix of every still-active record with pure numpy
     gathers, so the Python iteration count is the MAX nesting depth of
     any one record, not the record count.  Emission order is restored
@@ -323,17 +442,14 @@ def _prefix_walk_vec(values, rec_val_starts, rec_val_ends, gtype, dim, n):
     Returns ``(vertex_values, ring_sizes_flat, rec_nrings,
     poly_sizes_flat, rec_npolys)`` identical to the scalar walk.
     """
-    bad = np.flatnonzero(
-        (rec_val_ends > rec_val_starts)
-        & ~np.isin(gtype, (POINT, MULTIPOINT, LINESTRING,
-                           POLYGON, MULTILINESTRING, MULTIPOLYGON)))
+    bad = np.flatnonzero((rec_val_ends > rec_val_starts) & ~_GEOM_TYPE[gtype])
     if len(bad):
         raise ValueError(f"bad geom type {gtype[bad[0]]} in record {bad[0]}")
 
     nvals = rec_val_ends - rec_val_starts
     active = nvals > 0
     is_mp = gtype == MULTIPOLYGON
-    is_1lvl = np.isin(gtype, (POLYGON, MULTILINESTRING))
+    is_1lvl = _ONE_LEVEL[gtype]
     is_flat = active & ~is_mp & ~is_1lvl  # Point/LineString/MultiPoint
 
     # ring entries: (record, value position, ring size)
@@ -368,7 +484,7 @@ def _prefix_walk_vec(values, rec_val_starts, rec_val_ends, gtype, dim, n):
         # phase A: MultiPolygon records at a poly boundary read nrings
         pa_sel = np.flatnonzero(live & mp & (rings_left == 0))
         if len(pa_sel):
-            nr = values[p[pa_sel]].astype(np.int64)
+            nr = _checked_counts(values, p, e, pa_sel, walk)
             mp_rec_parts.append(walk[pa_sel])
             mp_pos_parts.append(p[pa_sel].copy())
             mp_size_parts.append(nr)
@@ -379,7 +495,7 @@ def _prefix_walk_vec(values, rec_val_starts, rec_val_ends, gtype, dim, n):
         pb_sel = np.flatnonzero(
             (p < e) & (~mp | (rings_left > 0)))
         if len(pb_sel):
-            cnt = values[p[pb_sel]].astype(np.int64)
+            cnt = _checked_counts(values, p, e, pb_sel, walk)
             r_rec_parts.append(walk[pb_sel])
             r_pos_parts.append(p[pb_sel].copy())
             # a 0 prefix is a genuinely EMPTY ring (the encoder writes
@@ -413,6 +529,62 @@ def _prefix_walk_vec(values, rec_val_starts, rec_val_ends, gtype, dim, n):
         vertex_mask[np.concatenate(prefix_parts)] = False
     return (values[vertex_mask], ring_sizes_flat, rec_nrings,
             poly_sizes_flat, rec_npolys)
+
+
+def _prefix_walk_scalar(values, rec_val_starts, rec_val_ends, gtype, dim, n):
+    """Record-at-a-time twin of ``_prefix_walk_vec`` for small batches:
+    the same outputs and the same checks."""
+    vals = values.tolist()
+    starts = rec_val_starts.tolist()
+    ends = rec_val_ends.tolist()
+    gts = gtype.tolist()
+    dims = dim.tolist()
+    ring_sizes: list[int] = []
+    poly_sizes: list[int] = []
+    prefix: list[int] = []
+    rec_nrings = [0] * n
+    rec_npolys = [0] * n
+    for i in range(n):
+        p, e, g = starts[i], ends[i], gts[i]
+        if p >= e:
+            continue
+        if not _GEOM_TYPE[g]:
+            raise ValueError(f"bad geom type {g} in record {i}")
+        d = max(dims[i], 1)
+        if not _HAS_PREFIX[g]:  # one ring, all values are vertices
+            ring_sizes.append(1 if g == POINT else (e - p) // d)
+            rec_nrings[i] = rec_npolys[i] = 1
+            poly_sizes.append(1)
+            continue
+        mp = g == MULTIPOLYGON
+        nrings = npolys = rings_left = 0
+        while p < e:
+            cnt = vals[p]
+            if cnt > e - p - 1:
+                raise _count_past_record(i)
+            prefix.append(p)
+            p += 1
+            if mp and rings_left == 0:  # a poly's ring count
+                rings_left = cnt
+                poly_sizes.append(cnt)
+                npolys += 1
+                continue
+            ring_sizes.append(cnt // d)  # a ring's value count
+            p += cnt
+            nrings += 1
+            rings_left -= 1
+        rec_nrings[i] = nrings
+        if mp:
+            rec_npolys[i] = npolys
+        else:
+            rec_npolys[i] = 1
+            poly_sizes.append(nrings)
+    vertex_mask = np.ones(len(vals), bool)
+    vertex_mask[prefix] = False
+    i64 = np.int64
+    return (values[vertex_mask], np.array(ring_sizes, i64),
+            np.array(rec_nrings, i64), np.array(poly_sizes, i64),
+            np.array(rec_npolys, i64))
 
 
 def _decode_geometries(data, offs, scan):
@@ -452,7 +624,7 @@ def _decode_geometries(data, offs, scan):
     dim = np.where(gtype == POINT, np.minimum(dim, 2), dim)
 
     nvals_per_rec = rec_val_ends - rec_val_starts
-    has_prefix = np.isin(gtype, (POLYGON, MULTILINESTRING, MULTIPOLYGON))
+    has_prefix = _HAS_PREFIX[gtype]
     if not (has_prefix & (nvals_per_rec > 0)).any():
         # fast path — no ring/poly count prefixes in the batch (Point/
         # LineString/MultiPoint): every value is a vertex value and the
@@ -478,9 +650,20 @@ def _decode_geometries(data, offs, scan):
         vals64 = values.astype(np.uint64)
         if len(big_idx):
             vals64[big_idx] = big_vals
+        walk = (_prefix_walk_scalar if n <= _SCALAR_MAX_RECORDS
+                else _prefix_walk_vec)
         (vvals, ring_sizes_flat, rec_nrings,
-         poly_sizes_flat, rec_npolys) = _prefix_walk_vec(
+         poly_sizes_flat, rec_npolys) = walk(
             vals64, rec_val_starts, rec_val_ends, gtype, dim, n)
+        if int(poly_sizes_flat.sum()) != len(ring_sizes_flat):
+            # a MultiPolygon's ring counts claim rings its geometry
+            # does not hold
+            claim = np.bincount(np.repeat(np.arange(n), rec_npolys),
+                                weights=poly_sizes_flat, minlength=n)
+            bad = np.flatnonzero(claim != rec_nrings)[0]
+            raise ValueError(
+                f"the polygons of record {bad} claim {int(claim[bad])} "
+                f"rings, its geometry holds {int(rec_nrings[bad])}")
         deltas = vi.zigzag_decode(vvals)
     ring_dim = np.repeat(dim, rec_nrings)
     ring_vals = ring_sizes_flat * ring_dim
@@ -565,19 +748,19 @@ def _decode_properties(data, scan, n) -> dict[str, pa.Array]:
     # resolve keys: gather key bytes, group identical keys
     klens = scan["p_klen"]
     kflat = vi.gather_spans(data, scan["p_kstart"], klens)
-    kends = np.cumsum(klens)
-    # one Arrow string column over (kflat, kends), dictionary-encoded:
+    # one Arrow string column over (kflat, key ends), dictionary-encoded:
     # grouping is an int-code compare; Python strings materialize only
     # for the (few) DISTINCT keys (round-2 judge finding #2 — the
     # per-property bytes.decode + object compare was the last scalar
     # hot spot in the decoder)
-    koffsets = np.concatenate(([0], kends)).astype(np.int32)
+    koffsets = np.zeros(len(klens) + 1, np.int32)
+    np.cumsum(klens, out=koffsets[1:])
     karr = pa.Array.from_buffers(
         pa.string(), len(klens),
-        [None, pa.py_buffer(koffsets.tobytes()), pa.py_buffer(kflat.tobytes())],
+        [None, pa.py_buffer(koffsets), pa.py_buffer(kflat)],
     )
     dct = karr.dictionary_encode()
-    codes = dct.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    codes = dct.indices.to_numpy()
     uniq = [b.decode("utf-8", "replace")
             for b in dct.dictionary.cast(pa.binary()).to_pylist()]
     out: dict[str, pa.Array] = {}
@@ -593,14 +776,11 @@ def _decode_properties(data, scan, n) -> dict[str, pa.Array]:
         cs = name_codes[key]
         sel = (np.flatnonzero(codes == cs[0]) if len(cs) == 1
                else np.flatnonzero(np.isin(codes, cs)))
-        recs = scan["p_rec"][sel]
         vtags = scan["p_vtag"][sel]
-        vstarts = scan["p_vstart"][sel]
-        vends = scan["p_vend"][sel]
         # decode by majority tag (a key should be single-typed per batch)
         tag = int(np.bincount(vtags).argmax())
-        dropped = int((vtags != tag).sum())
-        if dropped:
+        keep = vtags == tag
+        if not keep.all():
             # the reference's Go writer CAN emit per-feature mixed types
             # for one key (map values); a column must be single-typed,
             # so minority values null out — loudly, not silently
@@ -609,37 +789,39 @@ def _decode_properties(data, scan, n) -> dict[str, pa.Array]:
 
             warnings.warn(
                 f"geobuf decode: property {key!r} holds mixed value "
-                f"types in this batch; {dropped} minority-typed "
+                f"types in this batch; {int((~keep).sum())} minority-typed "
                 f"value(s) decoded as null",
                 stacklevel=2)
-        sel = sel[vtags == tag]
-        recs = recs[vtags == tag]
+            sel = sel[keep]
+        recs = scan["p_rec"][sel]
         vstarts = scan["p_vstart"][sel]
-        vends = scan["p_vend"][sel]
         if tag == _T_STRING:
-            slens = vends - vstarts
-            # vstart already points past the inner length varint; but vend is
-            # the end of the whole keyvalue — recompute string length from the
-            # varint before vstart is not kept, so use exact: string occupies
-            # [vstart, keyvalue_end) minus nothing (string is the last field)
+            # a string is the keyvalue's last field: it spans from past
+            # its length varint to the keyvalue's end
+            slens = scan["p_vend"][sel] - vstarts
             flat = vi.gather_spans(data, vstarts, slens)
-            offsets = np.concatenate(([0], np.cumsum(slens))).astype(np.int32)
+            offsets = np.zeros(len(slens) + 1, np.int32)
+            np.cumsum(slens, out=offsets[1:])
             vals = pa.Array.from_buffers(
                 pa.string(), len(slens),
-                [None, pa.py_buffer(offsets.tobytes()), pa.py_buffer(flat.tobytes())],
+                [None, pa.py_buffer(offsets), pa.py_buffer(flat)],
             )
         elif tag == _T_F64:
             idx = vstarts[:, None] + np.arange(8)
-            vals = pa.array(data[idx].copy().view("<f8").reshape(-1))
+            vals = pa.array(data[idx].view("<f8").reshape(-1))
         elif tag == _T_F32:
             idx = vstarts[:, None] + np.arange(4)
-            vals = pa.array(data[idx].copy().view("<f4").reshape(-1))
+            vals = pa.array(data[idx].view("<f4").reshape(-1))
         elif tag in (_T_INT, _T_UINT, _T_SINT):
-            vlens = vends - vstarts
-            flat = vi.gather_spans(data, vstarts, vlens)
-            uvals, _ = vi.varint_decode_stream(flat)
+            # one varint per value, which must end inside its field
+            uvals, nb = vi.gather_varints(data, vstarts)
+            bad = (nb == 0) | (nb > scan["p_vend"][sel] - vstarts)
+            if bad.any():
+                raise ValueError(
+                    f"property {key!r} of record {int(recs[bad.argmax()])} "
+                    f"runs past its field")
             if tag == _T_INT:
-                vals = pa.array(uvals.astype(np.int64))
+                vals = pa.array(uvals.view(np.int64))
             else:
                 # reference reads sint64 as plain uint64 too
                 # (read_feature.go:43-44)
@@ -653,6 +835,10 @@ def _decode_properties(data, scan, n) -> dict[str, pa.Array]:
 
 
 def _scatter_with_nulls(vals: pa.Array, recs: np.ndarray, n: int) -> pa.Array:
+    """Row ``recs[i]`` of the result is ``vals[i]``; other rows are null.
+    ``recs`` is ascending, so ``recs == arange(n)`` returns ``vals``."""
+    if len(recs) == n and (recs == np.arange(n)).all():
+        return vals
     indices = np.full(n, -1, np.int64)
     indices[recs] = np.arange(len(recs))
     idx_arr = pa.array(indices, type=pa.int64(), mask=indices < 0)
@@ -699,10 +885,11 @@ def decode_bbox(data: np.ndarray, bbox_start: np.ndarray) -> pa.Array:
     out_vals = np.zeros((n, 4), np.float64)
     if have.any():
         # each bbox is 4 back-to-back varints: four vectorized rounds
-        p = bbox_start[have].astype(np.int64)
-        vals = np.zeros((int(have.sum()), 4), np.int64)
+        recs = np.flatnonzero(have)
+        p = bbox_start[recs]
+        vals = np.zeros((len(recs), 4), np.int64)
         for j in range(4):
-            u, nb = vi.gather_varints(data, p)
+            u, nb = _gather(data, p, recs)
             vals[:, j] = vi.zigzag_decode(u)
             p += nb
         out_vals[have] = dequantize(vals.reshape(-1)).reshape(-1, 4)

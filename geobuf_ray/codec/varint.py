@@ -250,9 +250,10 @@ def gather_varints(buf: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.nda
 
     Vectorized: 10-byte window gather per position, terminator argmax,
     masked base-128 dot.  Returns ``(values uint64[n], nbytes
-    int64[n])``.  Positions must point at well-formed varints (the
-    structure scan guarantees this; truncated input yields garbage the
-    same way the reference's scanner would).
+    int64[n])``.  A varint whose value needs more than 64 bits (no
+    terminator in its 10 bytes, or a 10th byte above 1) gets
+    ``nbytes`` 0 and a meaningless value.  Positions past the end of
+    ``buf`` read its last byte.
     """
     n = len(pos)
     if n == 0:
@@ -281,6 +282,8 @@ def gather_varints(buf: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.nda
         hit = np.flatnonzero(done) if not done.all() else slice(None)
         values[rem[hit]] = v[hit]
         nbytes[rem[hit]] = first[hit] + 1
+        if width == _MAX_VARINT_BYTES:
+            nbytes[rem[~done | ((first == width - 1) & (w[:, -1] > 1))]] = 0
         rem = rem[~done] if not done.all() else rem[:0]
     return values, nbytes
 

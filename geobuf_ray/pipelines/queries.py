@@ -7189,6 +7189,8 @@ def tpch_q19(sf_dir: str):
         pprep, batch_format="pyarrow", zero_copy_batch=True))
     pk = pt["p_partkey"].to_numpy().astype(np.int64)
     case = pt["case"].to_numpy().astype(np.int64)
+    if len(pk) == 0:  # no part is in any case: no line item qualifies
+        return pa.table({"revenue_c2": pa.array([0], pa.int64())})
     order = np.argsort(pk)
     side_ref = ray.put((pk[order], case[order]))
     qlo = np.array([c[3] for c in cases], np.int64)
@@ -7199,9 +7201,8 @@ def tpch_q19(sf_dir: str):
         spk, scase = ray.get(side_ref)
         k = b["l_partkey"].to_numpy().astype(np.int64)
         pos = np.searchsorted(spk, k)
-        pos[pos == len(spk)] = max(len(spk) - 1, 0)
-        hit = (spk[pos] == k) if len(spk) \
-            else np.zeros(len(k), bool)
+        pos[pos == len(spk)] = len(spk) - 1
+        hit = spk[pos] == k
         qty = np.round(b["l_quantity"].to_numpy()).astype(np.int64)
         ci = np.where(hit, scase[pos], 0)
         ok = hit & (qty >= qlo[ci]) & (qty <= qhi[ci])

@@ -12,10 +12,13 @@ Targets (SURVEY.md §5, FIXTURES.md F1/F2/F4):
 
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from test_property_roundtrip import feature as random_feature
 
 from geobuf_ray.codec import decode as dc
 from geobuf_ray.codec import feature as fc
@@ -224,7 +227,7 @@ def test_property_type_coverage():
     assert out["b"].to_pylist() == [True, False]
 
 
-def test_vectorized_scan_matches_scalar_on_county():
+def test_vectorized_scan_matches_scalar_on_feature_corpus():
     """The lockstep vectorized structure scan must produce the exact
     span tables of the scalar walk on a real multi-feature stream (the
     suite's own corpus: every geometry type and property kind, empty
@@ -598,3 +601,134 @@ def test_int32_span_shortcut_boundary_matches_int64_path():
             got = dc.decode_batch(pa.array([fast], pa.binary()))
             xs = np.array(got["coords"][0].as_py()[0::2])
             assert (np.round(xs * 1e7).astype(np.int64) == q).all(), (quanta, frac)
+
+
+# The suite's corpus as records, and a batch size past the crossover
+# of the two structure walks: a batch of one record takes the scalar
+# walk, a batch of _BIG records the vectorised one.
+def _corpus_records() -> list[bytes]:
+    from feature_corpus import stream
+
+    return fc.scan_frames(stream()).to_pylist()
+
+
+_RECS = _corpus_records()
+_BIG = dc._SCALAR_MAX_RECORDS + 2
+# an id varint of 10 bytes whose value needs 70 bits, then a field the
+# writer never emits (field 2, varint 1)
+_OVERFLOW = bytes.fromhex("08" + "ff" * 9 + "7f" + "1001")
+
+
+def _in_big_batch(rec: bytes, at: int = 7) -> list[bytes]:
+    return _RECS[:at] + [rec] + _RECS[at:_BIG - 1]
+
+
+@pytest.mark.parametrize("rec", [_OVERFLOW, _OVERFLOW[:-2]],
+                         ids=["unknown_field_after", "alone"])
+def test_varint_past_64_bits_raises_value_error(rec):
+    """A 10-byte varint whose value needs more than 64 bits fails the
+    record as a ValueError naming it, from every entry point and with
+    either structure walk (an OverflowError from the scalar walk, or an
+    id of -1 from the vectorised walk, before)."""
+    for batch, at in (([rec], 0), (_in_big_batch(rec), 7)):
+        arr = pa.array(batch, pa.binary())
+        for fn in (dc.decode_batch, dc.read_bounding_boxes, dc.read_keys):
+            with pytest.raises(ValueError, match=f"record {at} needs"):
+                fn(arr)
+
+
+def _multipolygon(values: list[int]) -> bytes:
+    """A 2-D MultiPolygon record whose geometry is ``values``."""
+    from geobuf_ray.codec.varint import encode_varint_scalar as ev
+
+    geom = b"".join(ev(v) for v in values)
+    return bytes([0x18, 6, 0x22, len(geom)]) + geom
+
+
+@pytest.mark.parametrize("values,match", [
+    ([2**64 - 1, 2, 2], "count of record"),   # stalled the ring walk
+    ([2**63, 2, 2], "count of record"),
+    ([3, 2, 2, 2], "polygons of record"),    # 3 rings claimed, 1 held
+])
+def test_bad_ring_or_polygon_count_raises_value_error(values, match):
+    """A ring or polygon count that the record's geometry cannot hold
+    fails the record as a ValueError naming it, with either prefix
+    walk.  A count of 2^64 - 1 wrapped to -1 and looped forever."""
+    bad = _multipolygon(values)
+    for batch, at in (([bad], 0), (_in_big_batch(bad), 7)):
+        with pytest.raises(ValueError, match=f"{match} {at}"):
+            dc.decode_batch(pa.array(batch, pa.binary()))
+
+
+def _encoded(feats: list[dict]) -> list[bytes]:
+    from geobuf_ray.io import geojson as gj
+
+    if not feats:
+        return []
+    return fc.encode_batch(gj.features_to_table(feats)).to_pylist()
+
+
+@settings(max_examples=25, deadline=None)
+@given(feats=st.lists(random_feature, max_size=6),
+       size=st.sampled_from([1, dc._SCALAR_MAX_RECORDS - 1,
+                             dc._SCALAR_MAX_RECORDS,
+                             dc._SCALAR_MAX_RECORDS + 1]),
+       start=st.integers(0, len(_RECS) - 1))
+def test_structure_walks_agree(feats, size, start):
+    """Both structure walks return equal span tables on corpus and
+    generated records, at batch sizes around the crossover; and the
+    decoded table does not depend on which walk ran, nor on whether the
+    batch is a slice of a larger array."""
+    pool = _encoded(feats) + _RECS[start:] + _RECS[:start]
+    batch = (pool * (size // len(pool) + 1))[:size]
+    arr = pa.array(batch, pa.binary())
+    data, offs = dc._binary_parts(arr)
+    vec = dc._structure_scan_vec(data, offs)
+    scalar = dc._structure_scan_scalar(data, offs)
+    for k in vec:
+        assert vec[k].dtype == scalar[k].dtype, k
+        assert np.array_equal(vec[k], scalar[k]), k
+    with mock.patch.object(dc, "_SCALAR_MAX_RECORDS", 0):
+        by_vec = dc.decode_batch(arr, include_bbox=True)
+    with mock.patch.object(dc, "_SCALAR_MAX_RECORDS", size):
+        by_scalar = dc.decode_batch(arr, include_bbox=True)
+        sliced = pa.array([b"\x08\x01"] + batch, pa.binary()).slice(1)
+        assert dc.decode_batch(sliced, include_bbox=True).equals(by_scalar)
+    assert by_vec.equals(by_scalar)
+    assert dc.decode_batch(arr, include_bbox=True).equals(by_vec)
+
+
+@st.composite
+def _mutated(draw) -> bytes:
+    """A corpus record cut short, with 1-3 bits flipped, or with one
+    byte inserted."""
+    rec = _RECS[draw(st.integers(0, len(_RECS) - 1))]
+    kind = draw(st.sampled_from(["cut", "flip", "insert"]))
+    if kind == "cut":
+        return rec[:draw(st.integers(0, len(rec) - 1))]
+    if kind == "insert":
+        at = draw(st.integers(0, len(rec)))
+        return rec[:at] + bytes([draw(st.integers(0, 255))]) + rec[at:]
+    out = bytearray(rec)
+    for at, bit in draw(st.lists(st.tuples(st.integers(0, len(rec) - 1),
+                                           st.integers(0, 7)),
+                                 min_size=1, max_size=3)):
+        out[at] ^= 1 << bit
+    return bytes(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated())
+@example(_RECS[89][:3] + b"\x52" + _RECS[89][3:])
+@example(_OVERFLOW)
+def test_mutated_record_decodes_or_raises_value_error(bad):
+    """Fail-closed: a corrupted record, alone (the scalar walk) or in a
+    batch past the crossover (the vectorised walk), decodes or raises
+    ValueError from every entry point, and nothing else."""
+    for batch in ([bad], _in_big_batch(bad)):
+        arr = pa.array(batch, pa.binary())
+        for fn in (dc.decode_batch, dc.read_bounding_boxes, dc.read_keys):
+            try:
+                fn(arr)
+            except ValueError:
+                pass

@@ -1047,3 +1047,26 @@ def test_events_user_freq_cms_exact_counts_match_sql(ray_session,
     assert out["exact"].to_pylist() == [want.get(u, 0) for u in range(10)]
     assert sum(want.values()) > 0
     assert all(out["within_bound"].to_pylist())
+
+
+def test_tpch_q19_no_matching_part_is_zero_revenue(ray_session, tmp_path):
+    """When no part falls in any of Q19's brand/size cases, the
+    (partkey, case) map is empty and no line item qualifies: revenue is
+    0 (an index into the empty map failed the line item tasks)."""
+    import pyarrow.parquet as pq
+
+    from geobuf_ray.pipelines import queries as q
+
+    pq.write_table(pa.table({
+        "p_partkey": pa.array([1, 2, 3], pa.int64()),
+        "p_brand": ["Brand#11", "Brand#12", "Brand#99"],
+        "p_size": pa.array([3, 40, 5], pa.int32()),
+    }), tmp_path / "part.parquet")
+    pq.write_table(pa.table({
+        "l_partkey": pa.array([1, 2, 3, 2], pa.int64()),
+        "l_quantity": [5.0, 5.0, 5.0, 15.0],
+        "l_extendedprice": [100.0, 200.0, 300.0, 400.0],
+        "l_discount": [0.05, 0.0, 0.1, 0.02],
+    }), tmp_path / "lineitem.parquet")
+    out = q.tpch_q19(str(tmp_path))
+    assert out["revenue_c2"].to_pylist() == [0]

@@ -78,6 +78,19 @@ def test_scalar_varint_helpers():
         assert out == v and pos == len(b)
 
 
+def test_gather_varints_flags_values_past_64_bits():
+    """``gather_varints`` decodes every 64-bit value at any position and
+    gives ``nbytes`` 0 to a varint whose value needs more than 64 bits:
+    a 10th byte above 1, or no terminator in 10 bytes."""
+    good = [vi.encode_varint_scalar(v) for v in BOUNDARY]
+    wide = [b"\xff" * 9 + b"\x02", b"\x80" * 10 + b"\x00"]
+    buf = b"".join(good + wide)
+    starts = np.cumsum([0] + [len(b) for b in good + wide])[:-1]
+    vals, nb = vi.gather_varints(np.frombuffer(buf, np.uint8), starts)
+    assert vals[:len(good)].tolist() == list(BOUNDARY)
+    assert nb.tolist() == [len(b) for b in good] + [0, 0]
+
+
 def test_ramp_and_rowwise_concat():
     assert vi.ramp(np.array([3, 0, 2])).tolist() == [0, 1, 2, 0, 1]
     seg_a = (np.frombuffer(b"abcde", np.uint8), np.array([2, 0, 3]))

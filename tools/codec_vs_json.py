@@ -22,7 +22,12 @@ the same N features (default 8,000 LineStrings of 8 vertices) are
 encoded in consecutive slices of each batch size, then each slice is
 framed, scanned back and decoded, and the line reports the best-of-3
 microseconds per feature of every kernel at every size.  A small
-batch pays the per-call cost over few features.
+batch pays the per-call cost over few features.  The line also
+reports each of the decoder's two structure walks on every slice:
+``scan_vec_us`` (the lockstep vectorised walk) and ``scan_scalar_us``
+(the record-at-a-time walk), best-of-3 microseconds per call.  The
+decoder sends a batch to the scalar walk up to the largest size at
+which it is the faster one (``decode._SCALAR_MAX_RECORDS``).
 
 ``--geojson-read`` measures the GeoJSON read kernel that feeds the
 encoder: N features (default 20,000 LineStrings of 32 vertices) are
@@ -140,10 +145,12 @@ def run_concurrent(procs: int, n: int, v: int) -> None:
 def run_batch_sizes(sizes: list[int], n: int, v: int) -> None:
     """Microseconds per feature when N features go through each codec
     kernel in slices of each batch size (one call per slice): encode,
-    frame (``frame_records``), scan (``scan_frames``) and decode."""
+    frame (``frame_records``), scan (``scan_frames``) and decode; and
+    microseconds per call of each structure walk of the decoder."""
     tbl = parse_features_batch([json.dumps(f) for f in build_features(n, v)])
     prop_cols = [c for c in tbl.column_names if c not in GEOM_COLS]
     secs = {k: {} for k in ("encode", "frame", "scan", "decode")}
+    scan_us = {"vec": {}, "scalar": {}}  # per call, not per feature
     for size in sizes:
         slices = [tbl.slice(i, size) for i in range(0, n, size)]
         best, encs = best_of(3, lambda: [
@@ -158,10 +165,17 @@ def run_batch_sizes(sizes: list[int], n: int, v: int) -> None:
         best, _ = best_of(3, lambda: [
             decode.decode_batch(e) for e in encs])
         secs["decode"][str(size)] = best
+        parts = [decode._binary_parts(e) for e in encs]
+        for walk, fn in (("vec", decode._structure_scan_vec),
+                         ("scalar", decode._structure_scan_scalar)):
+            best, _ = best_of(3, lambda: [fn(d, o) for d, o in parts])
+            scan_us[walk][str(size)] = round(best / len(parts) * 1e6, 1)
     line = {"mode": "batch_sizes", "n": n, "vertices": v}
     for kernel, per_size in secs.items():
         line[f"{kernel}_us_per_feature"] = {
             size: round(s / n * 1e6, 2) for size, s in per_size.items()}
+    for walk, per_size in scan_us.items():
+        line[f"scan_{walk}_us"] = per_size
     print(json.dumps(line))
 
 
