@@ -306,7 +306,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "audio_silence_segments": q.audio_silence_segments,
         "orders_zonemap_scan": q.orders_zonemap_scan,
         "docs_skipgram_top": q.docs_skipgram_top,
-        "events_last_order_asof_broadcast": q.events_last_order_asof_broadcast,
         "images_sharpness": q.images_sharpness,
         "customers_rfm": q.customers_rfm,
         "images_quarantine_decode": q.images_quarantine_decode,
@@ -414,7 +413,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "tpch_q2": q.tpch_q2,
         "tpch_q16": q.tpch_q16,
         "tpch_q20": q.tpch_q20,
-        "lineitem_price_band_broadcast": q.lineitem_price_band_broadcast,
         "events_last_order_asof": q.events_last_order_asof,
         "orders_next_order_asof": q.orders_next_order_asof,
         "segments_intersect_pairs": q.segments_intersect_pairs,
@@ -3023,22 +3021,6 @@ def oracle_sql() -> dict[str, str]:
              AND CAST(round(l_extendedprice * 100) AS BIGINT) < hi_cents
             GROUP BY band_id
         """,
-        "lineitem_price_band_broadcast": """
-            WITH bands AS (
-                SELECT s_suppkey AS band_id,
-                       (s_suppkey * 9973) % 9000000 AS lo_cents,
-                       (s_suppkey * 9973) % 9000000
-                         + 50000 + (s_suppkey % 13) * 10000 AS hi_cents
-                FROM supplier)
-            SELECT band_id,
-                   COUNT(*) AS n_items,
-                   CAST(SUM(CAST(round(l_extendedprice * 100) AS BIGINT))
-                        AS BIGINT) AS sum_cents
-            FROM lineitem JOIN bands
-              ON CAST(round(l_extendedprice * 100) AS BIGINT) >= lo_cents
-             AND CAST(round(l_extendedprice * 100) AS BIGINT) < hi_cents
-            GROUP BY band_id
-        """,
         "events_last_order_asof": """
             SELECT event_id, user_id, o_orderkey FROM (
                 SELECT e.event_id, e.user_id, o.o_orderkey,
@@ -5568,17 +5550,6 @@ def oracle_sql() -> dict[str, str]:
                        ORDER BY cnt DESC, a, b) AS BIGINT) AS rank,
                    a, b, cnt
             FROM prs ORDER BY cnt DESC, a, b LIMIT 20
-        """,        "events_last_order_asof_broadcast": """
-            SELECT event_id, user_id, o_orderkey FROM (
-                SELECT e.event_id, e.user_id, o.o_orderkey,
-                       row_number() OVER (
-                           PARTITION BY e.event_id
-                           ORDER BY o.o_orderdate DESC, o.o_orderkey DESC
-                       ) AS rn
-                FROM events e
-                JOIN orders o ON o.o_custkey = e.user_id
-                             AND o.o_orderdate <= CAST(e.ts AS DATE)
-            ) WHERE rn = 1
         """,
         "customers_rfm": """
             WITH c AS (SELECT o_custkey,

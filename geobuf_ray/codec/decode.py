@@ -603,11 +603,10 @@ def _decode_geometries(data, offs, scan):
     # decode + zigzag stay uint32/int32 — half the memory traffic on
     # the hottest full-stream passes.  The exceptions (each ring's
     # first vertex is an absolute ~1e9-quantum delta needing 5 bytes)
-    # ride the split_big side channel instead of upcasting the whole
+    # ride the big-lane side channel instead of upcasting the whole
     # stream to uint64 (measured ~16 ms/20k-feature block saved on
     # zigzag alone)
-    values, voffs, big_idx, big_vals = vi.varint_decode_stream(
-        gflat, prefer32=True, split_big=True)
+    values, voffs, big_idx, big_vals = vi.varint_decode_stream(gflat)
     # map each value to its record: record geometry byte boundaries
     rec_byte_ends = np.cumsum(geom_lens)
     # value index range per record

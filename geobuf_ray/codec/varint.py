@@ -35,8 +35,8 @@ def zigzag_encode(values: np.ndarray) -> np.ndarray:
 
 def zigzag_decode(values: np.ndarray) -> np.ndarray:
     """uint64 zigzag -> int64 (uint32 in, int32 out — half-width
-    streams from ``varint_decode_stream(prefer32=True)`` stay
-    half-width; consumers upcast at their accumulate step)."""
+    streams from ``varint_decode_stream`` stay half-width; consumers
+    upcast at their accumulate step)."""
     # (u >> 1) ^ -(u & 1) in signed space (views are free; one fewer
     # full-array pass than the ~x + 1 formulation)
     if values.dtype == np.uint32:
@@ -117,37 +117,26 @@ def varint_encode(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def varint_decode_stream(
-    buf: np.ndarray, prefer32: bool = False, split_big: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+    buf: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Decode a flat byte stream of back-to-back varints.
 
-    Returns ``(values uint64[n], value_start_offsets int64[n])`` —
-    ``value_start_offsets[i]`` is the byte offset where value i begins.
-    The stream must end exactly on a value boundary.
+    Returns ``(values_u32, start_offsets, big_idx, big_vals_u64)``;
+    ``start_offsets[i]`` is the byte offset where value i begins.  The
+    stream must end exactly on a value boundary.
 
-    ``prefer32=True`` accumulates in uint32 and returns a uint32 array
-    when every value fits 4 varint bytes (< 2^28 — true of all real
-    geometry delta streams): half the memory traffic on the hot
-    accumulation passes.  Falls back to uint64 transparently the
-    moment any value needs a 5th byte, so callers only need to accept
-    either dtype.
-
-    ``split_big=True`` (with ``prefer32``) returns a 4-tuple
-    ``(values_u32, start_offsets, big_idx, big_vals_u64)`` instead of
-    upcasting: the rare >= 5-byte lanes (a geometry stream's ring-
-    start absolute deltas — ~1 per ring among dim·vertices values)
-    carry their exact value in the ``big_vals`` side channel while
-    the bulk stays uint32, so downstream zigzag/cumsum run at half
-    width with an O(rings) patch (measured ~8x cheaper than the
+    The bulk accumulates in uint32 (values < 2^28, 4 varint bytes —
+    true of all but ~1 per ring of a geometry delta stream): half the
+    memory traffic on the hot accumulation passes.  The rare >= 5-byte
+    lanes (a ring start's absolute delta) carry their exact value in
+    the ``big_vals`` side channel, so downstream zigzag/cumsum run at
+    half width with an O(rings) patch (measured ~8x cheaper than the
     full-width pipeline).  ``values[big_idx]`` holds only the low 28
     bits — callers MUST patch before use."""
-    split_big = split_big and prefer32
     b = np.ascontiguousarray(buf, dtype=np.uint8)
     if len(b) == 0:
-        if split_big:
-            return (np.empty(0, np.uint32), np.empty(0, np.int64),
-                    np.empty(0, np.int64), np.empty(0, _U64))
-        return np.empty(0, _U64), np.empty(0, np.int64)
+        return (np.empty(0, np.uint32), np.empty(0, np.int64),
+                np.empty(0, np.int64), np.empty(0, _U64))
     # terminator positions ARE the value ends: starts/lengths follow
     # with one shift + one subtract (no len(b)-sized shifted bool, no
     # append-copy + diff)
@@ -178,8 +167,7 @@ def varint_decode_stream(
     bp[:len(b)] = b
     bp[len(b):] = 0
     b0 = bp[start_idx]
-    acc = np.uint32 if prefer32 else _U64
-    values = (b0 & np.uint8(0x7F)).astype(acc)
+    values = (b0 & np.uint8(0x7F)).astype(np.uint32)
     m = b0 >> np.uint8(7)  # uint8: 1 while the value's chain continues
     big_idx = np.empty(0, np.int64)
     big_vals = np.empty(0, _U64)
@@ -187,62 +175,45 @@ def varint_decode_stream(
     while True:
         cnt = int(np.count_nonzero(m))
         if cnt == 0:
-            if split_big:
-                return values, start_idx, big_idx, big_vals
-            return values, start_idx
-        if j >= _MAX_VARINT_BYTES:
-            # a chain continuing past 10 bytes is corrupt input (and
-            # would walk the gather past the padding) — same error
-            # class as the truncated-stream check above
-            raise ValueError("varint longer than 10 bytes in stream")
-        if values.dtype == np.uint32 and j >= 4:
-            if split_big:
-                break  # big lanes go to the side-channel sparse walk
-            # a 5th byte would overflow the u32 accumulator — upcast
-            # once and keep going (rare: only >= 2^28 values)
-            values = values.astype(_U64)
+            return values, start_idx, big_idx, big_vals
+        if j >= 4:
+            break  # big lanes go to the side-channel sparse walk
         if cnt * 3 < n:
             break
         gj = bp[j:][start_idx]
-        values |= ((gj & np.uint8(0x7F)) * m).astype(values.dtype) \
-            << values.dtype.type(7 * j)
+        values |= ((gj & np.uint8(0x7F)) * m).astype(np.uint32) \
+            << np.uint32(7 * j)
         m = (gj >> np.uint8(7)) & m
         j += 1
     sel = np.flatnonzero(m)
     ssel = start_idx[sel]
     while len(sel):
-        if j >= _MAX_VARINT_BYTES:
-            raise ValueError("varint longer than 10 bytes in stream")
-        if values.dtype == np.uint32 and j >= 4:
-            if split_big:
-                # side-channel the >= 5-byte lanes: finish their
-                # chains in a u64 accumulator aligned with sel; the
-                # u32 bulk keeps only their low 28 bits
-                big_idx = sel
-                big = values[sel].astype(_U64)
-                pos = np.arange(len(sel))
-                while len(sel):
-                    if j >= _MAX_VARINT_BYTES:
-                        raise ValueError(
-                            "varint longer than 10 bytes in stream")
-                    gj = bp[j:][ssel]
-                    big[pos] |= (gj & np.uint8(0x7F)).astype(_U64) \
-                        << _U64(7 * j)
-                    keep = gj >= 0x80
-                    sel, ssel, pos = sel[keep], ssel[keep], pos[keep]
-                    j += 1
-                big_vals = big
-                break
-            values = values.astype(_U64)
+        if j >= 4:
+            # side-channel the >= 5-byte lanes: finish their chains in
+            # a u64 accumulator aligned with sel; the u32 bulk keeps
+            # only their low 28 bits
+            big_idx = sel
+            big = values[sel].astype(_U64)
+            pos = np.arange(len(sel))
+            while len(sel):
+                if j >= _MAX_VARINT_BYTES:
+                    raise ValueError(
+                        "varint longer than 10 bytes in stream")
+                gj = bp[j:][ssel]
+                big[pos] |= (gj & np.uint8(0x7F)).astype(_U64) \
+                    << _U64(7 * j)
+                keep = gj >= 0x80
+                sel, ssel, pos = sel[keep], ssel[keep], pos[keep]
+                j += 1
+            big_vals = big
+            break
         gj = bp[j:][ssel]
-        values[sel] |= (gj & np.uint8(0x7F)).astype(values.dtype) \
-            << values.dtype.type(7 * j)
+        values[sel] |= (gj & np.uint8(0x7F)).astype(np.uint32) \
+            << np.uint32(7 * j)
         keep = gj >= 0x80
         sel, ssel = sel[keep], ssel[keep]
         j += 1
-    if split_big:
-        return values, start_idx, big_idx, big_vals
-    return values, start_idx
+    return values, start_idx, big_idx, big_vals
 
 
 def gather_varints(buf: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

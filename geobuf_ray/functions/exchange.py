@@ -333,17 +333,33 @@ def hash_cogroup(left, right, *, reduce_fn, nbuckets: int | None = None,
         reduce_fn, left_schema, right_schema, nbuckets)
 
 
+def _keyed_route(left_on, right_on):
+    """The ``route`` of a co-group keyed by ``left_on`` / ``right_on``."""
+    return lambda n: (n, _resolve_bucket_fn(left_on, None, n),
+                      _resolve_bucket_fn(right_on, None, n))
+
+
+def _sized(side):
+    """A co-group side's ``(nbytes, bundles)``: a Dataset is read here,
+    a pair that :func:`_read_bytes` already returned passes through."""
+    return side if isinstance(side, tuple) else _read_bytes(_bundles(side))
+
+
 def _cogroup(left, right, route, reduce_fn, left_schema, right_schema,
              nbuckets: int | None = None):
     """:func:`hash_cogroup` with ``route(nbuckets) -> (total, left_fn,
     right_fn)`` building the routing once the count is known; ``total``
-    may exceed it (a salted join appends its hot-key buckets)."""
-    sides = [_bundles(left), _bundles(right)]
+    may exceed it (a salted join appends its hot-key buckets).  Without
+    ``nbuckets`` either side may be the ``(nbytes, bundles)`` that
+    :func:`_read_bytes` returned for it (a join reads its build side
+    first to choose broadcast or shuffle); its bundles replay here."""
     with ThreadPoolExecutor(max_workers=2) as ex:
         if nbuckets is None:
-            sized = list(ex.map(_read_bytes, sides))
+            sized = list(ex.map(_sized, (left, right)))
             nbuckets = _bucket_count(sum(nbytes for nbytes, _ in sized))
             sides = [bundles for _, bundles in sized]
+        else:
+            sides = [_bundles(left), _bundles(right)]
         total, left_fn, right_fn = route(nbuckets)
         fl = ex.submit(_drive_splits, sides[0], left_fn, total)
         fr = ex.submit(_drive_splits, sides[1], right_fn, total)
@@ -389,6 +405,14 @@ def grouped_exchange(ds, keys, group_fn, *, nbuckets: int | None = None,
     block per bucket.
     """
     key_list = [keys] if isinstance(keys, str) else list(keys)
+    return hash_exchange(ds, nbuckets=nbuckets, on=key_list,
+                         reduce_fn=_group_kernel(key_list, group_fn, schema),
+                         schema=schema, rounds=rounds)
+
+
+def _group_kernel(key_list: list[str], group_fn, schema):
+    """A reduce function applying ``group_fn`` to every ``key_list``
+    segment of its bucket, as :func:`grouped_exchange` does."""
 
     def kernel(tbl: pa.Table) -> pa.Table:
         n = tbl.num_rows
@@ -425,5 +449,4 @@ def grouped_exchange(ds, keys, group_fn, *, nbuckets: int | None = None,
         outs = [o for o in outs if o.num_rows] or outs[:1]
         return pa.concat_tables(outs, promote_options="default")
 
-    return hash_exchange(ds, nbuckets=nbuckets, on=key_list,
-                         reduce_fn=kernel, schema=schema, rounds=rounds)
+    return kernel

@@ -18,7 +18,16 @@ both inputs' bytes (about 1 MiB per bucket), which bounds the
 per-bucket working set; hot keys are salted (``hot_keys=``) since the
 bucket key is a HASH, not the raw key.  The binned joins
 (:func:`range_join`, :func:`interval_overlap_join`) co-locate their
-bins through ``grouped_exchange`` on the same exchange.
+bins on the same exchange.
+
+Broadcast or shuffle: :func:`hash_join` (inner or left, unsalted),
+:func:`asof_join` and :func:`range_join` (integer bounds) first read
+their build side's block-metadata bytes (the right side; the
+intervals).  At most ``_BROADCAST_BYTES`` and that side is collected
+and shipped once to every task of the other side
+(:func:`broadcast_join`, :func:`broadcast_asof_join`,
+:func:`broadcast_range_join`), which never shuffles the large side;
+above it both sides co-group.  The caller does not choose.
 """
 
 from __future__ import annotations
@@ -28,6 +37,32 @@ import pyarrow as pa
 
 _P1 = np.uint64(0x9E3779B97F4A7C15)
 _P2 = np.uint64(0xC2B2AE3D27D4EB4F)
+
+# a join broadcasts a build side of at most this many metadata bytes;
+# below the exchange's sizing cap (_MAX_BUCKETS x _BUCKET_BYTES), so
+# the choice reads no more of the input than sizing does
+_BROADCAST_BYTES = 8 << 20
+
+
+def _build_side(ds, schema: pa.Schema):
+    """Read the build side ``ds``'s block-metadata bytes.  At most
+    ``_BROADCAST_BYTES``: ``(table, None)``, the side collected from the
+    bundles read, to broadcast.  Otherwise ``(None, read)``: the
+    ``(nbytes, bundles)`` the co-group sizes from and replays, so no
+    upstream block runs twice."""
+    import ray
+
+    from .exchange import _bundles, _read_bytes, _to_table
+
+    nbytes, bundles = _read_bytes(_bundles(ds))
+    if nbytes > _BROADCAST_BYTES:
+        return None, (nbytes, bundles)
+    refs = [ref for bundle in bundles for ref in bundle.block_refs]
+    tables = [t for t in map(_to_table, ray.get(refs)) if t.num_rows]
+    if not tables:
+        return schema.empty_table(), None
+    return pa.concat_tables(tables, promote_options="default") \
+        .select(schema.names), None
 
 
 def _key_hash(arr: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -193,12 +228,16 @@ def hash_join(left, right, on, *, how: str = "inner", rsuffix: str = "_r",
     rows of a right/full join the key columns hold the RIGHT values.
     Passing ``left_schema``/``right_schema`` (pyarrow) skips the
     ``Dataset.schema()`` peek, which otherwise executes one upstream
-    block per side.
+    block per side.  Ray reports no schema for an empty side after a
+    ``repartition``; such a side matches nothing, and the result is the
+    other side's unmatched rows that ``how`` keeps, in its own columns.
 
-    Routing goes through :func:`~geobuf_ray.functions.exchange.
-    hash_cogroup` — the raw-task simple shuffle, sized from both inputs'
-    bytes — so each side ships only its own columns; the per-bucket
-    kernel is one vectorized sort + searchsorted expansion.
+    An inner or left join without ``hot_keys`` whose right side reads
+    at most ``_BROADCAST_BYTES`` runs as :func:`broadcast_join`.  Any
+    other join routes through the exchange's co-group — the raw-task
+    simple shuffle, sized from both inputs' bytes — so each side ships
+    only its own columns; the per-bucket kernel is one vectorized sort
+    + searchsorted expansion.
 
     **Skew salting**: pass ``hot_keys`` (an int64 array of key VALUES,
     e.g. from :func:`detect_hot_keys`) and each hot key's rows split
@@ -215,6 +254,10 @@ def hash_join(left, right, on, *, how: str = "inner", rsuffix: str = "_r",
     on_cols = [on] if isinstance(on, str) else list(on)
     l_schema = left_schema if left_schema is not None else left.schema()
     r_schema = right_schema if right_schema is not None else right.schema()
+    if l_schema is None or r_schema is None:  # an empty side: see above
+        other, kept = ((right, ("right", "full")) if l_schema is None
+                       else (left, ("left", "full")))
+        return other if how in kept else other.limit(0)
     l_names = list(l_schema.names)
     l_types = dict(zip(l_schema.names, l_schema.types))
     r_types = dict(zip(r_schema.names, r_schema.types))
@@ -306,7 +349,7 @@ def hash_join(left, right, on, *, how: str = "inner", rsuffix: str = "_r",
                 out = pa.concat_tables([out, pa.table(mcols)])
         return out
 
-    from .exchange import _cogroup, hash_cogroup
+    from .exchange import _cogroup, _keyed_route
 
     if hot_keys is not None and len(hot_keys):
         if how not in ("inner", "left"):
@@ -325,10 +368,13 @@ def hash_join(left, right, on, *, how: str = "inner", rsuffix: str = "_r",
         return _cogroup(left, right, salted_route, join_bucket,
                         l_pa_schema, r_pa_schema)
 
-    return hash_cogroup(left, right,
-                        left_on=on_cols, right_on=on_cols,
-                        reduce_fn=join_bucket,
-                        left_schema=l_pa_schema, right_schema=r_pa_schema)
+    if how in ("inner", "left"):
+        small, right = _build_side(right, r_pa_schema)
+        if small is not None:
+            return broadcast_join(left, small, on_cols, how=how,
+                                  rsuffix=rsuffix)
+    return _cogroup(left, right, _keyed_route(on_cols, on_cols),
+                    join_bucket, l_pa_schema, r_pa_schema)
 
 
 def semi_join(left, right, on, *, right_on=None, anti: bool = False,
@@ -345,11 +391,14 @@ def semi_join(left, right, on, *, right_on=None, anti: bool = False,
     never matches, so such rows are dropped by the semi form and kept
     by the anti form (NOT-``IN``'s null-poisoning is deliberately NOT
     reproduced).  ``right_on`` names the right key columns when they
-    differ from ``on``."""
+    differ from ``on``.  A left side with no schema (Ray's report for
+    an empty side after a ``repartition``) is returned as it is."""
     on_cols = [on] if isinstance(on, str) else list(on)
     r_cols = on_cols if right_on is None else (
         [right_on] if isinstance(right_on, str) else list(right_on))
     l_schema = left_schema if left_schema is not None else left.schema()
+    if l_schema is None:
+        return left
     l_pa_schema = pa.schema(list(zip(l_schema.names, l_schema.types)))
     needs_verify = len(on_cols) > 1 or not pa.types.is_integer(
         dict(zip(l_schema.names, l_schema.types))[on_cols[0]])
@@ -434,21 +483,38 @@ def range_join(points, intervals, *, value: str, lo: str, hi: str,
     the point's bin — no dedup pass.  Pick ``bin_width`` near the
     median interval length: too wide co-locates unrelated rows, too
     narrow amplifies the interval fan-out (the same trade-off as the
-    tile zoom in the spatial joins).  The bins co-locate through
-    :func:`~geobuf_ray.functions.exchange.grouped_exchange`, which
-    sizes its bucket count from the input's bytes.
+    tile zoom in the spatial joins).  The two sides co-group their bins
+    on the exchange, sized from both inputs' bytes.
+
+    With integer ``lo``/``hi`` and an interval side of at most
+    ``_BROADCAST_BYTES``, the join runs as :func:`broadcast_range_join`
+    instead: the same rows, no bins, and ``map_kwargs`` go to its
+    ``map_batches``.  A side with no schema (Ray's report for an empty
+    side after a ``repartition``) gives no rows.
     """
     from ..codec.varint import ramp
-    from .exchange import grouped_exchange
+    from .exchange import _cogroup, _group_kernel, _resolve_bucket_fn
 
     p_schema = points_schema if points_schema is not None else points.schema()
     i_schema = (intervals_schema if intervals_schema is not None
                 else intervals.schema())
+    if p_schema is None or i_schema is None:
+        return points.limit(0)
     p_names = list(p_schema.names)
     i_names = list(i_schema.names)
     out_i_names = [n + rsuffix if n in p_names else n for n in i_names]
     p_types = dict(zip(p_schema.names, p_schema.types))
     i_types = dict(zip(i_schema.names, i_schema.types))
+    lo_out = lo + rsuffix if lo in p_names else lo
+    hi_out = hi + rsuffix if hi in p_names else hi
+
+    if pa.types.is_integer(i_types[lo]) and pa.types.is_integer(i_types[hi]):
+        small, intervals = _build_side(
+            intervals, pa.schema([(n, i_types[n]) for n in i_names]))
+        if small is not None:
+            return broadcast_range_join(
+                points, small.rename_columns(out_i_names), value=value,
+                lo=lo_out, hi=hi_out, id_cols=out_i_names, **map_kwargs)
 
     def stamp_points(batch: pa.Table) -> pa.Table:
         v = batch[value].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -481,18 +547,11 @@ def range_join(points, intervals, *, value: str, lo: str, hi: str,
         cols["__side"] = pa.array(np.ones(len(rows), np.int8))
         return pa.table(cols)
 
-    tagged = points.map_batches(
-        stamp_points, batch_format="pyarrow", zero_copy_batch=True,
-        **map_kwargs,
-    ).union(intervals.map_batches(
-        stamp_intervals, batch_format="pyarrow", zero_copy_batch=True,
-        **map_kwargs))
-
-    lo_out = lo + rsuffix if lo in p_names else lo
-    hi_out = hi + rsuffix if hi in p_names else hi
     out_schema = pa.schema(
         [(n, p_types[n]) for n in p_names]
         + [(on_, i_types[n]) for n, on_ in zip(i_names, out_i_names)])
+    tagged_schema = pa.schema(list(out_schema) + [("__bin", pa.int64()),
+                                                  ("__side", pa.int8())])
 
     def join_bin(group: pa.Table) -> pa.Table:
         side = group["__side"].to_numpy(zero_copy_only=False)
@@ -520,7 +579,16 @@ def range_join(points, intervals, *, value: str, lo: str, hi: str,
             cols[on_] = itab[on_]
         return pa.table(cols)
 
-    return grouped_exchange(tagged, "__bin", join_bin, schema=out_schema)
+    by_bins = _group_kernel(["__bin"], join_bin, out_schema)
+
+    def route(n: int):
+        by_bin = _resolve_bucket_fn(["__bin"], None, n)
+        return (n, lambda t: by_bin(stamp_points(t)),
+                lambda t: by_bin(stamp_intervals(t)))
+
+    return _cogroup(points, intervals, route,
+                    lambda pt, it: by_bins(pa.concat_tables([pt, it])),
+                    tagged_schema, tagged_schema)
 
 
 def asof_join(left, right, on, *, left_time: str, right_time: str,
@@ -546,21 +614,27 @@ def asof_join(left, right, on, *, left_time: str, right_time: str,
     Rows with a NULL in any key column match
     nothing.  Composite / non-integer keys rely on the 64-bit combined
     hash (collision probability ~2^-64 per key pair); the segment
-    kernel does not re-verify values.
+    kernel does not re-verify values.  A side with no schema (Ray's
+    report for an empty side after a ``repartition``) gives no rows.
 
-    Same hash-bucket co-group shape as :func:`hash_join`; the per-bucket
-    kernel is one lexsort of the merged rows by (key, time, side) —
-    right rows first at equal times — followed by a forward-fill of the
-    last-seen right index with resets at key changes.  No per-row
-    Python; ties inside a (key, time) break toward the LAST right row
-    in sort order (sort the right side's tiebreak columns into
-    ``right_time`` order upstream if that matters).
+    A right side of at most ``_BROADCAST_BYTES`` runs as
+    :func:`broadcast_asof_join`, with the same rows and columns.  A
+    larger one takes the same hash-bucket co-group shape as
+    :func:`hash_join`; the per-bucket kernel is one lexsort of the
+    merged rows by (key, time, side) — right rows first at equal times
+    — followed by a forward-fill of the last-seen right index with
+    resets at key changes.  No per-row Python; ties inside a (key,
+    time) break toward the LAST right row in sort order (sort the right
+    side's tiebreak columns into ``right_time`` order upstream if that
+    matters).
     """
     if direction not in ("backward", "forward", "nearest"):
         raise ValueError(f"unsupported direction={direction!r}")
     on_cols = [on] if isinstance(on, str) else list(on)
     l_schema = left_schema if left_schema is not None else left.schema()
     r_schema = right_schema if right_schema is not None else right.schema()
+    if l_schema is None or r_schema is None:
+        return left.limit(0)
     l_names = list(l_schema.names)
     l_types = dict(zip(l_schema.names, l_schema.types))
     r_types = dict(zip(r_schema.names, r_schema.types))
@@ -568,26 +642,6 @@ def asof_join(left, right, on, *, left_time: str, right_time: str,
     out_r_names = [n + rsuffix if n in l_names else n for n in r_names]
     l_pa_schema = pa.schema([(n, l_types[n]) for n in l_names])
     r_pa_schema = pa.schema([(n, r_types[n]) for n in r_schema.names])
-
-    def _time_axis(col, n: int):
-        """(values, null_mask, is_int) — int64 domain for integer and
-        timestamp columns (no float64 round-trip: int64 epochs above
-        2^53 would lose ~256 µs ulp and mis-order near-boundary rows);
-        nulls come from the Arrow validity mask BEFORE any cast, so
-        timestamp NaT cannot slip through as INT64_MIN."""
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        null = (col.is_null().to_numpy(zero_copy_only=False)
-                if col.null_count else np.zeros(n, bool))
-        t = col.type
-        if pa.types.is_timestamp(t) or pa.types.is_date(t):
-            v = col.cast(pa.timestamp("us")).cast(pa.int64()).fill_null(0)
-            return v.to_numpy(zero_copy_only=False).astype(np.int64), null, True
-        if pa.types.is_integer(t):
-            v = col.fill_null(0)
-            return v.to_numpy(zero_copy_only=False).astype(np.int64), null, True
-        v = col.to_numpy(zero_copy_only=False).astype(np.float64)
-        return v, null | np.isnan(v), False
 
     def asof_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
         nl_, nr_ = lt.num_rows, rt.num_rows
@@ -679,12 +733,36 @@ def asof_join(left, right, on, *, left_time: str, right_time: str,
             cols[orn] = rtab[rn]
         return pa.table(cols)
 
-    from .exchange import hash_cogroup
+    small, right = _build_side(right, r_pa_schema)
+    if small is not None:
+        return broadcast_asof_join(left, small, on_cols, left_time=left_time,
+                                   right_time=right_time,
+                                   direction=direction, rsuffix=rsuffix)
+    from .exchange import _cogroup, _keyed_route
 
-    return hash_cogroup(left, right,
-                        left_on=on_cols, right_on=on_cols,
-                        reduce_fn=asof_bucket,
-                        left_schema=l_pa_schema, right_schema=r_pa_schema)
+    return _cogroup(left, right, _keyed_route(on_cols, on_cols),
+                    asof_bucket, l_pa_schema, r_pa_schema)
+
+
+def _time_axis(col, n: int):
+    """(values, null_mask, is_int) — int64 domain for integer and
+    timestamp columns (no float64 round-trip: int64 epochs above
+    2^53 would lose ~256 µs ulp and mis-order near-boundary rows);
+    nulls come from the Arrow validity mask BEFORE any cast, so
+    timestamp NaT cannot slip through as INT64_MIN."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    null = (col.is_null().to_numpy(zero_copy_only=False)
+            if col.null_count else np.zeros(n, bool))
+    t = col.type
+    if pa.types.is_timestamp(t) or pa.types.is_date(t):
+        v = col.cast(pa.timestamp("us")).cast(pa.int64()).fill_null(0)
+        return v.to_numpy(zero_copy_only=False).astype(np.int64), null, True
+    if pa.types.is_integer(t):
+        v = col.fill_null(0)
+        return v.to_numpy(zero_copy_only=False).astype(np.int64), null, True
+    v = col.to_numpy(zero_copy_only=False).astype(np.float64)
+    return v, null | np.isnan(v), False
 
 
 def broadcast_join(left, right: pa.Table, on, *, how: str = "inner",
@@ -692,8 +770,9 @@ def broadcast_join(left, right: pa.Table, on, *, how: str = "inner",
     """Equi-join a Dataset against a SMALL in-memory table without a
     shuffle: the right side ships once via ``ray.put`` and every batch
     probes it locally — the correct shape whenever one side fits a
-    worker heap (dimension tables, lookup maps).  Composite keys via
-    ``on`` as a list.
+    worker heap (dimension tables, lookup maps).  :func:`hash_join`
+    runs this for an inner or left join whose right side reads at most
+    ``_BROADCAST_BYTES``.  Composite keys via ``on`` as a list.
 
     Same output contract as :func:`hash_join` (right columns minus the
     key, collisions suffixed); inner or left.  Verification against the
@@ -901,11 +980,12 @@ def interval_overlap_join(a, b, *, a_lo: str, a_hi: str, b_lo: str,
 def broadcast_range_join(points, intervals: pa.Table, *, value: str,
                          lo: str, hi: str, id_cols: list[str] | None = None,
                          **map_kwargs):
-    """Point-in-interval join with a BROADCAST small side — the
-    two-regime twin of :func:`range_join` (exactly as
-    ``revenue_by_region`` pairs broadcast with its shuffle twin).
-    Intervals are half-open ``[lo, hi)`` integer ranges and MAY
-    overlap.
+    """Point-in-interval join with a BROADCAST small side:
+    :func:`range_join` runs this when its bounds are integers and its
+    interval side reads at most ``_BROADCAST_BYTES``.  Intervals are
+    half-open ``[lo, hi)`` integer ranges and MAY overlap; one with
+    ``hi <= lo`` matches nothing, as does a NULL or NaN point value.  A
+    float value matches where its floor does.
 
     The interval set flattens driver-side into elementary segments
     (sorted distinct endpoints) with a CSR list of covering interval
@@ -915,28 +995,21 @@ def broadcast_range_join(points, intervals: pa.Table, *, value: str,
     when ``|intervals| x |overlap depth|`` fits a broadcast (the CSR is
     O(sum of per-interval segment spans), worst case O(B^2) for B
     fully-overlapping intervals); above that, ``range_join``'s bin
-    fan-out co-group is the scale path.
+    fan-out co-group is the scale path.  An id column that a point
+    batch also has raises ``ValueError`` in that batch's task.
     """
     import ray
 
     id_cols = list(id_cols) if id_cols is not None else \
         [c for c in intervals.schema.names if c not in (lo, hi)]
     lov = intervals[lo].to_numpy(zero_copy_only=False).astype(np.int64)
-    _point_cols = set(points.schema().names)
-    clash = [c for c in id_cols if c in _point_cols]
-    if clash:
-        raise ValueError(
-            f"interval id column(s) {clash} collide with point "
-            "columns — rename one side (silent overwrite otherwise)")
     hiv = intervals[hi].to_numpy(zero_copy_only=False).astype(np.int64)
-    if (hiv < lov).any():
-        raise ValueError("interval with hi < lo")
     ends = np.unique(np.concatenate([lov, hiv]))
     # band covers elementary segment j = [ends[j], ends[j+1]) iff
     # lo <= ends[j] < hi
     s = np.searchsorted(ends, lov, side="left")
     e = np.searchsorted(ends, hiv, side="left")
-    ln = e - s
+    ln = np.maximum(e - s, 0)
     band_of = np.repeat(np.arange(len(lov), dtype=np.int64), ln)
     seg_of = (np.arange(int(ln.sum()), dtype=np.int64)
               - np.repeat(np.cumsum(ln) - ln, ln)
@@ -950,15 +1023,24 @@ def broadcast_range_join(points, intervals: pa.Table, *, value: str,
                        {c: intervals[c].combine_chunks() for c in id_cols}))
 
     def lookup(batch: pa.Table) -> pa.Table:
-        ends_, offs_, bands_, idc = ray.get(payload) if isinstance(
-            payload, ray.ObjectRef) else payload
+        ends_, offs_, bands_, idc = ray.get(payload)
+        clash = [c for c in id_cols if c in batch.schema.names]
+        if clash:
+            raise ValueError(
+                f"interval id column(s) {clash} collide with point "
+                "columns — rename one side (silent overwrite otherwise)")
         out_empty = {c: batch[c].slice(0, 0) for c in batch.schema.names}
         out_empty.update({c: idc[c].slice(0, 0) for c in id_cols})
         if batch.num_rows == 0:
             return pa.table(out_empty)
-        p = batch[value].to_numpy(zero_copy_only=False).astype(np.int64)
+        v = batch[value].to_numpy(zero_copy_only=False)
+        live = np.ones(len(v), bool)
+        if v.dtype.kind == "f":  # NULL, NaN and |v| past int64: none
+            live = (v >= -2.0 ** 63) & (v < 2.0 ** 63)
+            v = np.floor(np.where(live, v, 0))
+        p = v.astype(np.int64)
         j = np.searchsorted(ends_, p, side="right") - 1
-        ok = (j >= 0) & (j < len(ends_) - 1)
+        ok = live & (j >= 0) & (j < len(ends_) - 1)
         jj = np.where(ok, j, 0)
         a, b = offs_[jj], offs_[jj + 1]
         ln = np.where(ok, b - a, 0)
@@ -1061,127 +1143,97 @@ def theta_join(left, right: pa.Table, predicate, *, how: str = "inner",
                             zero_copy_batch=True, **map_kwargs)
 
 
+def _search(a: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
+    """``np.searchsorted(a, v, side)`` with the needles sorted first: a
+    walk in order costs about a fifth of random probes into a large
+    ``a``."""
+    order = np.argsort(v, kind="stable")
+    out = np.empty(len(v), np.int64)
+    out[order] = np.searchsorted(a, v[order], side)
+    return out
+
+
 def broadcast_asof_join(left, right: pa.Table, on, *, left_time: str,
                         right_time: str, direction: str = "backward",
                         rsuffix: str = "_r", **map_kwargs):
-    """As-of join against a SMALL broadcast right table — the
-    no-shuffle twin of :func:`asof_join` (the same two-regime pairing
-    as range_join / broadcast_range_join): the right side ships once
-    via ``ray.put`` pre-sorted by (key hash, time); every left batch
-    merges with it locally and runs the identical lexsort +
-    segment-forward-fill kernel, so the two regimes return identical
-    rows by construction (inner semantics, NULL keys/times match
-    nothing, int64 time axis preserved — no float round-trip).
+    """As-of join against a SMALL in-memory right table, without a
+    shuffle: :func:`asof_join` runs this when its right side reads at
+    most ``_BROADCAST_BYTES``, and returns the same rows and columns
+    either way (``direction``, ties, distances and NULLs follow
+    :func:`asof_join`).
 
-    ``direction``: backward / forward / nearest with exactly
-    :func:`asof_join`'s tie and distance rules (forward rides the
-    order-reversing ``~t`` bijection; nearest compares uint64
-    distances, ties prefer backward)."""
+    The right side is sorted once on the driver by (key hash, time),
+    each row keyed by ``key id * T + time rank`` over its T distinct
+    times, and shipped once via ``ray.put``.  A left row then finds its
+    match with one ``searchsorted`` on that key, so a batch costs
+    O(batch log right) whatever the right side's size."""
     import ray
 
     if direction not in ("backward", "forward", "nearest"):
         raise ValueError(f"unsupported direction={direction!r}")
     on_cols = [on] if isinstance(on, str) else list(on)
-    r_names = [n for n in right.column_names
-               if n not in on_cols and n != right_time]
-
-    def _times(tbl: pa.Table, col: str):
-        c = tbl[col].combine_chunks()
-        null = np.zeros(len(c), bool)
-        if c.null_count:
-            null = c.is_null().to_numpy(zero_copy_only=False)
-        if pa.types.is_timestamp(c.type):
-            t = c.cast(pa.int64()).fill_null(0) \
-                .to_numpy(zero_copy_only=False).astype(np.int64)
-        else:
-            t = c.fill_null(0).to_numpy(zero_copy_only=False) \
-                .astype(np.int64)
-        return t, null
-
-    rh = _combined_hash(right, on_cols)
-    rt, rt_null = _times(right, right_time)
-    r_null = _null_any(right, on_cols, right.num_rows) | rt_null
-    order = np.lexsort((rt, rh))
-    handle = ray.put((rh[order], rt[order], order, right))
-
-    def _match(lh, lt, rh_s, rt_s, flip):
-        """Index into (rh_s, rt_s) of the backward as-of match per
-        left row, or -1 — over the order-reversing ``~t`` bijection
-        when ``flip`` (= the forward match).  One merged lexsort +
-        segment forward-fill, the same kernel as asof_join's bucket."""
-        nl, nr = len(lh), len(rh_s)
-        t_l = ~lt if flip else lt
-        t_r = ~rt_s if flip else rt_s
-        side = np.concatenate((np.ones(nl, np.int8),
-                               np.zeros(nr, np.int8)))
-        hh = np.concatenate((lh, rh_s))
-        tt = np.concatenate((t_l, t_r))
-        o = np.lexsort((side, tt, hh))  # right rows first at equal t
-        total = nl + nr
-        is_right = side[o] == 0
-        src = np.where(is_right, np.arange(total), -1)
-        np.maximum.accumulate(src, out=src)
-        newkey = np.empty(total, bool)
-        newkey[0] = True
-        hho = hh[o]
-        newkey[1:] = hho[1:] != hho[:-1]
-        first_of_seg = np.zeros(total, np.int64)
-        first_of_seg[newkey] = np.flatnonzero(newkey)
-        np.maximum.accumulate(first_of_seg, out=first_of_seg)
-        match_sorted = np.where(src >= first_of_seg, src, -1)
-        res = np.full(nl, -1, np.int64)
-        is_left = ~is_right
-        lpos = o[is_left]  # original left row index (< nl)
-        m = match_sorted[is_left]
-        ok = m >= 0
-        res[lpos[ok]] = o[m[ok]] - nl  # original right index
-        return res
+    n_r = right.num_rows
+    tr, null_r, int_r = _time_axis(right[right_time], n_r)
+    live = np.flatnonzero(~(null_r | _null_any(right, on_cols, n_r)))
+    keys, key_id = np.unique(_combined_hash(right, on_cols)[live],
+                             return_inverse=True)
+    times, time_id = np.unique(tr[live], return_inverse=True)
+    rank = key_id.astype(np.int64) * len(times) + time_id
+    # stable: rows of one (key, time) keep their table order, and the
+    # last of them matches, as in asof_join's kernel
+    order = np.argsort(rank, kind="stable")
+    rows, rank = live[order], rank[order]
+    handle = ray.put((right, rows, keys, times, rank, tr[rows]))
 
     def probe(batch: pa.Table) -> pa.Table:
-        rh_s, rt_s, rord, rtab = ray.get(handle)
+        rtab, rows, keys, times, rank, tr = ray.get(handle)
         n = batch.num_rows
-        l_names = batch.column_names
-        lh = _combined_hash(batch, on_cols)
-        lt, lt_null = _times(batch, left_time)
-        lnull = _null_any(batch, on_cols, n) | lt_null
-        lh = lh.copy()
-        lh[lnull] = np.uint64(0xDEAD0000DEAD0001)  # never matches
-        rn = ~r_null[rord]
-        rh_ok, rt_ok = rh_s[rn], rt_s[rn]
-        rmap_ok = np.flatnonzero(rn)
-        if len(rh_ok) == 0:  # nothing can match (nearest would index
-            m = np.full(n, -1, np.int64)  # into the empty time array)
-            hit = np.flatnonzero(m >= 0)
-            lt_tbl = batch.take(pa.array(hit, pa.int64()))
-            cols = {nme: lt_tbl[nme] for nme in l_names}
-            for rn_ in r_names:
-                orn = rn_ + rsuffix if rn_ in l_names else rn_
-                cols[orn] = pa.nulls(0, right.schema.field(rn_).type)
-            return pa.table(cols)
-        if direction in ("backward", "nearest"):
-            mb = _match(lh, lt, rh_ok, rt_ok, flip=False)
-        if direction in ("forward", "nearest"):
-            mf = _match(lh, lt, rh_ok, rt_ok, flip=True)
-        if direction == "backward":
-            m = mb
-        elif direction == "forward":
-            m = mf
-        else:
-            db = np.where(mb >= 0,
-                          (lt - rt_ok[np.maximum(mb, 0)])
-                          .astype(np.uint64), np.uint64(2**64 - 1))
-            dff = np.where(mf >= 0,
-                           (rt_ok[np.maximum(mf, 0)] - lt)
-                           .astype(np.uint64), np.uint64(2**64 - 1))
-            m = np.where((mb >= 0) & (db <= dff), mb, mf)
+        tl, null_l, int_l = _time_axis(batch[left_time], n)
+        m = np.full(n, -1, np.int64)
+        if len(rank) and n:
+            if not (int_l and int_r):
+                tl, tr, times = (tl.astype(np.float64), tr.astype(np.float64),
+                                 times.astype(np.float64))
+            h = _combined_hash(batch, on_cols)
+            k = np.minimum(_search(keys, h, "left"), len(keys) - 1)
+            ok_l = ~(null_l | _null_any(batch, on_cols, n)) & (keys[k] == h)
+            base = k.astype(np.int64) * len(times)
+            if direction != "forward":
+                # the last row of the key at a time <= tl
+                pb = _search(rank, base + _search(times, tl, "right") - 1,
+                             "right") - 1
+                okb = ok_l & (pb >= 0)
+                pb = np.maximum(pb, 0)
+                okb &= rank[pb] >= base
+            if direction != "backward":
+                # the first row of the key at a time >= tl, then the
+                # last row at that time
+                pf = _search(rank, base + _search(times, tl, "left"), "left")
+                okf = ok_l & (pf < len(rank))
+                pf = np.minimum(pf, len(rank) - 1)
+                okf &= rank[pf] < base + len(times)
+                pf = _search(rank, rank[pf], "right") - 1
+            if direction == "backward":
+                m = np.where(okb, pb, -1)
+            elif direction == "forward":
+                m = np.where(okf, pf, -1)
+            else:  # nearest; ties prefer backward
+                if int_l and int_r:  # exact uint64 distances
+                    db = tl.view(np.uint64) - tr[pb].view(np.uint64)
+                    df = tr[pf].view(np.uint64) - tl.view(np.uint64)
+                else:
+                    db = tl - tr[pb]
+                    df = tr[pf] - tl
+                m = np.where(okb & (~okf | (db <= df)), pb,
+                             np.where(okf, pf, -1))
         hit = np.flatnonzero(m >= 0)
-        ridx = rord[rmap_ok[m[hit]]]
-        lt_tbl = batch.take(pa.array(hit, pa.int64()))
-        cols = {nme: lt_tbl[nme] for nme in l_names}
-        rt_take = rtab.take(pa.array(ridx, pa.int64()))
-        for rn_ in r_names:
-            orn = rn_ + rsuffix if rn_ in l_names else rn_
-            cols[orn] = rt_take[rn_]
+        ltab = batch.take(pa.array(hit, pa.int64()))
+        rtake = rtab.take(pa.array(rows[m[hit]], pa.int64()))
+        l_names = batch.column_names
+        cols = {c: ltab[c] for c in l_names}
+        for c in rtab.column_names:
+            if c not in on_cols:
+                cols[c + rsuffix if c in l_names else c] = rtake[c]
         return pa.table(cols)
 
     return left.map_batches(probe, batch_format="pyarrow",

@@ -2491,8 +2491,9 @@ def events_distinct_users(sf_dir: str):
 def events_last_order_asof(sf_dir: str):
     """As-of join (brief §custom operators): each event matches the
     LATEST order of the same customer placed at or before the event
-    day.  Both sides stream through the hash-bucket co-group; the
-    per-bucket kernel is one lexsort + segmented forward-fill."""
+    day.  asof_join broadcasts the orders side while it is small and
+    co-groups both sides by key hash above that; either way the kernel
+    is one lexsort + segmented forward-fill."""
     import ray
 
     from ..functions.join import asof_join
@@ -2603,7 +2604,8 @@ def lineitem_price_band_join(sf_dir: str):
     lands in every supplier-derived price band containing it, then a
     per-band aggregate bounds the output.  Bands are deterministic
     half-open cent intervals from supplier keys; the oracle is a SQL
-    BETWEEN join + GROUP BY."""
+    BETWEEN join + GROUP BY.  range_join broadcasts the band set while
+    it is small and co-groups price bins above that."""
     import duckdb
     import ray
 
@@ -2637,17 +2639,13 @@ def lineitem_price_band_join(sf_dir: str):
                                     ("lo_cents", pa.int64()),
                                     ("hi_cents", pa.int64())]))
 
-    def partial(batch: pa.Table) -> pa.Table:
-        bid = batch["band_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        cents = batch["price_cents"].to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        uniq, inv = np.unique(bid, return_inverse=True)
-        return pa.table({
-            "band_id": pa.array(uniq),
-            "n_items": pa.array(np.bincount(inv).astype(np.int64)),
-            "sum_cents": pa.array(
-                np.bincount(inv, weights=cents).astype(np.int64)),
-        })
+    def partial(b: pa.Table) -> pa.Table:
+        t = pa.table({"band_id": b["band_id"],
+                      "n_items": pa.array(np.ones(b.num_rows, np.int64)),
+                      "sum_cents": b["price_cents"]})
+        return t.group_by("band_id").aggregate(
+            [("n_items", "sum"), ("sum_cents", "sum")]).rename_columns(
+            ["band_id", "n_items", "sum_cents"])
 
     partials = joined.map_batches(partial, batch_format="pyarrow",
                                   zero_copy_batch=True)
@@ -2953,67 +2951,10 @@ def revenue_by_region(sf_dir: str):
 
 
 def revenue_by_region_shuffle(sf_dir: str):
-    """Same result (and oracle) as :func:`revenue_by_region`, but
-    FORCED through the generic large x large hash-partitioned equi-join
-    (round-1 missing item #3): orders and customer both shuffle by
-    custkey hash bucket and co-group — no broadcast side.  The tiny
-    nation/region labels still ride a broadcast lookup (correct at any
-    scale: they are bounded)."""
-    import duckdb
-    import ray
-
-    from ..functions.join import hash_join
-
-    orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                                   columns=["o_custkey", "o_totalprice"])
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table({"c_custkey": batch["o_custkey"],
-                         "o_totalprice": batch["o_totalprice"]})
-
-    orders = orders.map_batches(rename, batch_format="pyarrow",
-                                zero_copy_batch=True)
-    cust = ray.data.read_parquet(f"{sf_dir}/customer.parquet",
-                                 columns=["c_custkey", "c_nationkey"])
-    joined = hash_join(
-        orders, cust, on="c_custkey",
-        left_schema=pa.schema([("c_custkey", pa.int64()),
-                               ("o_totalprice", pa.float64())]),
-        right_schema=pa.schema([("c_custkey", pa.int64()),
-                                ("c_nationkey", pa.int32())]))
-
-    side = duckdb.connect().execute(f"""
-        SELECT n_nationkey, r_name FROM '{sf_dir}/nation.parquet'
-        JOIN '{sf_dir}/region.parquet' ON n_regionkey = r_regionkey
-    """).fetch_arrow_table()
-    nk = side["n_nationkey"].to_numpy().astype(np.int64)
-    lab = side["r_name"].combine_chunks().dictionary_encode()
-    names = lab.dictionary.to_pylist()
-    idx = np.full(int(nk.max()) + 1, -1, np.int16)
-    idx[nk] = lab.indices.to_numpy().astype(np.int16)
-    # nation->region fits the task closure (25 entries)
-    def agg(batch: pa.Table) -> pa.Table:
-        nkey = batch["c_nationkey"].to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        code = idx[np.clip(nkey, 0, len(idx) - 1)].astype(np.int64)
-        code[(nkey < 0) | (nkey >= len(idx))] = -1
-        ok = code >= 0
-        code = code[ok]
-        cents = np.round(batch["o_totalprice"].to_numpy(
-            zero_copy_only=False)[ok] * 100).astype(np.int64)
-        nbins = len(names)
-        counts = np.bincount(code, minlength=nbins)
-        present = np.flatnonzero(counts)
-        return pa.table({
-            "r_name": pa.array([names[c] for c in present]),
-            "total_cents": pa.array(np.bincount(
-                code, weights=cents, minlength=nbins).astype(np.int64)[present]),
-            "n_orders": pa.array(counts[present].astype(np.int64)),
-        })
-
-    partials = joined.map_batches(agg, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-    return _final_combine(partials, ["r_name"], ["total_cents", "n_orders"])
+    """:func:`revenue_by_region` under the name the benchmark's query
+    mix uses.  It once forced the hash join; joins now pick broadcast
+    or shuffle from their input bytes, so no caller chooses a path."""
+    return revenue_by_region(sf_dir)
 
 
 def min_price_lineitems(sf_dir: str):
@@ -5922,54 +5863,6 @@ def tpch_q5(sf_dir: str, region: str = "ASIA",
     })
 
 
-def lineitem_price_band_broadcast(sf_dir: str):
-    """The broadcast twin of :func:`lineitem_price_band_join`
-    (functions/join.broadcast_range_join): identical semantics and the
-    IDENTICAL SQL oracle, but the overlapping band set flattens into
-    elementary segments + CSR driver-side and rides one ray.put — each
-    point batch is one searchsorted + a ragged gather, no shuffle.
-    Broadcast when the small side is small, shuffle (range_join) when
-    it isn't — the engine's two-regime discipline for range joins."""
-    import duckdb
-    import ray
-
-    from ..functions.join import broadcast_range_join
-
-    skeys = duckdb.connect().execute(
-        f"SELECT s_suppkey FROM '{sf_dir}/supplier.parquet' ORDER BY s_suppkey"
-    ).fetchnumpy()["s_suppkey"].astype(np.int64)
-    lo = ((skeys * 9973) % 9_000_000).astype(np.int64)
-    hi = lo + 50_000 + (skeys % 13) * 10_000
-    bands = pa.table({"band_id": pa.array(skeys),
-                      "lo_cents": pa.array(lo),
-                      "hi_cents": pa.array(hi)})
-
-    def prep(batch: pa.Table) -> pa.Table:
-        cents = np.round(
-            batch["l_extendedprice"].to_numpy() * 100).astype(np.int64)
-        return pa.table({"price_cents": pa.array(cents)})
-
-    items = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_extendedprice"]).map_batches(
-        prep, batch_format="pyarrow", zero_copy_batch=True)
-    joined = broadcast_range_join(items, bands, value="price_cents",
-                                  lo="lo_cents", hi="hi_cents",
-                                  id_cols=["band_id"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"band_id": b["band_id"],
-                      "n_items": pa.array(np.ones(b.num_rows, np.int64)),
-                      "sum_cents": b["price_cents"]})
-        return t.group_by("band_id").aggregate(
-            [("n_items", "sum"), ("sum_cents", "sum")]).rename_columns(
-            ["band_id", "n_items", "sum_cents"])
-
-    parts = joined.map_batches(partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-    return _final_combine(parts, ["band_id"], ["n_items", "sum_cents"])
-
-
 def docs_chunk_spans(sf_dir: str, chunk: int = 500, overlap: int = 100):
     """RAG sliding-window chunking (functions/pack.chunk_spans): every
     document fans to overlapping [start, end) chunks — stride 400,
@@ -7161,7 +7054,8 @@ def tpch_q19(sf_dir: str):
     map broadcast once; each lineitem batch resolves its case by
     searchsorted and evaluates its case's quantity window vectorized
     — the OR-of-ANDs never materializes a join, and the result is one
-    exact integer scalar."""
+    exact integer scalar, NULL when no line item qualifies (SQL's SUM
+    over no rows)."""
     import ray
 
     from ..collect import collect_table
@@ -7190,7 +7084,7 @@ def tpch_q19(sf_dir: str):
     pk = pt["p_partkey"].to_numpy().astype(np.int64)
     case = pt["case"].to_numpy().astype(np.int64)
     if len(pk) == 0:  # no part is in any case: no line item qualifies
-        return pa.table({"revenue_c2": pa.array([0], pa.int64())})
+        return pa.table({"revenue_c2": pa.array([None], pa.int64())})
     order = np.argsort(pk)
     side_ref = ray.put((pk[order], case[order]))
     qlo = np.array([c[3] for c in cases], np.int64)
@@ -7212,15 +7106,17 @@ def tpch_q19(sf_dir: str):
         disc = np.round(
             b["l_discount"].to_numpy()[ok] * 100).astype(np.int64)
         rev = price * (100 - disc)
-        return pa.table({"revenue_c2": pa.array([int(rev.sum())])})
+        return pa.table({"revenue_c2": pa.array([int(rev.sum())]),
+                         "n": pa.array([len(rev)])})
 
     t = collect_table(ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_quantity", "l_extendedprice",
                  "l_discount"]).map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True))
+    n = int(t["n"].to_numpy().sum())
     return pa.table({"revenue_c2": pa.array(
-        [int(t["revenue_c2"].to_numpy().sum())], pa.int64())})
+        [int(t["revenue_c2"].to_numpy().sum()) if n else None], pa.int64())})
 
 
 def tpch_q22(sf_dir: str):
@@ -9574,15 +9470,17 @@ def tpch_q21(sf_dir: str):
     """TPC-H Q21 shape (suppliers who kept orders waiting): 'late'
     adapts to l_shipdate > o_orderdate + 90 days (no
     commit/receiptdate columns — documented).  One hash join attaches
-    the order date to F-status orders' lines; the join's bucket-local
-    output co-locates each order's rows in ONE block, so the
-    EXISTS-other-supplier / NOT-EXISTS-other-late-supplier pair
-    evaluates vectorized per block (distinct-supplier and
+    the order date to F-status orders' lines, and one exchange keyed by
+    the order co-locates each order's rows in ONE bucket (the join may
+    broadcast the orders side, which keeps the line items' blocks), so
+    the EXISTS-other-supplier / NOT-EXISTS-other-late-supplier pair
+    evaluates vectorized per bucket (distinct-supplier and
     distinct-late counts per order), and only per-supplier numwait
     partials leave."""
     import ray
 
     from ..collect import collect_table
+    from ..functions.exchange import hash_exchange
     from ..functions.join import hash_join
 
     def oprep(b: pa.Table) -> pa.Table:
@@ -9643,8 +9541,7 @@ def tpch_q21(sf_dir: str):
                          "numwait": pa.array(cnt.astype(np.int64))})
 
     agg = _final_combine(
-        j.map_batches(partial, batch_format="pyarrow",
-                      zero_copy_batch=True, batch_size=None),
+        hash_exchange(j, on=["o_orderkey"], reduce_fn=partial),
         ["s_suppkey"], ["numwait"])
     sup = collect_table(ray.data.read_parquet(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"]))
@@ -13432,51 +13329,6 @@ def docs_skipgram_top(sf_dir: str, window: int = 2, k: int = 20):
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
     return skipgram_counts(ds, window=window, k=k)
-
-
-def events_last_order_asof_broadcast(sf_dir: str):
-    """Broadcast-regime twin of events_last_order_asof
-    (functions/join.broadcast_asof_join): the orders side ships ONCE
-    via ray.put and every event batch runs the identical lexsort +
-    segment-forward-fill kernel locally — no shuffle at all.  The
-    two regimes hash-check against the SAME oracle (the planner-pair
-    contract range_join/broadcast_range_join established)."""
-    import ray
-
-    from ..collect import collect_table
-    from ..functions.join import broadcast_asof_join
-
-    _SHIFT = 1 << 24
-
-    def ev_prep(batch: pa.Table) -> pa.Table:
-        ts = batch["ts"].to_numpy().astype(
-            "datetime64[D]").astype(np.int64)
-        return pa.table({"user_id": batch["user_id"],
-                         "event_id": batch["event_id"],
-                         "event_day": pa.array(
-                             ts * _SHIFT + (_SHIFT - 1))})
-
-    events = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "ts"]).map_batches(
-        ev_prep, batch_format="pyarrow", zero_copy_batch=True)
-
-    def ord_prep(batch: pa.Table) -> pa.Table:
-        od = batch["o_orderdate"].to_numpy().astype(
-            "datetime64[D]").astype(np.int64)
-        keys = batch["o_orderkey"].to_numpy().astype(np.int64)
-        return pa.table({"user_id": batch["o_custkey"],
-                         "o_orderkey": pa.array(keys),
-                         "order_day": pa.array(od * _SHIFT + keys)})
-
-    orders = collect_table(ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate"]).map_batches(
-        ord_prep, batch_format="pyarrow", zero_copy_batch=True))
-    out = broadcast_asof_join(events, orders, "user_id",
-                              left_time="event_day",
-                              right_time="order_day")
-    return out.select_columns(["event_id", "user_id", "o_orderkey"])
 
 
 def images_sharpness(sf_dir: str):

@@ -55,3 +55,15 @@ def many_buckets(monkeypatch):
             yield
 
     return spread
+
+
+@pytest.fixture
+def shuffle_joins(monkeypatch):
+    """Pin ``hash_join``, ``asof_join`` and ``range_join`` to the
+    co-group.  Each broadcasts a build side whose metadata bytes are
+    at most ``_BROADCAST_BYTES``; at -1 no side qualifies, an empty
+    one included, so a test's few-KB sides shuffle as a large join's
+    do."""
+    from geobuf_ray.functions import join
+
+    monkeypatch.setattr(join, "_BROADCAST_BYTES", -1)

@@ -68,7 +68,8 @@ def _canon(ds):
 
 
 @pytest.mark.parametrize("op", sorted(OPS))
-def test_many_buckets_equal_one_bucket(ray_session, many_buckets, op):
+def test_many_buckets_equal_one_bucket(ray_session, shuffle_joins,
+                                       many_buckets, op):
     """Each operator's rows spread over many buckets equal its rows on
     the one bucket these few KB size to, also with an empty side."""
     left, right = _sides()
@@ -101,7 +102,7 @@ def test_operators_take_no_count(op):
     assert all(p.kind != p.VAR_KEYWORD for p in params)
 
 
-def test_small_join_runs_on_one_bucket(ray_session):
+def test_small_join_runs_on_one_bucket(ray_session, shuffle_joins):
     """A join of a few KB is one reduce task, so one output block."""
     left, right = _sides()
     out = hash_join(_ds(left), _ds(right), on="k")

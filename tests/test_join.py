@@ -14,7 +14,7 @@ def _ds(tbl, parts=4):
     return ray.data.from_arrow(tbl).repartition(parts)
 
 
-def test_inner_join_matches_duckdb(ray_session, many_buckets):
+def test_inner_join_matches_duckdb(ray_session, shuffle_joins, many_buckets):
     import duckdb
 
     rng = np.random.default_rng(5)
@@ -35,7 +35,7 @@ def test_inner_join_matches_duckdb(ray_session, many_buckets):
     assert (got[["k", "lv", "rv"]].values == exp.values).all()
 
 
-def test_left_join_null_fills(ray_session, many_buckets):
+def test_left_join_null_fills(ray_session, shuffle_joins, many_buckets):
     left = pa.table({"k": pa.array([1, 2, 3, 4], pa.int64()),
                      "lv": pa.array([10, 20, 30, 40], pa.int64())})
     right = pa.table({"k": pa.array([2, 2, 4], pa.int64()),
@@ -49,7 +49,7 @@ def test_left_join_null_fills(ray_session, many_buckets):
     assert sorted(df[df.k == 2]["rv"].tolist()) == [200, 201]
 
 
-def test_string_key_join(ray_session, many_buckets):
+def test_string_key_join(ray_session, shuffle_joins, many_buckets):
     left = pa.table({"k": pa.array(["a", "b", "c", "a"]),
                      "lv": pa.array([1, 2, 3, 4], pa.int64())})
     right = pa.table({"k": pa.array(["a", "c", "z"]),
@@ -61,7 +61,7 @@ def test_string_key_join(ray_session, many_buckets):
         ["a", 1, 10], ["a", 4, 10], ["c", 3, 30]]
 
 
-def test_name_collision_suffix(ray_session, many_buckets):
+def test_name_collision_suffix(ray_session, shuffle_joins, many_buckets):
     left = pa.table({"k": pa.array([1], pa.int64()),
                      "v": pa.array([10], pa.int64())})
     right = pa.table({"k": pa.array([1], pa.int64()),
@@ -73,7 +73,7 @@ def test_name_collision_suffix(ray_session, many_buckets):
     assert df.iloc[0]["v"] == 10 and df.iloc[0]["v_r"] == 20
 
 
-def test_null_keys_never_match(ray_session, many_buckets):
+def test_null_keys_never_match(ray_session, shuffle_joins, many_buckets):
     import duckdb
 
     left = pa.table({"k": pa.array([1, None, 3, None], pa.int64()),
@@ -98,7 +98,7 @@ def test_null_keys_never_match(ray_session, many_buckets):
     assert len(nulls) == 2 and nulls["rv"].isna().all()
 
 
-def test_asof_join_small_known(ray_session, many_buckets):
+def test_asof_join_small_known(ray_session, shuffle_joins, many_buckets):
     from geobuf_ray.functions.join import asof_join
 
     left = pa.table({"k": pa.array([1, 1, 1, 2, 3], pa.int64()),
@@ -116,7 +116,8 @@ def test_asof_join_small_known(ray_session, many_buckets):
     assert got == {100: 50, 101: 90}
 
 
-def test_asof_join_equal_time_matches(ray_session, many_buckets):
+def test_asof_join_equal_time_matches(ray_session, shuffle_joins,
+                                      many_buckets):
     from geobuf_ray.functions.join import asof_join
 
     left = pa.table({"k": pa.array([1], pa.int64()),
@@ -132,7 +133,7 @@ def test_asof_join_equal_time_matches(ray_session, many_buckets):
     assert rows[0]["rv"] == 55  # equal time IS a match
 
 
-def test_range_join_matches_duckdb(ray_session, no_ray_groupby):
+def test_range_join_matches_duckdb(ray_session, shuffle_joins, no_ray_groupby):
     import duckdb
 
     from geobuf_ray.functions.join import range_join
@@ -154,7 +155,8 @@ def test_range_join_matches_duckdb(ray_session, no_ray_groupby):
     assert (got[["pid", "iid"]].values == exp.values).all()
 
 
-def test_asof_join_random_matches_duckdb(ray_session, many_buckets):
+def test_asof_join_random_matches_duckdb(ray_session, shuffle_joins,
+                                         many_buckets):
     import duckdb
 
     from geobuf_ray.functions.join import asof_join
@@ -188,7 +190,8 @@ def test_asof_join_random_matches_duckdb(ray_session, many_buckets):
     assert (got[["ev", "rv"]].values == exp[["ev", "rv"]].values).all()
 
 
-def test_asof_join_null_times_match_nothing(ray_session, many_buckets):
+def test_asof_join_null_times_match_nothing(ray_session, shuffle_joins,
+                                            many_buckets):
     from geobuf_ray.functions.join import asof_join
 
     left = pa.table({"k": pa.array([1, 1], pa.int64()),
@@ -206,7 +209,8 @@ def test_asof_join_null_times_match_nothing(ray_session, many_buckets):
 
 
 def test_asof_join_int64_microsecond_epochs_above_2p53(ray_session,
-                                                      many_buckets):
+                                                       shuffle_joins,
+                                                       many_buckets):
     """VERDICT r2 finding #1: int64 times ~1.7e18 (>2^53) with right
     rows <1 ms apart must not mis-order through a float64 cast."""
     import duckdb
@@ -239,7 +243,8 @@ def test_asof_join_int64_microsecond_epochs_above_2p53(ray_session,
     assert got == exp == {1: 10, 3: 20}
 
 
-def test_asof_join_timestamp_nulls_match_nothing(ray_session, many_buckets):
+def test_asof_join_timestamp_nulls_match_nothing(ray_session, shuffle_joins,
+                                                 many_buckets):
     """ADVICE r2 (medium): NaT on the datetime path must be masked via
     the Arrow validity bitmap, not slip through as INT64_MIN."""
     from geobuf_ray.functions.join import asof_join
@@ -261,7 +266,8 @@ def test_asof_join_timestamp_nulls_match_nothing(ray_session, many_buckets):
     assert rows[0]["ev"] == 1 and rows[0]["rv"] == 50
 
 
-def test_float_key_join_no_truncation(ray_session, many_buckets):
+def test_float_key_join_no_truncation(ray_session, shuffle_joins,
+                                      many_buckets):
     """ADVICE r2 (low): float64 keys must join on value, not on
     astype(int64) truncation (1.2 vs 1.9 are distinct keys)."""
     import duckdb
@@ -282,7 +288,8 @@ def test_float_key_join_no_truncation(ray_session, many_buckets):
         [1, 10], [3, 30], [4, 40]]
 
 
-def test_float_key_nan_matches_nothing(ray_session, many_buckets):
+def test_float_key_nan_matches_nothing(ray_session, shuffle_joins,
+                                       many_buckets):
     """NaN keys: IEEE semantics (NaN != NaN) — a NaN left row is a
     left-join miss, not a silent drop.  (DuckDB deviates here: it
     treats NaN = NaN as true, so no oracle comparison.)"""
@@ -299,7 +306,8 @@ def test_float_key_nan_matches_nothing(ray_session, many_buckets):
     assert lj[lj.lv == 1]["rv"].isna().all()  # NaN row -> miss, kept
 
 
-def test_composite_key_join_matches_duckdb(ray_session, many_buckets):
+def test_composite_key_join_matches_duckdb(ray_session, shuffle_joins,
+                                           many_buckets):
     """VERDICT r2 item #7: hash_join(on=[two columns])."""
     import duckdb
 
@@ -331,7 +339,8 @@ def test_composite_key_join_matches_duckdb(ray_session, many_buckets):
     assert len(lj) == len(exp_lj)
 
 
-def test_composite_key_asof_matches_duckdb(ray_session, many_buckets):
+def test_composite_key_asof_matches_duckdb(ray_session, shuffle_joins,
+                                           many_buckets):
     import duckdb
 
     from geobuf_ray.functions.join import asof_join
@@ -415,7 +424,7 @@ def test_broadcast_join_vs_duckdb(ray_session):
         "ON l.k = r.k AND l.name = r.name")
 
 
-def test_asof_join_forward_vs_duckdb(ray_session, many_buckets):
+def test_asof_join_forward_vs_duckdb(ray_session, shuffle_joins, many_buckets):
     import duckdb
 
     from geobuf_ray.functions.join import asof_join
@@ -449,7 +458,8 @@ def test_asof_join_forward_vs_duckdb(ray_session, many_buckets):
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
 
-def test_asof_join_nearest_vs_reference(ray_session, many_buckets):
+def test_asof_join_nearest_vs_reference(ray_session, shuffle_joins,
+                                        many_buckets):
     from geobuf_ray.functions.join import asof_join
 
     rng = np.random.default_rng(29)
@@ -486,7 +496,8 @@ def test_asof_join_nearest_vs_reference(ray_session, many_buckets):
             assert got[i][0] <= lt_[i]
 
 
-def test_asof_join_nearest_int64_extremes(ray_session, many_buckets):
+def test_asof_join_nearest_int64_extremes(ray_session, shuffle_joins,
+                                          many_buckets):
     from geobuf_ray.functions.join import asof_join
 
     lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
@@ -553,7 +564,7 @@ def test_interval_overlap_join_touching_endpoints(ray_session):
     assert got == [(1, 1), (2, 1)]
 
 
-def test_broadcast_range_join_vs_shuffle_range_join(ray_session,
+def test_broadcast_range_join_vs_shuffle_range_join(ray_session, shuffle_joins,
                                                     no_ray_groupby):
     """The two range-join regimes agree pair-for-pair on random
     overlapping intervals, and both match brute force."""
@@ -594,7 +605,7 @@ def test_broadcast_range_join_vs_shuffle_range_join(ray_session,
     assert got_sh == want
 
 
-def test_salted_join_equals_plain(ray_session, many_buckets):
+def test_salted_join_equals_plain(ray_session, shuffle_joins, many_buckets):
     """One key holding half the rows (the boilerplate-skew shape):
     the salted join must be row-for-row identical to the unsalted
     join for inner AND left, including left misses."""
@@ -736,7 +747,8 @@ def test_theta_join_empty_right(ray_session):
     assert len(out) == 3 and out["lo"].isna().all()
 
 
-def test_broadcast_asof_matches_exchange_asof(ray_session, many_buckets):
+def test_broadcast_asof_matches_exchange_asof(ray_session, shuffle_joins,
+                                              many_buckets):
     from geobuf_ray.functions.join import asof_join, broadcast_asof_join
 
     rng = np.random.default_rng(21)

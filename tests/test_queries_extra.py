@@ -1049,10 +1049,11 @@ def test_events_user_freq_cms_exact_counts_match_sql(ray_session,
     assert all(out["within_bound"].to_pylist())
 
 
-def test_tpch_q19_no_matching_part_is_zero_revenue(ray_session, tmp_path):
+def test_tpch_q19_no_matching_part_is_null_revenue(ray_session, tmp_path):
     """When no part falls in any of Q19's brand/size cases, the
     (partkey, case) map is empty and no line item qualifies: revenue is
-    0 (an index into the empty map failed the line item tasks)."""
+    NULL, as SQL's SUM over no rows (an index into the empty map once
+    failed the line item tasks)."""
     import pyarrow.parquet as pq
 
     from geobuf_ray.pipelines import queries as q
@@ -1069,4 +1070,4 @@ def test_tpch_q19_no_matching_part_is_zero_revenue(ray_session, tmp_path):
         "l_discount": [0.05, 0.0, 0.1, 0.02],
     }), tmp_path / "lineitem.parquet")
     out = q.tpch_q19(str(tmp_path))
-    assert out["revenue_c2"].to_pylist() == [0]
+    assert out["revenue_c2"].to_pylist() == [None]

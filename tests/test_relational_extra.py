@@ -31,7 +31,8 @@ def _canon(df, cols):
             .astype("float64"))
 
 
-def test_full_and_right_join_vs_duckdb(ray_session, many_buckets):
+def test_full_and_right_join_vs_duckdb(ray_session, shuffle_joins,
+                                       many_buckets):
     import duckdb
 
     from geobuf_ray.functions.join import hash_join
@@ -55,7 +56,8 @@ def test_full_and_right_join_vs_duckdb(ray_session, many_buckets):
         pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
 
-def test_full_join_string_keys_collision_verify(ray_session, many_buckets):
+def test_full_join_string_keys_collision_verify(ray_session, shuffle_joins,
+                                                many_buckets):
     import duckdb
 
     from geobuf_ray.functions.join import hash_join

@@ -30,6 +30,26 @@ def oracle_varint(x: int) -> bytes:
     return bytes(out)
 
 
+def decode_stream(buf: np.ndarray):
+    """``varint_decode_stream`` as uint64 values, its big lanes patched
+    into the uint32 bulk, and its start offsets."""
+    vals, offs, big_idx, big_vals = vi.varint_decode_stream(buf)
+    assert vals.dtype == np.uint32
+    merged = vals.astype(np.uint64)
+    merged[big_idx] = big_vals
+    return merged, offs
+
+
+def decode_scalar(buf: bytes):
+    """The reference: ``decode_varint_scalar`` value after value."""
+    vals, offs, pos = [], [], 0
+    while pos < len(buf):
+        offs.append(pos)
+        v, pos = vi.decode_varint_scalar(buf, pos)
+        vals.append(v)
+    return np.array(vals, np.uint64), np.array(offs, np.int64)
+
+
 def test_varint_encode_boundary_bytes():
     vals = np.array(BOUNDARY, dtype=np.uint64)
     flat, lens = vi.varint_encode(vals)
@@ -44,9 +64,11 @@ def test_varint_decode_roundtrip():
     vals[:100] = rng.integers(0, 128, 100)  # plenty of 1-byte values
     vals = np.concatenate([vals, np.array(BOUNDARY, np.uint64)])
     flat, lens = vi.varint_encode(vals)
-    out, offs = vi.varint_decode_stream(flat)
-    assert np.array_equal(out, vals)
+    out, offs = decode_stream(flat)
+    want, woffs = decode_scalar(flat.tobytes())
+    assert np.array_equal(out, vals) and np.array_equal(want, vals)
     assert np.array_equal(offs, np.concatenate(([0], np.cumsum(lens)[:-1])))
+    assert np.array_equal(offs, woffs)
 
 
 def test_zigzag_roundtrip():
@@ -112,9 +134,8 @@ def test_varint_stream_roundtrip_randomized():
     regimes: encode -> decode_stream is the identity for any uint64
     mix (the descending-overwrite encoder and the continuation-bit
     masked decoder are both length-class-sensitive, so mixes of 1- and
-    10-byte values exercise every round-mode switch), and prefer32
-    returns the same values through the uint32 accumulator with its
-    transparent uint64 fallback."""
+    10-byte values exercise every round-mode switch), with the values
+    of 5 bytes and more patched in from the side channel."""
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
@@ -133,13 +154,10 @@ def test_varint_stream_roundtrip_randomized():
         v = np.array(vals, np.uint64)
         flat, nb = vi.varint_encode(v)
         assert int(nb.sum()) == len(flat)
-        got, offs = vi.varint_decode_stream(flat)
+        got, offs = decode_stream(flat)
         assert (got == v).all()
         ends = np.cumsum(nb)
         assert (offs == ends - nb).all()
-        got32, offs32 = vi.varint_decode_stream(flat, prefer32=True)
-        assert (got32.astype(np.uint64) == v).all()
-        assert (offs32 == offs).all()
         # u32-input encode produces identical bytes for u32-range data
         if v.max() < 2**32:
             flat32, nb32 = vi.varint_encode(v.astype(np.uint32))
@@ -177,8 +195,9 @@ def test_dequantize_requantizes_exactly():
 
 
 def test_decode_stream_split_big_property():
-    """split_big returns the identical logical values as the plain
-    u64 decode on randomized streams mixing small deltas with >= 2^28
+    """The uint32 bulk with its big lanes patched in gives the values
+    and offsets of ``decode_varint_scalar`` over the same stream, on
+    randomized streams mixing small deltas with >= 2^28
     ring-start-sized values (hypothesis sweep)."""
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -190,17 +209,10 @@ def test_decode_stream_split_big_property():
                   st.integers(0, 2**64 - 1)),
         min_size=1, max_size=300))
     def check(vals):
-        buf = np.frombuffer(
-            b"".join(oracle_varint(v) for v in vals), np.uint8)
-        want, woffs = vi.varint_decode_stream(buf)
-        got, goffs, bi, bv = vi.varint_decode_stream(
-            buf, prefer32=True, split_big=True)
+        raw = b"".join(oracle_varint(v) for v in vals)
+        want, woffs = decode_scalar(raw)
+        got, goffs = decode_stream(np.frombuffer(raw, np.uint8))
         assert (goffs == woffs).all()
-        merged = got.astype(np.uint64)
-        if len(bi):
-            merged[bi] = bv
-        assert (merged == want.astype(np.uint64)).all()
-        # the u32 bulk never claims a big lane's full value
-        assert got.dtype == np.uint32
+        assert (got == want).all()
 
     check()
