@@ -15,7 +15,24 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import Any
 
-from geobuf_ray.pipelines import queries as q
+
+def _query_module():
+    """``q``, the query module, imported on first use: it is most of
+    this module's import cost, and only ``entry()`` and ``queries()``
+    need it."""
+    global q
+    try:
+        return q
+    except NameError:
+        from geobuf_ray.pipelines import queries as q
+        return q
+
+
+def __getattr__(name: str) -> Any:
+    if name == "q":
+        return _query_module()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # shared SQL fragments for the derived geometry (see queries.py docstring)
 _LON = "(((c_custkey * 7919) % 36000) / 100.0 - 180.0)"
@@ -124,10 +141,11 @@ def entry() -> Any:
     the geobuf codec round-trip, then the cell-pruned PIP join against
     supplier rectangles."""
     sf = "/root/testdata/sf0.001"
-    return q.pip_rect_join(sf)
+    return _query_module().pip_rect_join(sf)
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
+    q = _query_module()
     return {
         # relational core (read-prune, partial agg, broadcast join,
         # sort/limit, window)

@@ -297,6 +297,27 @@ def encode_property_column(name: str, col) -> list[tuple[np.ndarray, np.ndarray]
 # ---------------------------------------------------------------------------
 
 
+def _raise_at(c_offs: np.ndarray, value: int, what: str):
+    record = int(np.searchsorted(c_offs, value, "right")) - 1
+    raise ValueError(f"record {record}: {what}")
+
+
+def _quantize_checked(coords: np.ndarray, c_offs: np.ndarray):
+    """``(quantize(coords), wide)``; raises ``ValueError`` naming the
+    record of a null, NaN or infinite coordinate, or of one whose
+    quantized value does not fit int64 (the cast would give garbage,
+    not an error).  ``wide`` says some |value| reaches 2^62, the only
+    case where a delta of two quantized values can wrap."""
+    scaled = coords * _POWER
+    ok = (scaled >= -(2.0**63)) & (scaled < 2.0**63)  # False for NaN
+    if not ok.all():
+        j = int(np.argmin(ok))
+        _raise_at(c_offs, j, f"coordinate {coords[j]!r} is null, not "
+                  "finite or out of int64 range when quantized")
+    wide = bool(np.abs(scaled).max() >= 2.0**62)
+    return scaled.astype(np.int64), wide
+
+
 def _geometry_segments(table: pa.Table):
     """Build (geom_flat, geom_lens, bbox_flat, bbox_lens) per feature."""
     n = table.num_rows
@@ -390,7 +411,7 @@ def _geometry_segments(table: pa.Table):
                 delta[rs + 1] = q32[rs + 1]
                 zz = vi.zigzag_encode(delta)
     if total_vals and zz is None:
-        q = quantize(coords)
+        q, wide = _quantize_checked(coords, c_offs)
         delta = np.empty(total_vals, np.int64)
         # value index of each point's dim-j coord: pt_base + j
         # compute deltas pointwise: d[p] = q[p] - q[p-1] per dim, reset at ring start
@@ -416,6 +437,14 @@ def _geometry_segments(table: pa.Table):
                 for j in range(int(pt_dim.max()) if len(pt_dim) else 0):
                     sel = ii[pt_dim[ii] > j]
                     delta[pt_base[sel] + j] = q[pt_base[sel] + j] - q[prev_idx[sel] + j]
+        if wide:
+            # a - b wrapped iff a and b differ in sign and so do a and
+            # a - b; b = q - delta recovers the subtrahend (0 at a ring
+            # start, where delta is q itself)
+            wrapped = ((q ^ (q - delta)) & (q ^ delta)) < 0
+            if wrapped.any():
+                _raise_at(c_offs, int(np.argmax(wrapped)),
+                          "a coordinate delta does not fit int64")
         # deltas almost always fit int32 (a >=2^31 delta is a
         # >214-degree jump): zigzag + the whole varint_encode pipeline
         # below then run at half width — same bytes, half the traffic

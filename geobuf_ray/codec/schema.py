@@ -74,54 +74,11 @@ def list_column_parts(col: pa.ChunkedArray | pa.Array, dtype=None):
     return values, offsets
 
 
-def geometry_from_nested(
-    geom_type: str, coordinates, dim: int | None = None
-) -> dict:
-    """Convert GeoJSON-style nested coordinate lists to the flat layout.
-
-    Returns a dict with keys geom_type/dim/coords/ring_sizes/poly_sizes.
-    Runs once per converted feature (``features_to_table``).  ``dim``
-    defaults to the first position's length; longer positions are
-    truncated to it.  An unknown type, or a position with fewer than
-    2 values or fewer than ``dim``, raises ``ValueError`` here rather
-    than a shape error later in the encoder.
-    """
-    code = GEOM_TYPE_CODES.get(geom_type)
-    if code == POINT:
-        rings = [[coordinates]]
-        polys = [1]
-    elif code in (LINESTRING, MULTIPOINT):
-        rings = [coordinates]
-        polys = [1]
-    elif code in (POLYGON, MULTILINESTRING):
-        rings = list(coordinates)
-        polys = [len(rings)]
-    elif code == MULTIPOLYGON:
-        rings = [r for poly in coordinates for r in poly]
-        polys = [len(poly) for poly in coordinates]
-    else:
-        raise ValueError(f"unsupported geometry type {geom_type!r}")
-    if dim is None:
-        dim = len(rings[0][0]) if rings and rings[0] else 2
-    pts = [pt for ring in rings for pt in ring]
-    need = max(dim, 2)
-    if pts and min(map(len, pts)) < need:
-        raise ValueError(f"{geom_type} has a position with fewer than "
-                         f"{need} values")
-    flat = [v for pt in pts for v in pt[:dim]]
-    return {
-        "geom_type": code,
-        "dim": dim,
-        "coords": flat,
-        "ring_sizes": [len(r) for r in rings],
-        "poly_sizes": polys,
-    }
-
-
 def nested_from_flat(
     geom_type: int, dim: int, coords, ring_sizes, poly_sizes
 ):
-    """Inverse of :func:`geometry_from_nested` (test/driver helper)."""
+    """Nested GeoJSON coordinates of one flat-layout geometry
+    (test/driver helper)."""
     pts = np.asarray(coords, dtype=np.float64).reshape(-1, dim)
     rings = []
     i = 0

@@ -9,8 +9,10 @@ file in chunks and splits feature spans with a numpy scanner over the
 POSITIONS of the quotes, backslashes and braces (escape parity, string
 parity and brace depth computed on those few positions, never an array
 per byte and never a per-character Python loop).  Each batch of spans
-is then parsed and tabled with the cyclic garbage collector paused, and
-yielded as a canonical Arrow feature block.  Both whole
+is then parsed by one ``json.loads`` and tabled column-wise
+(``geojson.features_to_table``: one Arrow conversion per geometry
+type) with the cyclic garbage collector paused, and yielded as a
+canonical Arrow feature block.  Both whole
 FeatureCollection files and line-delimited files work — the scanner
 only looks at top-level object spans, so framing commas/newlines are
 irrelevant.
@@ -145,6 +147,17 @@ def iter_feature_json(stream, chunk_size: int = _CHUNK) -> Iterator[list[str]]:
 def parse_features_batch(json_strs: list[str]) -> pa.Table:
     """Canonical feature table from a list of feature JSON strings.
 
+    Each string holds one feature.  The batch is parsed by ONE
+    ``json.loads`` of the strings joined into a JSON array (one call's
+    fixed cost, and object keys shared across the batch).  A string
+    holding two values shifts the count, and a count that differs from
+    ``len(json_strs)`` raises ``ValueError``; the count cannot see such
+    a string next to two fragments that join into one value, which the
+    brace scanner (``iter_feature_json``) never yields.
+    A string that does not parse raises ``json.JSONDecodeError`` naming
+    its index (found by parsing the strings one by one, on the error
+    path only).
+
     The cyclic garbage collector is paused while the batch is parsed and
     tabled: the parse allocates a few hundred thousand dicts and lists,
     enough to start full collections that walk the whole (Ray worker)
@@ -157,13 +170,30 @@ def parse_features_batch(json_strs: list[str]) -> pa.Table:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        feats = [json.loads(s) for s in json_strs]
+        try:
+            feats = json.loads("[" + ",".join(json_strs) + "]")
+        except json.JSONDecodeError as err:
+            raise _decode_error(json_strs) or err
+        if len(feats) != len(json_strs):
+            raise ValueError(f"{len(json_strs)} feature strings parsed to "
+                             f"{len(feats)} values; each string must hold "
+                             "exactly one feature")
         table = gj.features_to_table(feats)
         del feats
         return table
     finally:
         if was_enabled:
             gc.enable()
+
+
+def _decode_error(json_strs: list[str]) -> json.JSONDecodeError | None:
+    """The first string's own decode error, with its index."""
+    for i, s in enumerate(json_strs):
+        try:
+            json.loads(s)
+        except json.JSONDecodeError as e:
+            return json.JSONDecodeError(f"feature {i}: {e.msg}", e.doc, e.pos)
+    return None
 
 
 try:

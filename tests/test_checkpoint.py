@@ -159,7 +159,7 @@ def test_checkpointed_clip_resume(ray_session, tmp_path):
     import pyarrow as pa
     import ray
 
-    from geobuf_ray.codec.schema import geometry_from_nested
+    from feature_oracle import geometry_from_nested
     from geobuf_ray.spatial import tiles
     from geobuf_ray.state import checkpoint as ck
 

@@ -194,7 +194,7 @@ def test_clip_points():
 
 import pyarrow as pa
 
-from geobuf_ray.codec.schema import geometry_from_nested
+from feature_oracle import geometry_from_nested
 from geobuf_ray.pipelines.tiling import assign_tiles_batch, tile_clip_batch
 from geobuf_ray.spatial import tiles
 

@@ -603,6 +603,43 @@ def test_int32_span_shortcut_boundary_matches_int64_path():
             assert (np.round(xs * 1e7).astype(np.int64) == q).all(), (quanta, frac)
 
 
+@pytest.mark.parametrize("third", [False, True], ids=["2d", "mixed_dim"])
+@pytest.mark.parametrize("x", ["null", "NaN", "1e400", "1e12"])
+def test_encode_refuses_a_coordinate_it_cannot_write(x, third):
+    """A null, NaN or infinite coordinate, or one whose quantized value
+    does not fit int64, fails the batch with a ValueError naming the
+    record, in the dim-2 lanes and the general one (they used to encode
+    and decode as x = -922337203685.4775)."""
+    from geobuf_ray.io.geojson_io import parse_features_batch
+
+    line = '{"type":"Feature","geometry":{"type":"LineString","coordinates":%s}}'
+    tbl = parse_features_batch([line % "[[1, 2], [3, 4]]",
+                                line % f"[[1, 2], [{x}, 2.5]]"])
+    if third:
+        tbl = pa.concat_tables([tbl, parse_features_batch(
+            [line % "[[1, 2, 3], [3, 4, 5]]"])])
+    with pytest.raises(ValueError, match="^record 1: coordinate"):
+        fc.encode_batch(tbl)
+
+
+@pytest.mark.parametrize("third", [False, True], ids=["2d", "mixed_dim"])
+def test_encode_refuses_a_delta_past_int64(third):
+    """Two quantized values that each fit int64 but whose difference
+    does not fail the record instead of wrapping."""
+    from geobuf_ray.io.geojson_io import parse_features_batch
+
+    line = '{"type":"Feature","geometry":{"type":"LineString","coordinates":%s}}'
+    tbl = parse_features_batch([line % "[[1, 2], [3, 4]]",
+                                line % "[[9e11, 0], [9e11, 1]]",
+                                line % "[[9e11, 0], [-9e11, 0]]"])
+    if third:
+        tbl = pa.concat_tables([tbl, parse_features_batch(
+            [line % "[[1, 2, 3], [3, 4, 5]]"])])
+    with pytest.raises(ValueError, match="^record 2: a coordinate delta"):
+        fc.encode_batch(tbl)
+    assert len(fc.encode_batch(tbl.slice(0, 2))) == 2
+
+
 # The suite's corpus as records, and a batch size past the crossover
 # of the two structure walks: a batch of one record takes the scalar
 # walk, a batch of _BIG records the vectorised one.

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import feature_corpus
-from geobuf_ray.codec.schema import GEOM_TYPE_CODES, geometry_from_nested
+import feature_oracle
+from feature_oracle import geometry_from_nested
+from geobuf_ray.codec.schema import GEOM_TYPE_CODES
 from geobuf_ray.io import geojson as gj
 from geobuf_ray.io import geojson_io as gio
 
@@ -127,8 +129,12 @@ def test_iter_feature_json_same_at_every_chunk_size(tmp_path):
     {"type": "Point", "coordinates": [1]},
     {"type": "Polygon", "coordinates": [[[0, 0], [1], [0, 0]]]},
     {"type": "Circle", "coordinates": [0, 0]},
+    {"type": "LineString", "coordinates": [1, 2]},
+    {"type": "Polygon", "coordinates": [[1, 2], [3, 4]]},
+    {"type": "MultiPolygon", "coordinates": [[[1, 2]]]},
 ], ids=["short_later_position", "one_value_point", "one_value_ring_vertex",
-        "unknown_type"])
+        "unknown_type", "linestring_of_numbers", "polygon_of_positions",
+        "multipolygon_of_rings"])
 def test_malformed_geometry_raises_value_error_at_parse(geometry):
     feat = {"type": "Feature", "properties": {}, "geometry": geometry}
     with pytest.raises(ValueError):
@@ -140,6 +146,199 @@ def test_malformed_geometry_raises_value_error_at_parse(geometry):
 def test_longer_positions_truncate_to_first_dim():
     g = geometry_from_nested("LineString", [[1, 2], [3, 4, 5]])
     assert (g["dim"], g["coords"]) == (2, [1, 2, 3, 4])
+
+
+def _feature_json(geometry, fid=None, props=None) -> str:
+    return json.dumps({"type": "Feature", "id": fid, "properties": props or {},
+                       "geometry": geometry})
+
+
+_LINE = {"type": "LineString", "coordinates": [[1, 2], [3, 4]]}
+
+
+@pytest.mark.parametrize("geometry", [
+    {"type": "LineString", "coordinates": [[1, 2], ["a", 4]]},
+    {"type": "LineString", "coordinates": [[1, 2], None]},
+    {"type": "Polygon", "coordinates": [[[0, 0], [1, 1], [0, 0]], None]},
+    {"type": "MultiPolygon", "coordinates": [None]},
+    {"type": "Point", "coordinates": [[1, 2]]},
+    {"type": "MultiPoint", "coordinates": [[1, 2], [3]]},
+], ids=["string_value", "null_position", "null_ring", "null_polygon",
+        "nested_point", "short_position"])
+def test_malformed_geometry_error_names_the_feature(geometry):
+    """The error names the feature's index in the batch, after a good
+    feature of another type and one of the same type."""
+    same = {"type": geometry["type"],
+            "coordinates": {"Point": [1, 2],
+                            "MultiPoint": [[1, 2]],
+                            "LineString": [[1, 2], [3, 4]],
+                            "Polygon": [[[0, 0], [1, 1], [0, 0]]],
+                            "MultiPolygon": [[[[0, 0], [1, 1], [0, 0]]]],
+                            }[geometry["type"]]}
+    batch = [_feature_json({"type": "Point", "coordinates": [0, 0]}),
+             _feature_json(same), _feature_json(geometry)]
+    with pytest.raises(ValueError, match="^feature 2: "):
+        gio.parse_features_batch(batch)
+
+
+def test_batch_parse_keeps_one_feature_per_string():
+    """One ``json.loads`` parses the batch, but a string holding two
+    features still fails, and a bad string is named by its index."""
+    with pytest.raises(ValueError, match="2 values"):
+        gio.parse_features_batch(['{"a": 1}, {"b": 2}'])
+    with pytest.raises(json.JSONDecodeError, match="^feature 1: "):
+        gio.parse_features_batch([_feature_json(_LINE), '{"type": ',
+                                  _feature_json(_LINE)])
+    assert gio.parse_features_batch([]).num_rows == 0
+
+
+@pytest.mark.parametrize("bad", [
+    '[1, 2]',
+    '{"type": "Feature", "geometry": "Point"}',
+    '{"type": "Feature", "properties": [1], "geometry": %s}'
+    % json.dumps(_LINE),
+], ids=["feature_array", "geometry_string", "properties_array"])
+def test_non_object_feature_parts_name_the_feature(bad):
+    """A feature, geometry or properties that is not a JSON object fails
+    with a ValueError naming the feature, not an AttributeError."""
+    with pytest.raises(ValueError, match="^feature 1: .*not an object"):
+        gio.parse_features_batch([_feature_json(_LINE), bad])
+
+
+@pytest.mark.parametrize("fid", ["NaN", "Infinity", "1e19",
+                                 "9223372036854775808"])
+def test_id_outside_int64_becomes_null(fid):
+    """An id that is a number but does not fit int64 becomes null, as a
+    non-numeric id does, and the batch's other ids survive."""
+    bad = _feature_json(_LINE).replace('"id": null', f'"id": {fid}')
+    tbl = gio.parse_features_batch([_feature_json(_LINE, fid=-(2**63)), bad,
+                                    _feature_json(_LINE, fid=7.9)])
+    assert tbl["id"].to_pylist() == [-(2**63), None, 7]
+
+
+def test_integer_property_past_2_53_rounds_as_float_does():
+    """Arrow refuses to convert an integer past 2^53 to a double; the
+    column then takes the per-value path, where ``float()`` rounds it,
+    mixed with floats or alone."""
+    big = 2**53 + 1
+    feats = [json.loads(_feature_json(_LINE, 1, {"n": big, "m": big})),
+             json.loads(_feature_json(_LINE, 2, {"n": 0.5, "m": 3}))]
+    tbl = gj.features_to_table(feats)
+    assert tbl["n"].to_pylist() == [float(big), 0.5]
+    assert tbl["m"].to_pylist() == [float(big), 3.0]
+    assert tbl.equals(feature_oracle.features_to_table(feats))
+
+
+def test_property_key_order_and_mixed_types_match_oracle():
+    """Keys come in the order they are first seen with a kept value, and
+    a mixed-type key keeps its majority type."""
+    feats = [json.loads(_feature_json(_LINE, i, p)) for i, p in enumerate([
+        {"late": None, "mix": "a", "gone": [1], "b": True},
+        {"mix": 1, "late": 2, "gone": {"x": 1}},
+        {"mix": 2.5, "b": 3, "late": "s"},
+        {"mix": False, "b": False},
+    ])]
+    tbl = gj.features_to_table(feats)
+    assert tbl.column_names[6:] == ["mix", "b", "late"]
+    assert tbl["mix"].to_pylist() == [None, 1.0, 2.5, None]
+    assert tbl["b"].to_pylist() == [True, None, None, False]
+    assert tbl.equals(feature_oracle.features_to_table(feats))
+
+
+def test_columnwise_table_equals_oracle_on_corpora(tmp_path):
+    """The suite corpus and a benchmark-generator corpus build the same
+    table, schema included, as the per-feature oracle."""
+    from perfbench import gen
+
+    feats = feature_corpus.features()
+    assert gj.features_to_table(feats).equals(
+        feature_oracle.features_to_table(feats))
+    corpus = gen.geojson_corpus(str(tmp_path / "flow"), 3000, seed=5)
+    with open(corpus["paths"][0]) as f:
+        lines = f.read().splitlines()
+    got = gio.parse_features_batch(lines)
+    assert got.num_rows == 3000
+    assert got.equals(feature_oracle.features_to_table(map(json.loads, lines)))
+
+
+def _geometry_strategy():
+    from hypothesis import strategies as st
+
+    value = st.one_of(st.floats(-180, 180, allow_nan=False),
+                      st.integers(-180, 180))
+
+    @st.composite
+    def geometry(draw):
+        kind = draw(st.sampled_from(feature_corpus.KINDS))
+        dim = draw(st.sampled_from([2, 3]))
+        longer = draw(st.booleans())
+
+        def position():
+            n = dim + (draw(st.integers(0, 2)) if longer else 0)
+            return draw(st.lists(value, min_size=n, max_size=n))
+
+        def positions():
+            return [position() for _ in range(draw(st.integers(0, 4)))]
+
+        # the first ring's first position sets dim, so only later
+        # positions may be longer
+        if kind == "Point":
+            coords = rings = [[position()]]
+        elif kind in ("LineString", "MultiPoint"):
+            coords = [position()] + positions()
+            rings = [coords]
+        elif kind in ("Polygon", "MultiLineString"):
+            coords = rings = [positions()
+                              for _ in range(draw(st.integers(1, 3)))]
+        else:
+            coords = [[positions() for _ in range(draw(st.integers(0, 2)))]
+                      for _ in range(draw(st.integers(1, 3)))]
+            rings = [r for poly in coords for r in poly]
+        if rings and rings[0]:
+            del rings[0][0][dim:]
+        if kind == "Point":
+            coords = coords[0][0]
+        return draw(st.sampled_from([
+            {"type": kind, "coordinates": coords},
+            {"type": kind, "coordinates": coords},
+            {"type": kind, "coordinates": coords},
+            None, {}, {"type": kind, "coordinates": []},
+            {"type": kind, "coordinates": None}]))
+
+    return geometry()
+
+
+def test_columnwise_table_equals_oracle_on_generated_features():
+    """All six types in 2-D and 3-D, longer positions, empty rings and
+    polygons, empty or null geometry, every kind of id and mixed-type
+    property keys: the table equals the per-feature oracle's, built from
+    the dicts and from their JSON strings."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    fid = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                    st.integers(-(2**70), 2**70), st.floats())
+    prop_value = st.one_of(
+        st.none(), st.booleans(), st.text(max_size=4),
+        st.integers(-(2**64), 2**64),
+        st.floats(allow_nan=False), st.lists(st.integers(), max_size=2),
+        st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+    feature = st.builds(
+        lambda i, g, p: {"type": "Feature", "id": i, "geometry": g,
+                         "properties": p},
+        fid, _geometry_strategy(),
+        st.dictionaries(st.sampled_from("abcde"), prop_value, max_size=4))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(feature, max_size=12))
+    def check(feats):
+        want = feature_oracle.features_to_table(feats)
+        assert gj.features_to_table(feats).equals(want)
+        strs = [json.dumps(f) for f in feats]
+        assert gio.parse_features_batch(strs).equals(
+            feature_oracle.features_to_table(map(json.loads, strs)))
+
+    check()
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -266,7 +266,7 @@ def test_split_combine_clip_and_combine_indexed(ray_session, tmp_path):
     return clipped geometry inside each tile's bounds."""
     import ray
 
-    from geobuf_ray.codec.schema import geometry_from_nested
+    from feature_oracle import geometry_from_nested
     from geobuf_ray.pipelines.tiling import split_combine
     from geobuf_ray.spatial import tiles
 

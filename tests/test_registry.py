@@ -23,3 +23,20 @@ def test_entry_runs_a_registered_query(monkeypatch):
 
     monkeypatch.setattr(entrymod, "q", Spy())
     assert entrymod.entry() in entrymod.queries()
+
+
+def test_import_leaves_the_query_module_for_first_use():
+    """``import __ray_entry__`` in a fresh process does not load the
+    query module (most of its import cost); ``queries()`` then loads it
+    and returns the full registry."""
+    import os
+    import subprocess
+    import sys
+
+    code = ("import sys, __ray_entry__ as e\n"
+            "print('geobuf_ray.pipelines.queries' in sys.modules)\n"
+            "print(len(e.queries()))\n")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    assert out.split() == ["False", str(len(entrymod.queries()))]

@@ -30,12 +30,17 @@ decoder sends a batch to the scalar walk up to the largest size at
 which it is the faster one (``decode._SCALAR_MAX_RECORDS``).
 
 ``--geojson-read`` measures the GeoJSON read kernel that feeds the
-encoder: N features (default 20,000 LineStrings of 32 vertices) are
-written as line-delimited GeoJSON to a temporary file, then split by
-``iter_feature_json`` and tabled by ``parse_features_batch``.  The line
-reports the best-of-3 microseconds per feature and the number of full
-(generation-2) garbage collections over the three runs, from
-``gc.get_stats()``.
+encoder on two corpora of N features (default 20,000), each written as
+line-delimited GeoJSON to a temporary file: ``lines`` (LineStrings of
+V vertices, default 32) and ``mixed`` (all six geometry types with the
+``geobuf_flow`` benchmark's properties, from ``perfbench.gen``).  Each
+is split by ``iter_feature_json`` and tabled by
+``parse_features_batch``.  One line per corpus reports the best-of-3
+microseconds per feature of the whole read and of its three parts
+(``scan``: the split; ``loads``: one ``json.loads`` per batch;
+``table``: ``features_to_table``; the last two with GC paused, as the
+read runs them), and the number of full (generation-2) garbage
+collections over the three whole reads, from ``gc.get_stats()``.
 
 ``--concurrent`` mirrors the reference's 18x READ protocol
 (README.md:6 + geobuf_concurrent.go:23-33: goroutine-parallel feature
@@ -49,7 +54,9 @@ README.md:19).
 """
 from __future__ import annotations
 
+import gc
 import json
+import os
 import sys
 import time
 
@@ -58,6 +65,7 @@ import numpy as np
 sys.path.insert(0, ".")
 
 from geobuf_ray.codec import decode, feature  # noqa: E402
+from geobuf_ray.io.geojson import features_to_table  # noqa: E402
 from geobuf_ray.io.geojson_io import (  # noqa: E402
     iter_feature_json,
     parse_features_batch,
@@ -179,37 +187,67 @@ def run_batch_sizes(sizes: list[int], n: int, v: int) -> None:
     print(json.dumps(line))
 
 
+def _paused(fn):
+    """``fn`` timed as ``parse_features_batch`` runs it: cyclic GC off."""
+    def run():
+        gc.disable()
+        try:
+            return fn()
+        finally:
+            gc.enable()
+    return run
+
+
+def _time_read(path: str, n: int) -> dict:
+    """Best-of-3 seconds of the whole read and of its three parts, and
+    the full collections over the three whole reads."""
+    def read() -> int:
+        rows = 0
+        with open(path, "rb") as f:
+            for strs in iter_feature_json(f):
+                rows += parse_features_batch(strs).num_rows
+        return rows
+
+    def scan() -> list:
+        with open(path, "rb") as f:
+            return list(iter_feature_json(f))
+
+    full_before = gc.get_stats()[2]["collections"]
+    read_s, rows = best_of(3, read)
+    full = gc.get_stats()[2]["collections"] - full_before
+    assert rows == n, rows
+    scan_s, batches = best_of(3, scan)
+    loads_s, parsed = best_of(3, _paused(lambda: [
+        json.loads("[" + ",".join(b) + "]") for b in batches]))
+    table_s, _ = best_of(3, _paused(lambda: [
+        features_to_table(p) for p in parsed]))
+    us = {f"{k}_us_per_feature": round(s / n * 1e6, 2) for k, s in (
+        ("read", read_s), ("scan", scan_s), ("loads", loads_s),
+        ("table", table_s))}
+    return {"geojson_mb": round(os.path.getsize(path) / 1e6, 2),
+            "read_s": round(read_s, 3), **us, "gen2_collections": full}
+
+
 def run_geojson_read(n: int, v: int) -> None:
-    """Microseconds per feature to split and table N NDJSON features."""
-    import gc
-    import os
+    """Microseconds per feature to split and table N NDJSON features,
+    one line per corpus: ``lines`` (LineStrings of V vertices) and
+    ``mixed`` (all six geometry types, the ``geobuf_flow`` corpus)."""
     import tempfile
 
-    fd, path = tempfile.mkstemp(suffix=".ndjson")
-    try:
-        with os.fdopen(fd, "w") as f:
+    from perfbench import gen
+
+    with tempfile.TemporaryDirectory() as d:
+        lines = os.path.join(d, "lines.ndjson")
+        with open(lines, "w") as f:
             for feat in build_features(n, v):
                 f.write(json.dumps(feat, separators=(",", ":")) + "\n")
-
-        def read() -> int:
-            rows = 0
-            with open(path, "rb") as f:
-                for strs in iter_feature_json(f):
-                    rows += parse_features_batch(strs).num_rows
-            return rows
-
-        full_before = gc.get_stats()[2]["collections"]
-        best, rows = best_of(3, read)
-        full = gc.get_stats()[2]["collections"] - full_before
-        size = os.path.getsize(path)
-    finally:
-        os.remove(path)
-    assert rows == n, rows
-    print(json.dumps({"mode": "geojson_read", "n": n, "vertices": v,
-                      "geojson_mb": round(size / 1e6, 2),
-                      "read_s": round(best, 3),
-                      "read_us_per_feature": round(best / n * 1e6, 2),
-                      "gen2_collections": full}))
+        mixed = gen.geojson_corpus(os.path.join(d, "mixed"), n,
+                                   seed=211)["paths"][0]
+        for corpus, path, verts in (("lines", lines, v),
+                                    ("mixed", mixed, None)):
+            print(json.dumps({"mode": "geojson_read", "corpus": corpus,
+                              "n": n, "vertices": verts,
+                              **_time_read(path, n)}))
 
 
 def main() -> None:
